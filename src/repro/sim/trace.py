@@ -8,23 +8,44 @@ models further.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, Optional
 
 
-@dataclass(frozen=True)
 class TraceRecord:
-    """One trace entry: a timestamped, typed, tagged observation."""
+    """One trace entry: a timestamped, typed, tagged observation.
 
-    time: float
-    kind: str
-    fields: dict = field(default_factory=dict)
+    A plain ``__slots__`` class rather than a dataclass: traced runs
+    build one per record, hundreds of thousands per run.  Treat it as
+    immutable.  Unknown attributes forward to ``fields``
+    (``rec.node is rec.fields["node"]``).
+    """
+
+    __slots__ = ("time", "kind", "fields")
+
+    def __init__(self, time: float, kind: str,
+                 fields: Optional[dict] = None):
+        self.time = time
+        self.kind = kind
+        self.fields = {} if fields is None else fields
 
     def __getattr__(self, name: str) -> Any:
         try:
             return self.fields[name]
         except KeyError:
             raise AttributeError(name) from None
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.time, self.kind, self.fields)
+                == (other.time, other.kind, other.fields))
+
+    def __repr__(self) -> str:
+        return (f"TraceRecord(time={self.time!r}, kind={self.kind!r}, "
+                f"fields={self.fields!r})")
+
+    def __reduce__(self):
+        return (TraceRecord, (self.time, self.kind, self.fields))
 
 
 class Tracer:

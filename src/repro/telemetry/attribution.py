@@ -38,7 +38,9 @@ measurable per message.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from bisect import bisect_left, bisect_right
+from itertools import accumulate
+from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.sim.trace import TraceRecord
 from repro.telemetry.causal import MessageTrace, SchedulingWindows
@@ -65,6 +67,56 @@ def _clip(intervals: Iterable[Interval], lo: float,
     return out
 
 
+class IntervalIndex:
+    """One interval list, indexed so :meth:`clip` skips what cannot overlap.
+
+    ``ends[i]`` is the largest end among intervals ``0..i`` and
+    ``starts[i]`` the smallest start among ``i..n-1``; both are
+    non-decreasing whatever order the intervals are in.  Intervals before
+    the first ``ends[i] > lo`` all end at or before ``lo``, and intervals
+    from the first ``starts[j] >= hi`` on all start at or after ``hi``,
+    so neither can clip to a non-empty piece.  :meth:`clip` therefore
+    returns exactly ``_clip(intervals, lo, hi)``, in the same order.
+    """
+
+    __slots__ = ("intervals", "ends", "starts")
+
+    def __init__(self, intervals: Iterable[Interval]):
+        self.intervals = list(intervals)
+        self.ends = list(accumulate((e for _, e in self.intervals), max))
+        self.starts = list(accumulate(
+            (s for s, _ in reversed(self.intervals)), min))[::-1]
+
+    def clip(self, lo: float, hi: float) -> List[Interval]:
+        first = bisect_right(self.ends, lo)
+        stop = bisect_left(self.starts, hi, first)
+        return _clip(self.intervals[first:stop], lo, hi)
+
+
+_NO_INTERVALS = IntervalIndex(())
+
+
+class WindowIndex:
+    """:class:`SchedulingWindows` with every interval list indexed.
+
+    Build one per record stream and pass it to :func:`attribute_message`
+    for every message, instead of rescanning whole window lists.
+    """
+
+    __slots__ = ("halted", "swapping", "stored", "stopped")
+
+    def __init__(self, windows: SchedulingWindows):
+        for name in self.__slots__:
+            setattr(self, name, {key: IntervalIndex(ivs) for key, ivs
+                                 in getattr(windows, name).items()})
+
+
+def _clip_in(table: Dict[Any, IntervalIndex], key, lo: float,
+             hi: float) -> List[Interval]:
+    """``table[key]``'s intervals clipped to ``[lo, hi]`` (none if absent)."""
+    return table.get(key, _NO_INTERVALS).clip(lo, hi)
+
+
 def _total(intervals: Iterable[Interval]) -> float:
     return sum(e - s for s, e in intervals)
 
@@ -88,16 +140,20 @@ def _subtract(base: List[Interval],
 
 
 def attribute_message(trace: MessageTrace,
-                      windows: SchedulingWindows) -> Optional[dict]:
+                      windows: Union[SchedulingWindows, WindowIndex]
+                      ) -> Optional[dict]:
     """Exact latency partition for one complete message.
 
     Returns ``{"latency": s, "causes": {cause: seconds}}`` (every cause
     key present, zero-filled) or ``None`` when the trace is incomplete —
     a truncated stream, a kinds-filtered tracer, or a message still in
-    flight when the run ended.
+    flight when the run ended.  Pass a :class:`WindowIndex` when
+    attributing many messages against the same windows.
     """
     if not trace.complete:
         return None
+    if not isinstance(windows, WindowIndex):
+        windows = WindowIndex(windows)
     frag = trace.completing_fragment()
     if frag is None or frag.enqueued is None:
         return None
@@ -125,9 +181,8 @@ def attribute_message(trace: MessageTrace,
         causes[_STALL_CAUSE.get(stall_cause, stall_cause)] += _total(clipped)
         stall_ivs.extend(clipped)
     remaining_a = _subtract([(t_start, enq)], _merge(stall_ivs))
-    src_stopped: List[Interval] = []
-    for iv in windows.stopped.get((trace.src_node, trace.job), ()):
-        src_stopped.extend(_clip([iv], t_start, enq))
+    src_stopped = _clip_in(windows.stopped, (trace.src_node, trace.job),
+                           t_start, enq)
     before_a = _total(remaining_a)
     remaining_a = _subtract(remaining_a, _merge(src_stopped))
     causes["descheduled"] += before_a - _total(remaining_a)
@@ -137,14 +192,11 @@ def attribute_message(trace: MessageTrace,
     # Priority: stored-context ⊃ buffer-swap ⊃ gang-barrier; remainder is
     # honest queueing behind other traffic.
     remaining = [(enq, first_tx)]
-    for cause, intervals in (
-            ("stored-context",
-             windows.stored.get((trace.src_node, trace.job), ())),
-            ("buffer-swap", windows.swapping.get(trace.src_node, ())),
-            ("gang-barrier", windows.halted.get(trace.src_node, ()))):
-        overlap: List[Interval] = []
-        for iv in intervals:
-            overlap.extend(_clip([iv], enq, first_tx))
+    for cause, table, key in (
+            ("stored-context", windows.stored, (trace.src_node, trace.job)),
+            ("buffer-swap", windows.swapping, trace.src_node),
+            ("gang-barrier", windows.halted, trace.src_node)):
+        overlap = _clip_in(table, key, enq, first_tx)
         before = _total(remaining)
         remaining = _subtract(remaining, _merge(overlap))
         causes[cause] += before - _total(remaining)
@@ -155,10 +207,8 @@ def attribute_message(trace: MessageTrace,
     causes["wire"] += deliver - tx
 
     # -- segment D: receiver host, [deliver, t_end] ---------------------
-    stopped = windows.stopped.get((trace.dst_node, trace.job), ())
-    desched: List[Interval] = []
-    for iv in stopped:
-        desched.extend(_clip([iv], deliver, t_end))
+    desched = _clip_in(windows.stopped, (trace.dst_node, trace.job),
+                       deliver, t_end)
     desched_total = _total(_merge(desched))
     causes["descheduled"] += desched_total
     causes["host-pickup"] += (t_end - deliver) - desched_total

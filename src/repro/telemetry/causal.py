@@ -140,7 +140,8 @@ def build_lineage(records: Iterable[TraceRecord]) -> List[MessageTrace]:
     the same stream always yields the same lineage.
     """
     messages: Dict[tuple, MessageTrace] = {}
-    seq_owner: Dict[tuple, tuple] = {}     # (src, dst?, seq) -> (key, frag)
+    seq_owner: Dict[tuple, tuple] = {}     # (src, seq) -> (key, frag)
+    seq_first: Dict[int, tuple] = {}       # seq -> first (src, seq) owned
     first_seen: Dict[tuple, float] = {}
 
     def trace_of(key: tuple, when: float) -> MessageTrace:
@@ -171,6 +172,7 @@ def build_lineage(records: Iterable[TraceRecord]) -> List[MessageTrace]:
             frag.enqueued = rec.time
             if frag.seq is not None:
                 seq_owner[(key[0], frag.seq)] = (key, f["frag"])
+                seq_first.setdefault(frag.seq, (key[0], frag.seq))
         elif kind == "pkt-tx":
             msg = f.get("msg", -1)
             if msg is None or msg < 0:
@@ -182,6 +184,7 @@ def build_lineage(records: Iterable[TraceRecord]) -> List[MessageTrace]:
             if frag.seq is None and f.get("seq") is not None:
                 frag.seq = f["seq"]
                 seq_owner[(key[0], frag.seq)] = (key, index)
+                seq_first.setdefault(frag.seq, (key[0], frag.seq))
             frag.tx_times.append(rec.time)
         elif kind == "pkt-deliver":
             msg = f.get("msg", -1)
@@ -222,11 +225,11 @@ def build_lineage(records: Iterable[TraceRecord]) -> List[MessageTrace]:
             if owner is not None:
                 messages[owner[0]].frags[owner[1]].gave_up = True
         elif kind == "pkt-dup-discard":
-            owner = _dup_owner(seq_owner, f)
+            owner = _dup_owner(seq_owner, seq_first, f)
             if owner is not None:
                 messages[owner[0]].frags[owner[1]].dup_discards += 1
         elif kind == "pkt-drop":
-            owner = _dup_owner(seq_owner, f)
+            owner = _dup_owner(seq_owner, seq_first, f)
             if owner is not None:
                 messages[owner[0]].frags[owner[1]].drops += 1
 
@@ -251,20 +254,21 @@ def _frag_by_seq(trace: MessageTrace, seq_owner: dict, key: tuple,
     return frag
 
 
-def _dup_owner(seq_owner: dict, f: dict) -> Optional[tuple]:
+def _dup_owner(seq_owner: dict, seq_first: dict,
+               f: dict) -> Optional[tuple]:
     """Drops/dup-discards happen at the *receiver*; the seq map is keyed
-    by sender node.  Try the record's explicit src first, then scan —
-    seqs are globally unique per sim, so at most one sender matches."""
+    by sender node.  Try the record's explicit src first, then the first
+    sender that owned the seq (``seq_first``, filled alongside
+    ``seq_owner``) — seqs are globally unique per sim, so at most one
+    sender matches."""
     seq = f.get("seq")
     if seq is None:
         return None
     src = f.get("src")
     if src is not None:
         return seq_owner.get((src, seq))
-    for (node, owned_seq), owner in seq_owner.items():
-        if owned_seq == seq:
-            return owner
-    return None
+    first = seq_first.get(seq)
+    return None if first is None else seq_owner[first]
 
 
 # ---------------------------------------------------------------- windows

@@ -18,11 +18,19 @@ microsecond of every message's latency to a named cause
 Determinism discipline: message ids and wire sequence numbers are
 process-global counters in the simulator (cheap and collision-free),
 so their raw values depend on how many simulations the worker process
-ran before this one.  :func:`normalize_records` rewrites both to dense
-per-stream indices — ordered by lineage order and first appearance
-respectively — before anything is analyzed or written, which is what
-makes a ``-j2`` sweep byte-identical to a serial one and a saved trace
-(schema ``repro-trace/1``) stable enough to diff.
+ran before this one.  The analysis never lets them out: ids are only
+compared for identity, raw ids grow monotonically within a simulation
+(so lineage order does not depend on their offset), and every output
+names a message by its lineage index.  That makes a ``-j2`` sweep
+byte-identical to a serial one.  A saved trace (schema
+``repro-trace/1``) does carry ids, so :func:`normalize_records`
+rewrites them to dense per-stream indices — lineage order and first
+appearance respectively — before the stream is kept, which makes
+saved traces stable enough to diff.
+
+The analysis is one pass per point: :func:`analyze_records` replays
+the lineage and the scheduling windows once and hands both back, and
+only a point whose records are kept pays for normalization.
 """
 
 from __future__ import annotations
@@ -37,10 +45,12 @@ from repro.gluefm.switch import ValidOnlyCopy
 from repro.parpar.cluster import ClusterConfig, ParParCluster
 from repro.parpar.job import JobSpec
 from repro.sim.trace import TraceRecord
-from repro.telemetry.attribution import (CAUSES, attribute_message,
+from repro.telemetry.attribution import (CAUSES, WindowIndex,
+                                         attribute_message,
                                          summarize_attribution,
                                          summarize_stalls)
-from repro.telemetry.causal import build_lineage, build_windows
+from repro.telemetry.causal import (MessageTrace, build_lineage,
+                                    build_windows)
 from repro.telemetry.spans import Span
 from repro.workloads.bandwidth import bandwidth_benchmark
 
@@ -62,6 +72,10 @@ def _run_point(jobs: int, message_bytes: int, messages: int, quantum: float,
         buffer_switching=True, switch_algorithm=ValidOnlyCopy(), fm=fm,
         seed=seed, telemetry=True,
     ))
+    # Explain reads only the trace stream: detach the bundle's every-event
+    # kernel profiler, whose profile nobody reads (results are identical
+    # with or without it).
+    cluster.sim.profiler = None
     workload = bandwidth_benchmark(messages, message_bytes)
     submitted = [cluster.submit(JobSpec(f"bw{i}", 2, workload))
                  for i in range(jobs)]
@@ -75,7 +89,9 @@ _MSG_BY_NODE = frozenset(("msg-start", "pkt-enq", "pkt-tx", "stall"))
 _MSG_BY_SRC = frozenset(("pkt-deliver", "msg-recv"))
 
 
-def normalize_records(records: Iterable[TraceRecord]) -> List[TraceRecord]:
+def normalize_records(records: Iterable[TraceRecord],
+                      lineage: Optional[Sequence[MessageTrace]] = None
+                      ) -> List[TraceRecord]:
     """Rewrite process-global ids to dense, stream-local indices.
 
     Message ids become the message's index in lineage order (the order
@@ -84,12 +100,13 @@ def normalize_records(records: Iterable[TraceRecord]) -> List[TraceRecord]:
     Control-packet sentinels (``msg < 0``) pass through untouched.  The
     rewritten stream replays to the *same* lineage — ids are only ever
     compared for identity — but no longer leaks how many simulations
-    the hosting process ran before this one.
+    the hosting process ran before this one.  ``lineage`` is the
+    stream's :func:`build_lineage` result, if the caller already has it.
     """
     records = list(records)
-    msg_map: Dict[tuple, int] = {}
-    for index, trace in enumerate(build_lineage(records)):
-        msg_map[trace.key] = index
+    if lineage is None:
+        lineage = build_lineage(records)
+    msg_map = {trace.key: index for index, trace in enumerate(lineage)}
     seq_map: Dict[int, int] = {}
     out: List[TraceRecord] = []
     for rec in records:
@@ -119,24 +136,35 @@ def normalize_records(records: Iterable[TraceRecord]) -> List[TraceRecord]:
 
 
 # ---------------------------------------------------------------- analysis
+#: :func:`analyze_records` keys that are not per-point statistics
+DETAIL_KEYS = ("per_message", "windows", "lineage")
+
+
 def analyze_records(records: Sequence[TraceRecord], truncated: bool = False,
                     end_time: Optional[float] = None) -> dict:
     """Lineage -> windows -> per-message attribution -> summary.
 
-    The returned dict carries the aggregate statistics plus a
-    ``per_message`` list (index, endpoints, chain timestamps, latency,
-    causes) for exemplar selection and chrome rendering.  ``mismatches``
-    counts messages whose cause partition failed to sum to the measured
-    latency within float tolerance — always 0 unless the attribution
-    logic regresses.
+    The returned dict carries the aggregate statistics plus, under
+    :data:`DETAIL_KEYS`, a ``per_message`` list (index, endpoints, chain
+    timestamps, latency, causes) for exemplar selection and chrome
+    rendering, the serialized scheduling ``windows``, and the
+    ``lineage`` itself, so callers need not replay the stream again.
+    ``mismatches`` counts messages whose cause partition failed to sum
+    to the measured latency within float tolerance — always 0 unless
+    the attribution logic regresses.
+
+    Ids are compared only for identity and outputs name messages by
+    lineage index, so a raw stream and its :func:`normalize_records`
+    rewrite give the same result (``lineage`` aside, which keeps ids).
     """
     traces = build_lineage(records)
     windows = build_windows(records, end_time=end_time)
+    indexed = WindowIndex(windows)
     per_message: List[dict] = []
     incomplete = 0
     mismatches = 0
     for index, trace in enumerate(traces):
-        att = attribute_message(trace, windows)
+        att = attribute_message(trace, indexed)
         if att is None:
             incomplete += 1
             continue
@@ -174,6 +202,8 @@ def analyze_records(records: Sequence[TraceRecord], truncated: bool = False,
         "causes": summary["causes"],
         "stalls": summarize_stalls(records),
         "per_message": per_message,
+        "windows": _serialize_windows(windows),
+        "lineage": traces,
     }
 
 
@@ -208,28 +238,36 @@ def _serialize_windows(windows) -> dict:
     }
 
 
+def _result(analysis: dict, config: dict, end_time: Optional[float],
+            reallocs: List[dict], records: Optional[list]) -> dict:
+    """One explain result from an :func:`analyze_records` analysis."""
+    point = {k: v for k, v in analysis.items() if k not in DETAIL_KEYS}
+    point.update(config, end_time=end_time)
+    return {
+        "point": point,
+        "per_message": analysis["per_message"],
+        "windows": analysis["windows"],
+        "reallocs": reallocs,
+        "records": records,
+    }
+
+
 def _explain_worker(args: tuple) -> dict:
-    """Picklable sweep worker: run, normalize, analyze one point."""
+    """Picklable sweep worker: run and analyze one point, and normalize
+    its records when they are kept."""
     (jobs, message_bytes, messages, quantum, num_processors, policy, seed,
      keep_records) = args
     raw, truncated, end_time = _run_point(
         jobs, message_bytes, messages, quantum, num_processors, policy, seed)
-    records = normalize_records(raw)
-    analysis = analyze_records(records, truncated=truncated,
-                               end_time=end_time)
-    point = {k: v for k, v in analysis.items() if k != "per_message"}
-    point.update(jobs=jobs, message_bytes=message_bytes,
-                 messages_per_job=messages, quantum=quantum,
-                 policy=policy or None, seed=seed, end_time=end_time)
-    return {
-        "point": point,
-        "per_message": analysis["per_message"],
-        "windows": _serialize_windows(build_windows(records,
-                                                    end_time=end_time)),
-        "reallocs": _derive_reallocs(records),
-        "records": ([[r.time, r.kind, r.fields] for r in records]
-                    if keep_records else None),
-    }
+    analysis = analyze_records(raw, truncated=truncated, end_time=end_time)
+    kept = None
+    if keep_records:
+        kept = [[r.time, r.kind, r.fields]
+                for r in normalize_records(raw, analysis["lineage"])]
+    config = dict(jobs=jobs, message_bytes=message_bytes,
+                  messages_per_job=messages, quantum=quantum,
+                  policy=policy or None, seed=seed)
+    return _result(analysis, config, end_time, _derive_reallocs(raw), kept)
 
 
 def run_explain(jobs: Sequence[int] = (1, 2, 4),
@@ -288,17 +326,8 @@ def load_trace(doc: dict) -> List[dict]:
         analysis = analyze_records(records,
                                    truncated=point.get("truncated", False),
                                    end_time=end_time)
-        cfg = point["config"]
-        payload = {k: v for k, v in analysis.items() if k != "per_message"}
-        payload.update(cfg, end_time=end_time)
-        results.append({
-            "point": payload,
-            "per_message": analysis["per_message"],
-            "windows": _serialize_windows(
-                build_windows(records, end_time=end_time)),
-            "reallocs": _derive_reallocs(records),
-            "records": point["records"],
-        })
+        results.append(_result(analysis, point["config"], end_time,
+                               _derive_reallocs(records), point["records"]))
     return results
 
 

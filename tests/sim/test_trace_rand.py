@@ -1,9 +1,12 @@
 """Tests for the tracer and the deterministic random streams."""
 
+import copy
+import pickle
+
 import pytest
 
 from repro.sim import RandomStreams, Simulator, Tracer
-from repro.sim.trace import NullTracer
+from repro.sim.trace import NullTracer, TraceRecord
 
 
 @pytest.fixture
@@ -63,6 +66,42 @@ class TestTracer:
         tracer = NullTracer()
         tracer.record("anything", x=1)
         assert len(tracer) == 0
+
+
+class TestTraceRecord:
+    def test_fields_default_is_a_fresh_dict(self):
+        a, b = TraceRecord(1.0, "x"), TraceRecord(1.0, "x")
+        assert a.fields == {} and a.fields is not b.fields
+
+    def test_equality_compares_time_kind_and_fields(self):
+        rec = TraceRecord(1.0, "x", {"node": 3})
+        assert rec == TraceRecord(1.0, "x", {"node": 3})
+        assert rec != TraceRecord(2.0, "x", {"node": 3})
+        assert rec != TraceRecord(1.0, "y", {"node": 3})
+        assert rec != TraceRecord(1.0, "x", {"node": 4})
+        assert rec != (1.0, "x", {"node": 3})
+
+    def test_unhashable_like_its_fields(self):
+        with pytest.raises(TypeError):
+            hash(TraceRecord(1.0, "x"))
+
+    def test_repr(self):
+        assert repr(TraceRecord(0.5, "pkt-tx", {"seq": 7})) == \
+            "TraceRecord(time=0.5, kind='pkt-tx', fields={'seq': 7})"
+
+    def test_attribute_forwarding(self):
+        rec = TraceRecord(time=1.0, kind="x", fields={"node": 3, "time": 9})
+        assert rec.node == 3
+        assert rec.time == 1.0          # real attributes win over fields
+        with pytest.raises(AttributeError):
+            _ = rec.missing
+        assert getattr(rec, "missing", None) is None
+
+    def test_pickle_and_copy_round_trip(self):
+        rec = TraceRecord(1.0, "x", {"node": 3, "path": [1, 2]})
+        for clone in (pickle.loads(pickle.dumps(rec)), copy.copy(rec),
+                      copy.deepcopy(rec)):
+            assert clone == rec and clone.node == 3
 
 
 class TestRandomStreams:

@@ -12,7 +12,8 @@ import pytest
 
 from repro.cli import main
 from repro.sim.trace import TraceRecord
-from repro.telemetry.explain import (analyze_records, explain_chrome_trace,
+from repro.telemetry.explain import (_run_point, analyze_records,
+                                     explain_chrome_trace,
                                      explain_payload, load_trace,
                                      normalize_records, render_explain,
                                      run_explain, top_messages,
@@ -96,6 +97,62 @@ class TestAnalyze:
     def test_top_messages_deterministic_tie_break(self):
         per = [{"index": i, "latency": 5.0} for i in range(4)]
         assert [m["index"] for m in top_messages(per, 3)] == [0, 1, 2]
+
+
+def without_lineage(analysis):
+    """An analysis minus its lineage, the one part that keeps raw ids."""
+    return {k: v for k, v in analysis.items() if k != "lineage"}
+
+
+class TestRawEqualsNormalized:
+    """Explain analyzes the raw stream and normalizes only kept records;
+    that is sound only if normalizing first changes nothing."""
+
+    def test_synthetic_stream_with_drops_dups_and_retransmits(self):
+        # sparse, non-zero-based ids, as a worker that ran earlier
+        # simulations would see them; same-instant starts force the id
+        # tie-break in lineage order
+        records = (chain(msg=703, seq=9005, base=0.0)
+                   + chain(msg=700, seq=9000, base=0.0)
+                   + chain(msg=701, seq=9001, base=0.0, node=1, dst=0)
+                   + chain(msg=702, seq=9003, base=0.5 * MS, job=2))
+        records += [
+            rec(2.5 * MS, "pkt-drop", node=1, seq=9005, reason="fault"),
+            rec(2.6 * MS, "rto-retransmit", node=0, seq=9005, attempt=1),
+            rec(2.7 * MS, "pkt-tx", node=0, job=1, msg=703, frag=0,
+                seq=9005, dst=1),
+            rec(3.5 * MS, "pkt-deliver", node=1, src=0, job=1, msg=703,
+                seq=9005),
+            rec(3.6 * MS, "pkt-dup-discard", node=1, seq=9005),
+            rec(3.7 * MS, "nic-halt", node=0),
+            rec(3.9 * MS, "nic-release", node=0),
+            rec(4.2 * MS, "job-stop", node=1, job=2),
+        ]
+        records.sort(key=lambda r: r.time)
+        raw = analyze_records(records, end_time=6 * MS)
+        normalized = analyze_records(normalize_records(records),
+                                     end_time=6 * MS)
+        assert without_lineage(raw) == without_lineage(normalized)
+        frags = [frag for trace in raw["lineage"]
+                 for frag in trace.frags.values()]
+        assert sum(f.drops for f in frags) == 1
+        assert sum(f.dup_discards for f in frags) == 1
+        assert sum(f.retransmits for f in frags) == 1
+        assert sum(f.extra_deliveries for f in frags) == 1
+
+    def test_real_point_stream(self):
+        raw_records, truncated, end_time = _run_point(
+            jobs=2, message_bytes=1536, messages=20, quantum=0.004,
+            num_processors=16, policy="", seed=5)
+        raw = analyze_records(raw_records, truncated=truncated,
+                              end_time=end_time)
+        normalized = analyze_records(
+            normalize_records(raw_records, raw["lineage"]),
+            truncated=truncated, end_time=end_time)
+        assert raw["complete"] > 0
+        assert without_lineage(raw) == without_lineage(normalized)
+        assert normalize_records(raw_records, raw["lineage"]) == \
+            normalize_records(raw_records)
 
 
 @pytest.fixture(scope="module")
