@@ -74,11 +74,10 @@ class PMFirmware(LanaiFirmware):
         self.resends = 0
 
     # ------------------------------------------------------------------ sending
-    def _inject(self, packet: Packet, pickup_time: float = 0.0):
+    def _before_send(self, packet: Packet) -> None:
         if packet.ptype is PacketType.DATA:
             self.outstanding += 1
             self._unacked[packet.seq] = packet
-        yield from super()._inject(packet, pickup_time)
 
     def drain(self) -> Event:
         """Event that fires once every outstanding packet is (n)acked.
@@ -105,10 +104,10 @@ class PMFirmware(LanaiFirmware):
         return packet
 
     # ------------------------------------------------------------------ receiving
-    def _receive_one(self, packet: Packet):
-        # Per-packet processing time is slept by the base class's run
-        # loop before this is called (fused with the context-switch
-        # interrupt when one fires) — don't sleep it again here.
+    # Per-packet processing time is slept by the base class's run loop
+    # before these are called (fused with the context-switch interrupt
+    # when one fires) — don't sleep it again here.
+    def _receive_control(self, packet: Packet) -> None:
         if packet.ptype is PacketType.ACK:
             self.acks_received += 1
             self._settle(packet.ack_seq)
@@ -119,22 +118,22 @@ class PMFirmware(LanaiFirmware):
             self.sim.process(self._resend(rejected),
                              name=f"pm-resend-{self.nic.node_id}")
             return
-        if packet.ptype is PacketType.DATA:
-            ctx = self._contexts.get(packet.job_id)
-            if ctx is None or not ctx.is_active or ctx.recv_queue.is_full:
-                # No room (or no context): nack so the sender retries.
-                self._reply(packet, PacketType.NACK)
-                return
-            yield self.nic.dma.transfer(packet.size_bytes)
-            ctx.recv_queue.append(packet)
-            ctx.stats.packets_received += 1
-            ctx.stats.bytes_received += packet.payload_bytes
-            self._reply(packet, PacketType.ACK)
-            for hook in self.data_delivery_hooks:
-                hook(ctx, packet)
+        # HALT/READY (unused by PM but harmless) and refills.
+        super()._receive_control(packet)
+
+    def _receive_data(self, packet: Packet):
+        ctx = self._contexts.get(packet.job_id)
+        if ctx is None or not ctx.is_active or ctx.recv_queue.is_full:
+            # No room (or no context): nack so the sender retries.
+            self._reply(packet, PacketType.NACK)
             return
-        # HALT/READY (unused by PM but harmless) and anything else.
-        yield from super()._receive_one(packet)
+        yield self.nic.dma.transfer(packet.size_bytes)
+        ctx.recv_queue.append(packet)
+        ctx.stats.packets_received += 1
+        ctx.stats.bytes_received += packet.payload_bytes
+        self._reply(packet, PacketType.ACK)
+        for hook in self.data_delivery_hooks:
+            hook(ctx, packet)
 
     def _reply(self, packet: Packet, ptype: PacketType) -> None:
         self._control_outbox.append(Packet(

@@ -268,27 +268,27 @@ class ReliableFirmware(LanaiFirmware):
         fields["node"] = self.nic.node_id
         return fields
 
-    def _inject(self, packet: Packet, pickup_time: float = 0.0):
-        if packet.ptype is PacketType.DATA:
-            entry = self._unacked.get(packet.seq)
-            if entry is None:
-                entry = _Outstanding(packet)
-                if packet.rel_seq < 0:
-                    # First transmission: stamp the per-channel rel_seq
-                    # (clones keep the original's, and a zombie clone of
-                    # an already-released seq must not claim a fresh one).
-                    key = (packet.job_id, packet.dst_node)
-                    packet.rel_seq = self._next_rel.get(key, 0)
-                    self._next_rel[key] = packet.rel_seq + 1
-                entry.rel_seq = packet.rel_seq
-                self._unacked[packet.seq] = entry
-                self._by_channel.setdefault(
-                    (packet.job_id, packet.dst_node), {})[packet.rel_seq] \
-                    = packet.seq
-            entry.attempts += 1
-            entry.sent_at = self.sim.now
-            self.strategy.on_data_sent(entry)
-        yield from super()._inject(packet, pickup_time)
+    def _before_send(self, packet: Packet) -> None:
+        if packet.ptype is not PacketType.DATA:
+            return
+        entry = self._unacked.get(packet.seq)
+        if entry is None:
+            entry = _Outstanding(packet)
+            if packet.rel_seq < 0:
+                # First transmission: stamp the per-channel rel_seq
+                # (clones keep the original's, and a zombie clone of
+                # an already-released seq must not claim a fresh one).
+                key = (packet.job_id, packet.dst_node)
+                packet.rel_seq = self._next_rel.get(key, 0)
+                self._next_rel[key] = packet.rel_seq + 1
+            entry.rel_seq = packet.rel_seq
+            self._unacked[packet.seq] = entry
+            self._by_channel.setdefault(
+                (packet.job_id, packet.dst_node), {})[packet.rel_seq] \
+                = packet.seq
+        entry.attempts += 1
+        entry.sent_at = self.sim.now
+        self.strategy.on_data_sent(entry)
 
     def _drain_pending(self):
         """Execute queued retransmit requests (blocking-safe context only)."""
@@ -400,19 +400,25 @@ class ReliableFirmware(LanaiFirmware):
         self.strategy.on_job_forgotten(job_id)
 
     # ================================================================== receive side
-    def _receive_one(self, packet: Packet):
-        # (Per-packet processing time is slept by the caller, as in the
-        # base class.)
+    # (Per-packet processing time is slept by the caller, as in the base
+    # class.)  Both receive paths run the CRC check first, for every
+    # packet type.
+    def _crc_discard(self, packet: Packet) -> bool:
+        """Count an arrival; True (and discard it) if it failed its CRC."""
         self.packets_received += 1
-        if packet.corrupted:
-            # Failed CRC: discard without acknowledgement; the sender's
-            # timer recovers it from the pristine host-side copy.
-            self.corrupt_discards += 1
-            if self.tracer:
-                self.tracer.record("pkt-crc-discard", node=self.nic.node_id,
-                                   seq=packet.seq, job=packet.job_id)
-            return
+        if not packet.corrupted:
+            return False
+        # Failed CRC: discard without acknowledgement; the sender's timer
+        # recovers it from the pristine host-side copy.
+        self.corrupt_discards += 1
+        if self.tracer:
+            self.tracer.record("pkt-crc-discard", node=self.nic.node_id,
+                               seq=packet.seq, job=packet.job_id)
+        return True
 
+    def _receive_control(self, packet: Packet) -> None:
+        if self._crc_discard(packet):
+            return
         ptype = packet.ptype
         if ptype is PacketType.ACK or ptype is PacketType.NACK:
             if ptype is PacketType.ACK:
@@ -428,11 +434,12 @@ class ReliableFirmware(LanaiFirmware):
                 self.sim.process(self._drain_pending(),
                                  name=f"rel-resend-{self.nic.node_id}")
             return
-        if ptype is not PacketType.DATA:
-            self.packets_received -= 1  # super() recounts it
-            yield from super()._receive_one(packet)
-            return
+        self.packets_received -= 1  # super() recounts it
+        super()._receive_control(packet)
 
+    def _receive_data(self, packet: Packet):
+        if self._crc_discard(packet):
+            return
         seq = packet.seq
         if seq in self._seen:
             # Switch-level duplicate, or a retransmit whose original made

@@ -16,7 +16,7 @@ can report zero bandwidth rather than deadlock.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Optional
 
 from repro.errors import CreditError
 from repro.sim.core import Event, Simulator
@@ -42,6 +42,8 @@ class CreditState:
             peer: Semaphore(sim, value=c0) for peer in peers
         }
         self._consumed: dict[int, int] = {peer: 0 for peer in peers}
+        #: the peer set is fixed at construction; sorted once
+        self._peers: tuple[int, ...] = tuple(sorted(self._send_credits))
         # statistics
         self.refills_sent = 0
         self.refills_piggybacked = 0
@@ -54,11 +56,22 @@ class CreditState:
     # -- introspection -------------------------------------------------------
     @property
     def peers(self) -> list[int]:
-        return sorted(self._send_credits)
+        return list(self._peers)
 
     def available(self, peer: int) -> int:
         """Credits currently available for sending to ``peer``."""
         return self._peer_sem(peer).value
+
+    def reclaimable(self) -> Optional[int]:
+        """Credits a uniform window shrink could take back right now.
+
+        The minimum availability over peers (see :meth:`set_window`);
+        None for a context with no peers.
+        """
+        sems = self._send_credits
+        if not sems:
+            return None
+        return min([sem.value for sem in sems.values()])
 
     def consumed_unreported(self, peer: int) -> int:
         """Packets consumed from ``peer`` not yet refilled back to it."""
@@ -118,20 +131,18 @@ class CreditState:
             raise CreditError(f"negative credit window {new_c0}")
         if new_c0 > self.c0:
             delta = new_c0 - self.c0
-            for peer in self.peers:
-                self._send_credits[peer].release(delta)
+            sems = self._send_credits
+            for peer in self._peers:
+                sems[peer].release(delta)
             achieved = new_c0
         elif new_c0 < self.c0:
             want = self.c0 - new_c0
-            if self._send_credits:
-                reclaimable = min(sem.value
-                                  for sem in self._send_credits.values())
-            else:
-                reclaimable = want
-            take = min(want, reclaimable)
+            reclaimable = self.reclaimable()
+            take = want if reclaimable is None else min(want, reclaimable)
             if take:
-                for peer in self.peers:
-                    self._send_credits[peer].reclaim(take)
+                sems = self._send_credits
+                for peer in self._peers:
+                    sems[peer].reclaim(take)
             achieved = self.c0 - take
         else:
             return self.c0

@@ -26,6 +26,8 @@ class PacketType(enum.Enum):
     NACK = "nack"      # PM-style: receive queue full, please resend
 
 
+_DATA = PacketType.DATA
+
 #: Types that are NIC-to-NIC control traffic: never buffered in receive
 #: queues, never credited, allowed through while the network is halted.
 NIC_CONTROL_TYPES = frozenset({PacketType.HALT, PacketType.READY})
@@ -68,7 +70,7 @@ class Packet:
     #: discarded without acknowledgement; the reliability layer recovers
     #: it from the sender's pristine host-side copy.
     corrupted: bool = False
-    seq: int = field(default_factory=lambda: next(_seq_counter))
+    seq: int = field(default_factory=_seq_counter.__next__)
     #: Bytes occupied on the wire (and in a buffer slot).  Derived from
     #: the payload once at construction — the send/receive/transmit paths
     #: each read it per packet, so it must be a plain attribute.
@@ -78,18 +80,21 @@ class Packet:
     CONTROL_BYTES = 16
 
     def __post_init__(self):
-        if self.payload_bytes < 0:
-            raise ConfigError(f"negative payload {self.payload_bytes}")
-        if self.ptype is not PacketType.DATA and self.payload_bytes:
+        # Runs for every packet built (one per fragment and per control
+        # packet): one type test picks the size, the checks ride along.
+        payload = self.payload_bytes
+        if payload < 0:
+            raise ConfigError(f"negative payload {payload}")
+        if self.ptype is _DATA:
+            self.size_bytes = self.HEADER_BYTES + payload
+        elif payload:
             raise ConfigError(f"{self.ptype} packets carry no payload")
+        else:
+            self.size_bytes = self.CONTROL_BYTES
         if not 0 <= self.frag_index < self.frag_count:
             raise ConfigError(
                 f"fragment index {self.frag_index} out of range for count {self.frag_count}"
             )
-        if self.ptype is PacketType.DATA:
-            self.size_bytes = self.HEADER_BYTES + self.payload_bytes
-        else:
-            self.size_bytes = self.CONTROL_BYTES
 
     @property
     def is_data(self) -> bool:

@@ -37,6 +37,8 @@ allocations summed to at most the pool.
 
 from __future__ import annotations
 
+from bisect import insort
+from collections import deque
 from typing import Optional
 
 from repro.errors import ProtocolError
@@ -66,7 +68,7 @@ class QueueWaitObserver:
         self.policy = policy
         self.job_id = job_id
         self.kind = kind
-        self._stamps: list[float] = []
+        self._stamps: deque[float] = deque()
         self.wait_total = 0.0
         self.dequeues = 0
         self.enqueues = 0
@@ -77,7 +79,8 @@ class QueueWaitObserver:
         self.policy.on_enqueue(self.job_id, self.kind, occupancy, now)
 
     def dequeued(self, now: float, occupancy: int) -> None:
-        waited = now - self._stamps.pop(0) if self._stamps else 0.0
+        stamps = self._stamps
+        waited = now - stamps.popleft() if stamps else 0.0
         self.wait_total += waited
         self.dequeues += 1
         self.policy.on_dequeue(self.job_id, self.kind, occupancy, waited, now)
@@ -114,6 +117,13 @@ class PolicyEngine:
         self._base = policy.geometry(config)
         self._jobs_seen: set[int] = set()
         self._contexts: dict[tuple[int, int], FMContext] = {}
+        # Sorted (job, node) keys of the registered contexts, per node and
+        # per job, plus the sorted live job ids: every per-switch pass
+        # walks these in today's sorted-key order (float sums and resize
+        # order depend on it) without sorting or scanning every context.
+        self._node_keys: dict[int, list[tuple[int, int]]] = {}
+        self._job_keys: dict[int, list[tuple[int, int]]] = {}
+        self._job_order: list[int] = []
         self._observers: dict[tuple[int, int], tuple] = {}
         # (job, node) -> [recv_alloc, send_alloc]; the conservation ledger
         self._alloc: dict[tuple[int, int], list[int]] = {}
@@ -144,6 +154,12 @@ class PolicyEngine:
         self._observers[key] = (send_obs, recv_obs)
         self._jobs_seen.add(ctx.job_id)
         self._alloc[key] = list(self._fit_newcomer(ctx))
+        insort(self._node_keys.setdefault(ctx.node_id, []), key)
+        job_keys = self._job_keys.get(ctx.job_id)
+        if job_keys is None:
+            job_keys = self._job_keys[ctx.job_id] = []
+            insort(self._job_order, ctx.job_id)
+        insort(job_keys, key)
         self._note_window(ctx.credits.c0)
         self._check_conservation(ctx.node_id)
 
@@ -159,12 +175,7 @@ class PolicyEngine:
         floor of one credit slot.  Below that floor the baseline is kept
         and the conservation check reports the over-commit honestly.
         """
-        node_id = ctx.node_id
-        recv_used = send_used = 0
-        for (jid, nid), (r, s) in self._alloc.items():
-            if nid == node_id:
-                recv_used += r
-                send_used += s
+        recv_used, send_used = self._node_totals(ctx.node_id)
         recv_room = self.recv_pool - recv_used
         send_room = self.send_pool - send_used
         recv = ctx.geometry.recv_packets
@@ -194,6 +205,19 @@ class PolicyEngine:
         ctx.recv_queue.wait_observer = None
         self._observers.pop(key, None)
         self._alloc.pop(key, None)
+        self._unindex(self._node_keys, node_id, key)
+        if self._unindex(self._job_keys, job_id, key):
+            self._job_order.remove(job_id)
+
+    @staticmethod
+    def _unindex(index: dict, owner: int, key: tuple) -> bool:
+        """Drop ``key`` from ``index[owner]``; True if that emptied it."""
+        keys = index[owner]
+        keys.remove(key)
+        if keys:
+            return False
+        del index[owner]
+        return True
 
     def _note_window(self, window: int) -> None:
         if self.min_window_seen is None or window < self.min_window_seen:
@@ -202,16 +226,21 @@ class PolicyEngine:
             self.max_window_seen = window
 
     # ------------------------------------------------------------------ ledger
+    def _node_totals(self, node_id: int) -> tuple[int, int]:
+        """(recv, send) slots allocated on ``node_id``."""
+        recv = send = 0
+        alloc = self._alloc
+        for key in self._node_keys.get(node_id, ()):
+            r, s = alloc[key]
+            recv += r
+            send += s
+        return recv, send
+
     def conservation_report(self) -> dict:
         """Per-node allocation sums vs pools (the SRAM/host-region ledger)."""
-        nodes: dict[int, list[int]] = {}
-        for (job_id, node_id), (recv, send) in self._alloc.items():
-            cell = nodes.setdefault(node_id, [0, 0])
-            cell[0] += recv
-            cell[1] += send
         report = {}
-        for node_id in sorted(nodes):
-            recv, send = nodes[node_id]
+        for node_id in sorted(self._node_keys):
+            recv, send = self._node_totals(node_id)
             report[node_id] = {
                 "recv_allocated": recv, "recv_pool": self.recv_pool,
                 "send_allocated": send, "send_pool": self.send_pool,
@@ -220,11 +249,7 @@ class PolicyEngine:
         return report
 
     def _check_conservation(self, node_id: int) -> None:
-        recv = send = 0
-        for (jid, nid), (r, s) in self._alloc.items():
-            if nid == node_id:
-                recv += r
-                send += s
+        recv, send = self._node_totals(node_id)
         if recv > self.recv_pool or send > self.send_pool:
             raise ProtocolError(
                 f"policy {self.policy.name} over-committed node {node_id}: "
@@ -264,11 +289,11 @@ class PolicyEngine:
 
     # ------------------------------------------------------------------ planning
     def _job_ids(self) -> list[int]:
-        return sorted({job_id for job_id, _ in self._contexts})
+        return list(self._job_order)
 
     def _contexts_of(self, job_id: int) -> list[FMContext]:
-        return [self._contexts[key] for key in sorted(self._contexts)
-                if key[0] == job_id]
+        contexts = self._contexts
+        return [contexts[key] for key in self._job_keys[job_id]]
 
     def _effective_pools(self) -> tuple[int, int]:
         """Pools minus the baseline share of contexts still to come.
@@ -291,9 +316,7 @@ class PolicyEngine:
             ctxs = self._contexts_of(job_id)
             recv_wait = 0.0
             dequeues = enqueues = 0
-            for key in sorted(self._observers):
-                if key[0] != job_id:
-                    continue
+            for key in self._job_keys[job_id]:
                 recv_obs = self._observers[key][1]
                 recv_wait += recv_obs.wait_total
                 dequeues += recv_obs.dequeues
@@ -382,9 +405,9 @@ class PolicyEngine:
                 target = targets[j]
                 c0 = ctx.credits.c0
                 if target < c0:
-                    reclaimable = min(
-                        (ctx.credits.available(peer)
-                         for peer in ctx.credits.peers), default=c0 - target)
+                    reclaimable = ctx.credits.reclaimable()
+                    if reclaimable is None:
+                        reclaimable = c0 - target
                     w = c0 - min(c0 - target, reclaimable)
                 else:
                     w = target
@@ -415,8 +438,9 @@ class PolicyEngine:
     # ------------------------------------------------------------------ applying
     def _apply_node(self, node_id: int, plan: dict,
                     sequence: Optional[int] = None) -> None:
-        local = [(key, self._contexts[key]) for key in sorted(self._contexts)
-                 if key[1] == node_id and key in plan]
+        contexts = self._contexts
+        local = [(key, contexts[key], plan[key])
+                 for key in self._node_keys.get(node_id, ()) if key in plan]
         if not local:
             return
         tracer = self.tracer
@@ -424,13 +448,13 @@ class PolicyEngine:
         if tracer:
             old_geometry = {key: (ctx.recv_queue.capacity,
                                   ctx.send_queue.capacity, ctx.credits.c0)
-                            for key, ctx in local}
+                            for key, ctx, _ in local}
         # 1. shrink credit windows (frees exposure before capacity moves)
-        for key, ctx in local:
-            _, _, window = plan[key]
-            if window < ctx.credits.c0:
-                self.credits_reclaimed += ctx.credits.c0 - window
-                achieved = ctx.credits.set_window(window)
+        for key, ctx, (_, _, window) in local:
+            credits = ctx.credits
+            if window < credits.c0:
+                self.credits_reclaimed += credits.c0 - window
+                achieved = credits.set_window(window)
                 if achieved != window:
                     raise ProtocolError(
                         f"planned window {window} for job {key[0]} on node "
@@ -438,41 +462,45 @@ class PolicyEngine:
                         f"live traffic (network not flushed?)")
         # 2. resize receive regions, shrinks first so the pool never
         #    over-commits even transiently
+        alloc = self._alloc
         for idx in (0, 1):  # 0 = recv, 1 = send
             resizes = []
-            for key, ctx in local:
-                new = plan[key][idx]
+            for key, ctx, grant in local:
                 queue = ctx.recv_queue if idx == 0 else ctx.send_queue
-                resizes.append((new - queue.capacity, key, ctx, queue, new))
-            resizes.sort(key=lambda item: (item[0], item[1]))
-            for delta, key, ctx, queue, new in resizes:
-                if delta == 0:
-                    continue
+                new = grant[idx]
+                delta = new - queue.capacity
+                if delta:
+                    resizes.append((delta, key, queue, new))
+            # (delta, key) order; keys are unique, so the queues are
+            # never compared.
+            resizes.sort()
+            for delta, key, queue, new in resizes:
                 if idx == 0:
                     if delta < 0:
                         self.recv_packets_reclaimed += -delta
                     else:
                         self.recv_packets_granted += delta
                 queue.set_capacity(new)
-                self._alloc[key][idx] = new
+                alloc[key][idx] = new
                 self._check_conservation(node_id)
-        # 3. grow credit windows (capacity is in place to back them)
-        for key, ctx in local:
-            _, _, window = plan[key]
-            if window > ctx.credits.c0:
-                self.credits_granted += window - ctx.credits.c0
-                ctx.credits.set_window(window)
-            self._note_window(ctx.credits.c0)
+        # 3. grow credit windows (capacity is in place to back them), and
         # 4. publish the new geometry (what firmware install / the switch
-        #    algorithms / the audits read)
-        for key, ctx in local:
-            recv, send, _ = plan[key]
-            ctx.geometry = ContextGeometry(
-                recv_packets=recv, send_packets=send,
-                initial_credits=ctx.credits.c0)
+        #    algorithms / the audits read) where it changed
+        for key, ctx, (recv, send, window) in local:
+            credits = ctx.credits
+            if window > credits.c0:
+                self.credits_granted += window - credits.c0
+                credits.set_window(window)
+            c0 = credits.c0
+            self._note_window(c0)
+            geometry = ctx.geometry
+            if (geometry.recv_packets != recv or geometry.send_packets != send
+                    or geometry.initial_credits != c0):
+                ctx.geometry = ContextGeometry(
+                    recv_packets=recv, send_packets=send, initial_credits=c0)
         self.reallocations += 1
         if tracer:
-            for key, ctx in local:
+            for key, ctx, _ in local:
                 old_recv, old_send, old_window = old_geometry[key]
                 new_recv = ctx.recv_queue.capacity
                 new_send = ctx.send_queue.capacity

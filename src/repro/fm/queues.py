@@ -90,8 +90,13 @@ class PacketQueue:
 
     def on_nonempty(self, fn: Callable[[], None]) -> None:
         """Register a kick: ``fn()`` runs whenever a packet is appended to
-        a previously observed-empty queue (the firmware's wakeup)."""
-        self._nonempty_callbacks.append(fn)
+        a previously observed-empty queue (the firmware's wakeup).
+
+        Idempotent: registering an equal callback again (the firmware
+        re-installs a context at every switch-in) keeps one copy."""
+        callbacks = self._nonempty_callbacks
+        if fn not in callbacks:
+            callbacks.append(fn)
 
     # -- mutation ------------------------------------------------------------
     def append(self, packet: Packet) -> None:

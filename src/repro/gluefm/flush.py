@@ -28,6 +28,19 @@ masterd evicts a fail-stopped node mid-flush, :meth:`force_remove_node`
 discards exactly that sender's column and re-evaluates completion over
 the survivors — an aggregate count could not tell whose halts it was
 still waiting for.
+
+Completion itself reads neither the counters nor the participant set.
+Each phase keeps a **waiting set**: the peers whose count is still below
+the round, built once when the phase begins (so banked early HALTs, and
+READYs that beat our own release, are already excluded).  An arrival
+that brings a sender up to the round removes it, and so do
+:meth:`remove_node` and :meth:`force_remove_node`; the barrier is down
+when the set is empty.  A p-node switch moves 2(p-1) control packets
+through each NIC, so the counters plus the set cost O(1) per packet and
+O(p) per round, where re-scanning every participant on every arrival
+cost O(p) per packet.  Both structures are needed: eviction must know a
+sender's cumulative count (the counters), completion only who is
+missing (the set).
 """
 
 from __future__ import annotations
@@ -53,9 +66,16 @@ class FlushProtocol:
         me = firmware.nic.node_id
         if me not in self._participants:
             raise ProtocolError(f"node {me} must be among the flush participants")
+        #: the other participants, sorted: the serial-loop broadcast order
+        self._peer_order: tuple[int, ...] = ()
+        self._update_peers()
         # Cumulative per-sender counters (see module docstring).
         self._halts_from: dict[int, int] = {}
         self._readys_from: dict[int, int] = {}
+        # Peers still missing this phase's HALT / READY (module docstring);
+        # only ever tested for emptiness, never iterated.
+        self._halt_waiting: set[int] = set()
+        self._ready_waiting: set[int] = set()
         self._halt_round = 0
         self._ready_round = 0
         self._flush_event: Optional[Event] = None
@@ -79,19 +99,32 @@ class FlushProtocol:
     def peers(self) -> int:
         return len(self._participants) - 1
 
+    def _update_peers(self) -> None:
+        me = self.firmware.nic.node_id
+        self._peer_order = tuple(sorted(n for n in self._participants
+                                        if n != me))
+
+    def _drop_sender(self, node_id: int) -> None:
+        """Forget a departed participant's counters and pending waits."""
+        self._participants.discard(node_id)
+        self._update_peers()
+        self._halts_from.pop(node_id, None)
+        self._readys_from.pop(node_id, None)
+        self._halt_waiting.discard(node_id)
+        self._ready_waiting.discard(node_id)
+
     def add_node(self, node_id: int) -> None:
         if self._flush_event is not None or self._release_event is not None:
             raise ProtocolError("cannot change topology mid-flush")
         self._participants.add(node_id)
+        self._update_peers()
 
     def remove_node(self, node_id: int) -> None:
         if self._flush_event is not None or self._release_event is not None:
             raise ProtocolError("cannot change topology mid-flush")
         if node_id == self.firmware.nic.node_id:
             raise ProtocolError("a node cannot remove itself from the flush set")
-        self._participants.discard(node_id)
-        self._halts_from.pop(node_id, None)
-        self._readys_from.pop(node_id, None)
+        self._drop_sender(node_id)
 
     def force_remove_node(self, node_id: int) -> None:
         """Evict a fail-stopped participant, even mid-flush.
@@ -108,9 +141,7 @@ class FlushProtocol:
             raise ProtocolError("a node cannot evict itself from the flush set")
         if node_id not in self._participants:
             return  # already gone (duplicate eviction notice)
-        self._participants.discard(node_id)
-        self._halts_from.pop(node_id, None)
-        self._readys_from.pop(node_id, None)
+        self._drop_sender(node_id)
         self.forced_removals += 1
         self.tracer.record("flush-force-remove", node=self.firmware.nic.node_id,
                            removed=node_id, round=self._halt_round,
@@ -147,8 +178,11 @@ class FlushProtocol:
                 f"node {self.firmware.nic.node_id} must be among the flush "
                 "participants")
         self._participants = new
+        self._update_peers()
         self._halts_from.clear()
         self._readys_from.clear()
+        self._halt_waiting.clear()
+        self._ready_waiting.clear()
         self._halt_round = 0
         self._ready_round = 0
         self.tracer.record("flush-reset", node=self.firmware.nic.node_id,
@@ -186,9 +220,8 @@ class FlushProtocol:
         """
         if self._flush_event is not None:
             round_ = self._halt_round
-            halted_peers = sum(1 for n in self._participants
-                               if n != self.firmware.nic.node_id
-                               and self._halts_from.get(n, 0) >= round_)
+            halted_peers = sum(1 for n in self._peer_order
+                               if self._halts_from.get(n, 0) >= round_)
             return ("H", halted_peers + 1)
         # Not yet locally halted for the next round: banked halts only.
         banked = sum(max(0, count - self._halt_round)
@@ -213,11 +246,16 @@ class FlushProtocol:
             raise ProtocolError("previous round's release never completed")
         if not self.firmware.nic.halted:
             raise ProtocolError("begin_flush before the halt bit was set")
-        self._halt_round += 1
+        round_ = self._halt_round = self._halt_round + 1
         self._flush_event = Event(self.sim)
-        self.tracer.record("flush-local-halt", node=self.firmware.nic.node_id,
-                           round=self._halt_round, state=self.state)
-        self.firmware.broadcast_control(PacketType.HALT, self._participants)
+        halts = self._halts_from
+        self._halt_waiting = {n for n in self._peer_order
+                              if halts.get(n, 0) < round_}
+        tracer = self.tracer
+        if tracer:
+            tracer.record("flush-local-halt", node=self.firmware.nic.node_id,
+                          round=round_, state=self.state)
+        self.firmware.broadcast_control(PacketType.HALT, self._peer_order)
         self._check_flush()
         return self._flush_event
 
@@ -230,24 +268,28 @@ class FlushProtocol:
                                node=self.firmware.nic.node_id,
                                src=packet.src_node)
             return
-        self._halts_from[packet.src_node] = \
-            self._halts_from.get(packet.src_node, 0) + 1
-        self.tracer.record("flush-halt-arrived", node=self.firmware.nic.node_id,
-                           src=packet.src_node, state=self.state)
-        self._check_flush()
+        src = packet.src_node
+        count = self._halts_from[src] = self._halts_from.get(src, 0) + 1
+        waiting = self._halt_waiting
+        if count >= self._halt_round:
+            waiting.discard(src)
+        tracer = self.tracer
+        if tracer:
+            tracer.record("flush-halt-arrived", node=self.firmware.nic.node_id,
+                          src=src, state=self.state)
+        if not waiting:
+            self._check_flush()
 
     def _check_flush(self) -> None:
+        if self._halt_waiting:
+            return
         ev = self._flush_event
         if ev is None or ev.triggered:
             return
-        me = self.firmware.nic.node_id
-        round_ = self._halt_round
-        if all(self._halts_from.get(n, 0) >= round_
-               for n in self._participants if n != me):
-            # State (H, p): everyone halted; the network is flushed.
-            self.tracer.record("flush-complete", node=self.firmware.nic.node_id,
-                               round=round_)
-            ev.succeed()
+        # State (H, p): everyone halted; the network is flushed.
+        self.tracer.record("flush-complete", node=self.firmware.nic.node_id,
+                           round=self._halt_round)
+        ev.succeed()
 
     # ------------------------------------------------------------------ release
     def begin_release(self) -> Event:
@@ -261,9 +303,12 @@ class FlushProtocol:
             raise ProtocolError("release before flush completed")
         if self._release_event is not None:
             raise ProtocolError("release already in progress")
-        self._ready_round += 1
+        round_ = self._ready_round = self._ready_round + 1
         event = self._release_event = Event(self.sim)
-        self.firmware.broadcast_control(PacketType.READY, self._participants)
+        readys = self._readys_from
+        self._ready_waiting = {n for n in self._peer_order
+                               if readys.get(n, 0) < round_}
+        self.firmware.broadcast_control(PacketType.READY, self._peer_order)
         self._check_release()
         return event
 
@@ -274,21 +319,23 @@ class FlushProtocol:
                                node=self.firmware.nic.node_id,
                                src=packet.src_node)
             return
-        self._readys_from[packet.src_node] = \
-            self._readys_from.get(packet.src_node, 0) + 1
-        self._check_release()
+        src = packet.src_node
+        count = self._readys_from[src] = self._readys_from.get(src, 0) + 1
+        waiting = self._ready_waiting
+        if count >= self._ready_round:
+            waiting.discard(src)
+            if not waiting:
+                self._check_release()
 
     def _check_release(self) -> None:
+        if self._ready_waiting:
+            return
         ev = self._release_event
         if ev is None or ev.triggered:
             return
-        me = self.firmware.nic.node_id
-        round_ = self._ready_round
-        if all(self._readys_from.get(n, 0) >= round_
-               for n in self._participants if n != me):
-            self.tracer.record("release-complete", node=self.firmware.nic.node_id,
-                               round=round_)
-            ev.succeed()
-            # Round fully over; allow the next begin_flush.
-            self._flush_event = None
-            self._release_event = None
+        self.tracer.record("release-complete", node=self.firmware.nic.node_id,
+                           round=self._ready_round)
+        ev.succeed()
+        # Round fully over; allow the next begin_flush.
+        self._flush_event = None
+        self._release_event = None

@@ -12,14 +12,15 @@ Public surface:
   :class:`~repro.sim.core.AnyOf`, :class:`~repro.sim.core.AllOf`.
 - :class:`~repro.sim.process.Process` — a running coroutine; supports
   ``interrupt`` and (unusually for a DES) ``suspend``/``resume`` which model
-  SIGSTOP/SIGCONT in the gang scheduler.
+  SIGSTOP/SIGCONT in the gang scheduler, and ``yield PARK`` /
+  ``Process.wake()`` for an idle point with no calendar entry.
 - :mod:`~repro.sim.primitives` — Gate, Store, Resource, Semaphore.
 - :class:`~repro.sim.trace.Tracer` — structured event log.
 - :class:`~repro.sim.rand.RandomStreams` — named deterministic RNG streams.
 """
 
 from repro.sim.core import AllOf, AnyOf, Event, Simulator, Timeout
-from repro.sim.process import Process
+from repro.sim.process import PARK, Process
 from repro.sim.primitives import Gate, Resource, Semaphore, Store
 from repro.sim.rand import RandomStreams
 from repro.sim.trace import TraceRecord, Tracer
@@ -29,6 +30,7 @@ __all__ = [
     "AnyOf",
     "Event",
     "Gate",
+    "PARK",
     "Process",
     "RandomStreams",
     "Resource",

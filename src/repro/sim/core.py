@@ -61,6 +61,10 @@ Dispatch machinery:
   counts and wall clock are accounted at loop boundaries.  Profiled and
   unprofiled runs stay bit-identical (the telemetry determinism tests
   pin this).
+- A process that yields :data:`~repro.sim.process.PARK` has no calendar
+  entry at all until :meth:`~repro.sim.process.Process.wake` pushes it
+  at the current instant, routed like a zero-second sleep; the generated
+  loops test for the sentinel after the number and Event arms.
 - :class:`Timeout` *and* plain :class:`Event` objects are recycled
   through free lists: an object that nothing else references once its
   callbacks have run is reset and reused by the next
@@ -757,6 +761,8 @@ __PARK_EV__
                 nxt._waiter = ev
             else:
                 ncbs.append(ev._step_cb)
+        elif nxt is park:
+            ev._parked = True
         else:
             ev._wait_on(nxt)
         continue
@@ -793,6 +799,8 @@ __PARK_WAITER__
                     nxt._waiter = waiter
                 else:
                     ncbs.append(waiter._step_cb)
+            elif nxt is park:
+                waiter._parked = True
             else:
                 waiter._wait_on(nxt)
     else:
@@ -858,6 +866,7 @@ def __NAME__(self, __ARG1__, max_events=None):
     proc_cls = Process
     unset = _UNSET
     wake = _SLEEP_WAKE
+    park = PARK
     cap = _FREE_LIST_CAP
     compact = _BUCKET_COMPACT
     inf = _INF
@@ -1120,12 +1129,13 @@ def _compile_loops() -> None:
     if _LOOP_RUN is not None:
         return
     from time import perf_counter  # simlint: ignore[SIM001] -- profiler accounts host wall time; never feeds sim state
-    from repro.sim.process import Process
+    from repro.sim.process import PARK, Process
 
     namespace = {
         "heappush": heappush, "heappop": heappop,
         "_getrefcount": _getrefcount, "Timeout": Timeout, "Event": Event,
-        "Process": Process, "_UNSET": _UNSET, "_SLEEP_WAKE": _SLEEP_WAKE,
+        "Process": Process, "PARK": PARK,
+        "_UNSET": _UNSET, "_SLEEP_WAKE": _SLEEP_WAKE,
         "_FREE_LIST_CAP": _FREE_LIST_CAP, "_BUCKET_COMPACT": _BUCKET_COMPACT,
         "_INF": _INF,
         "SimulationError": SimulationError, "perf_counter": perf_counter,

@@ -184,7 +184,8 @@ class Semaphore:
         if n <= 0:
             raise SimulationError(f"release() needs a positive count, got {n}")
         self._value += n
-        self._drain()
+        if self._waiters or self._observers:   # else _drain is a no-op
+            self._drain()
 
     def reclaim(self, n: int = 1) -> int:
         """Take up to ``n`` units immediately, bypassing the waiter queue.

@@ -14,6 +14,15 @@ forms consume exactly one sequence number and wake at the same
 (time, seq) calendar position, so they are interchangeable without
 perturbing event order.
 
+``yield PARK`` idles a process with *no* calendar entry at all, until
+some other activity calls :meth:`Process.wake`.  Waking pushes the
+process at the current instant exactly like a zero-second sleep: one
+sequence number, the same (time, seq) slot, one processed event — the
+same accounting as the ``yield ev`` / ``ev.succeed()`` idiom it replaces,
+without materialising an Event per idle period.  A second wake before
+the process runs is a no-op.  Server loops with a single waker-agnostic
+idle point (the LANai firmware) use it; everything else waits on Events.
+
 Beyond the usual DES process semantics, this class supports
 ``suspend()``/``resume()``, which model POSIX SIGSTOP/SIGCONT: the ParPar
 ``noded`` stops the running application process before flushing the network
@@ -36,6 +45,19 @@ from repro.errors import InterruptError, SimulationError
 from repro.sim.core import _UNSET, Event, Simulator
 
 
+class _Park:
+    """The :data:`PARK` sentinel's type (one instance, never an Event)."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return "PARK"
+
+
+#: ``yield PARK``: idle with no calendar entry until :meth:`Process.wake`.
+PARK = _Park()
+
+
 class Process(Event):
     """A running simulated activity.
 
@@ -46,7 +68,8 @@ class Process(Event):
     """
 
     __slots__ = ("name", "_gen", "_target", "_suspended", "_deferred",
-                 "_pending_interrupt", "_step_cb", "_sleep_token", "_event_seq")
+                 "_pending_interrupt", "_step_cb", "_sleep_token", "_event_seq",
+                 "_parked")
 
     def __init__(self, sim: Simulator, generator: Generator, name: str = ""):
         super().__init__(sim)
@@ -60,6 +83,7 @@ class Process(Event):
         self._pending_interrupt: Optional[list] = None
         self._step_cb = self._step  # one bound method, reused for every wait
         self._event_seq = -1   # seq of our termination entry in the calendar
+        self._parked = False   # idle on ``yield PARK``, no calendar entry
         # Kick off at the current instant (but not synchronously), parked
         # directly in the event calendar like a zero-second sleep: the run
         # loop resumes us with send(None), which starts the generator.
@@ -101,6 +125,21 @@ class Process(Event):
     def target(self) -> Optional[Event]:
         """The event this process currently waits for (None while running)."""
         return self._target
+
+    # -- park / wake ----------------------------------------------------------
+    def wake(self) -> bool:
+        """Reschedule a process idling on ``yield PARK`` at the current instant.
+
+        Routed like a zero-second sleep (one seq, one processed event);
+        returns False and does nothing unless the process is parked, so
+        several wakes in one instant run it once.
+        """
+        if not self._parked:
+            return False
+        self._parked = False
+        sim = self.sim
+        self._sleep_token = sim._push(sim._now, self)
+        return True
 
     # -- SIGSTOP / SIGCONT ----------------------------------------------------
     def suspend(self) -> None:
@@ -163,6 +202,7 @@ class Process(Event):
         # fire later but must no longer wake us.  A pending bare-number
         # sleep is invalidated by the token (its heap entry pops as stale).
         self._sleep_token = -1
+        self._parked = False
         target = self._target
         if target is not None:
             if target._waiter is self:
@@ -235,6 +275,9 @@ class Process(Event):
 
     def _wait_on(self, nxt: Any) -> None:
         """Park the process on whatever the generator just yielded."""
+        if nxt is PARK:
+            self._parked = True
+            return
         cls = nxt.__class__
         if cls is float or cls is int:
             # Bare-number sleep: park directly in the event calendar

@@ -284,3 +284,19 @@ class TestSetWindow:
         sim.process(grow())
         sim.run()
         assert log == ["first", "second"]
+
+
+class TestPeerView:
+    def test_peers_sorted_list_copy(self, sim):
+        cs = CreditState(sim, c0=4, peers=[3, 1, 2])
+        peers = cs.peers
+        assert peers == [1, 2, 3]
+        peers.append(9)          # a caller's copy, not the state
+        assert cs.peers == [1, 2, 3]
+
+    def test_reclaimable_is_min_availability(self, sim):
+        cs = CreditState(sim, c0=4, peers=[1, 2])
+        assert cs.reclaimable() == 4
+        assert cs.try_acquire_send(2)
+        assert cs.reclaimable() == 3
+        assert CreditState(sim, c0=4, peers=[]).reclaimable() is None

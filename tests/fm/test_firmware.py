@@ -169,6 +169,34 @@ class TestRoundRobinScan:
             net.firmware(0).register_control_handler(PacketType.DATA, lambda p: None)
 
 
+class TestSendQueueKick:
+    def test_switch_rounds_keep_one_kick_per_context(self, sim):
+        net = make_net(sim)
+        fw = net.firmware(0)
+        ctx = make_ctx(sim, net, 1, 0)
+        for _ in range(6):   # switched in and out every round
+            fw.install_context(ctx)
+            fw.remove_context(ctx)
+        fw.install_context(ctx)
+        assert ctx.send_queue._nonempty_callbacks == [fw.wake]
+
+    def test_context_installed_after_forget_job_wakes_the_card(self, sim):
+        net = make_net(sim)
+        fw = net.firmware(0)
+        old = make_ctx(sim, net, 1, 0)
+        fw.install_context(old)
+        fw.remove_context(old)
+        fw.forget_job(1)
+        new = make_ctx(sim, net, 1, 0)
+        fw.install_context(new)
+        sim.run()            # nothing to send: the card idles
+        assert fw.packets_sent == 0
+        new.send_queue.append(Packet(PacketType.DATA, 0, 1, job_id=1,
+                                     payload_bytes=100))
+        sim.run()
+        assert fw.packets_sent == 1
+
+
 class TestHaltBit:
     def test_halted_nic_parks_data_but_keeps_receiving(self, sim):
         net = make_net(sim)

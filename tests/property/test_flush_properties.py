@@ -180,3 +180,106 @@ def test_flush_quiesces_live_traffic(nodes, traffic_pairs):
     assert landed + in_send_queues == sent
     for g in rig.glue:
         assert len(g.firmware.dropped_packets) == 0
+
+
+#: (operation, node) at node 0 of a 4-node rig, weighted toward arrivals
+#: so that banked and straggling control packets are common.  Node 4
+#: never participates, so its control packets are always stale;
+#: "halts"/"readys" deliver one packet from each participant at once.
+_FLUSH_OPS = (("halt",) * 5 + ("ready",) * 4 + ("halts", "readys")
+              + ("local-halt",) * 2 + ("release",) * 2
+              + ("force-remove", "reset"))
+_flush_op = st.tuples(st.sampled_from(_FLUSH_OPS),
+                      st.integers(min_value=1, max_value=4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(ops=st.lists(_flush_op, max_size=40))
+def test_completion_equals_brute_force_count_scan(ops):
+    """The waiting-set barrier completes exactly when every surviving peer's
+    cumulative count has reached the round.
+
+    Replays arbitrary arrivals (banked next-round HALTs and READYs that
+    beat our own release included), local halts, releases, stale control
+    from a non-participant, mid-round evictions and recovery resets, and
+    after every step compares each pending event's state with a
+    brute-force scan over an independent model of the counters."""
+    from repro.fm.packet import Packet, PacketType
+
+    nodes = 4
+    rig = GlueRig(nodes)
+    glue = rig.glue[0]
+    flush = glue.flush
+    participants = set(range(nodes))
+    halts: dict = {}
+    readys: dict = {}
+    rounds = {"halt": 0, "ready": 0}
+    pending = {"flush": None, "release": None}
+
+    def all_reached(counts, round_):
+        return all(counts.get(n, 0) >= round_ for n in participants if n)
+
+    def check():
+        flush_ev, release_ev = pending["flush"], pending["release"]
+        if flush_ev is not None:
+            assert flush_ev.triggered == all_reached(halts, rounds["halt"])
+        if release_ev is not None:
+            assert release_ev.triggered == all_reached(readys,
+                                                       rounds["ready"])
+            if release_ev.triggered:   # the round is over
+                pending["flush"] = pending["release"] = None
+                glue.node.nic.clear_halt_bit()
+
+    stale = 0
+
+    def arrive(kind, src):
+        nonlocal stale
+        ptype = PacketType.HALT if kind == "halt" else PacketType.READY
+        packet = Packet(ptype, src_node=src, dst_node=0)
+        if src in participants:
+            counts = halts if kind == "halt" else readys
+            counts[src] = counts.get(src, 0) + 1
+        else:
+            stale += 1
+        (flush._on_halt if kind == "halt" else flush._on_ready)(packet)
+
+    for op in ops:
+        kind = op[0]
+        if kind in ("halt", "ready"):
+            arrive(kind, op[1])
+        elif kind in ("halts", "readys"):
+            for src in sorted(participants - {0}):
+                arrive(kind[:-1], src)
+                check()
+        elif kind == "local-halt":
+            if pending["flush"] is not None:
+                continue
+            glue.node.nic.set_halt_bit()
+            rounds["halt"] += 1
+            pending["flush"] = flush.begin_flush()
+        elif kind == "release":
+            flush_ev = pending["flush"]
+            if (flush_ev is None or not flush_ev.triggered
+                    or pending["release"] is not None):
+                continue
+            rounds["ready"] += 1
+            pending["release"] = flush.begin_release()
+        elif kind == "force-remove":
+            node = op[1]
+            if node == 4:
+                continue
+            if node in participants:
+                participants.discard(node)
+                halts.pop(node, None)
+                readys.pop(node, None)
+            flush.force_remove_node(node)
+        else:  # reset: a recovery epoch, only legal between rounds
+            if pending["flush"] is not None:
+                continue
+            participants = set(range(nodes))
+            halts.clear()
+            readys.clear()
+            rounds["halt"] = rounds["ready"] = 0
+            flush.reset(range(nodes))
+        check()
+    assert flush.stale_control == stale

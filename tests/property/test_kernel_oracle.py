@@ -4,7 +4,9 @@
 dispatch; the batched run loops are generated code.  This suite builds
 randomized workloads — bare-number sleeps, explicit timeouts,
 immediately-succeeded events, failed events, AnyOf/AllOf conditions,
-cross-process interrupts, and timeouts piled onto duplicate instants —
+cross-process interrupts, park/wake pairs (woken by processes and by
+callbacks, sometimes twice in one instant), and timeouts piled onto
+duplicate instants —
 and executes each twice from identical initial conditions: once by
 single-stepping, once through the fast loop.  The trace (every
 observable action with its timestamp) and the final kernel state must
@@ -20,8 +22,8 @@ from __future__ import annotations
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import InterruptError
-from repro.sim import Simulator
+from repro.errors import InterruptError, SimulationError
+from repro.sim import PARK, Simulator
 
 #: Delay alphabet with deliberate duplicates: same-instant pile-ups are
 #: the calendar's batched path, so most draws collide.
@@ -64,6 +66,14 @@ def _build(sim: Simulator, trace: list, procs_spec, standalone_spec):
                     if victim.is_alive:
                         victim.interrupt((pid, k))
                     yield 0.0
+                elif kind == "park":
+                    got = yield PARK
+                    trace.append(("unpark", pid, k, got, sim.now))
+                elif kind == "wake":
+                    woke = [procs[op[1] % len(procs)].wake()
+                            for _ in range(op[2])]
+                    trace.append(("wake", pid, k, woke, sim.now))
+                    yield 0.0
             except InterruptError as err:
                 trace.append(("int", pid, k, err.cause, sim.now))
             trace.append(("op", pid, k, sim.now))
@@ -81,10 +91,18 @@ def _build(sim: Simulator, trace: list, procs_spec, standalone_spec):
                     lambda e: trace.append(("leaf", e.value, sim.now)))
         return fire
 
+    def wake_cb(tag, target):
+        def fire(ev):
+            trace.append(("cb-wake", tag, target.wake(), sim.now))
+        return fire
+
     for s, op in enumerate(standalone_spec):
         if op[0] == "timeout_cb":
             sim.timeout(op[1], value=s).add_callback(
                 lambda ev: trace.append(("cb", ev.value, sim.now)))
+        elif op[0] == "wake_cb":
+            sim.timeout(op[1]).add_callback(
+                wake_cb(s, procs[op[2] % len(procs)]))
         else:  # cascade: a drain-time fan-out onto the current instant
             sim.timeout(op[1]).add_callback(cascade_cb(s, op[2]))
     return procs
@@ -103,6 +121,9 @@ _op = st.one_of(
     st.tuples(st.just("allof"), st.sampled_from(DELAYS), st.sampled_from(DELAYS)),
     st.tuples(st.just("failev")),
     st.tuples(st.just("interrupt"), st.integers(min_value=0, max_value=7)),
+    st.tuples(st.just("park")),
+    st.tuples(st.just("wake"), st.integers(min_value=0, max_value=7),
+              st.integers(min_value=1, max_value=2)),
 )
 _procs = st.lists(st.lists(_op, min_size=1, max_size=6), min_size=1, max_size=5)
 _standalone = st.lists(
@@ -110,6 +131,8 @@ _standalone = st.lists(
         st.tuples(st.just("timeout_cb"), st.sampled_from(DELAYS)),
         st.tuples(st.just("cascade"), st.sampled_from(DELAYS),
                   st.integers(min_value=1, max_value=4)),
+        st.tuples(st.just("wake_cb"), st.sampled_from(DELAYS),
+                  st.integers(min_value=0, max_value=7)),
     ),
     max_size=6,
 )
@@ -179,6 +202,8 @@ def test_watch_loop_matches_step_oracle(procs_spec, standalone_spec):
             sim.run_until_processed(procs[-1])
         except RuntimeError:
             pass  # an unwaited process failure propagates; still deterministic
+        except SimulationError:
+            pass  # drained first: the watched process parked for good
         sim.run()
         return tuple(trace), sim.now, sim.processed_events
 
@@ -190,3 +215,75 @@ def test_watch_loop_matches_step_oracle(procs_spec, standalone_spec):
         return tuple(trace), sim.now, sim.processed_events
 
     assert execute_watch() == execute_oracle()
+
+
+def test_wake_twice_in_one_instant_runs_once():
+    """Two wakes before the parked process runs: one resume, one event."""
+    sim = Simulator()
+    resumes = []
+
+    def sleeper():
+        while True:
+            yield PARK
+            resumes.append(sim.now)
+
+    proc = sim.process(sleeper())
+    sim.run()
+    assert proc.wake() is True
+    assert proc.wake() is False     # already rescheduled
+    before = sim.processed_events
+    sim.run()
+    assert resumes == [0.0]
+    assert sim.processed_events == before + 1
+    assert proc.wake() is True      # parked again: a later wake works
+    sim.run()
+    assert resumes == [0.0, 0.0]
+
+
+@settings(max_examples=40, deadline=None)
+@given(schedule=st.lists(st.tuples(st.sampled_from(DELAYS),
+                                   st.integers(min_value=1, max_value=3)),
+                         min_size=1, max_size=8),
+       others=st.lists(st.sampled_from(DELAYS), max_size=6))
+def test_park_wake_matches_kick_event_idiom(schedule, others):
+    """``yield PARK`` + ``wake()`` takes the same (time, seq) slots and
+    the same processed-event count as ``yield ev`` + ``ev.succeed()``."""
+
+    def execute(use_park: bool):
+        sim = Simulator()
+        trace: list = []
+        kick = [None]
+
+        def server():
+            while True:
+                if use_park:
+                    yield PARK
+                else:
+                    kick[0] = sim.event()
+                    yield kick[0]
+                    kick[0] = None
+                trace.append(("served", sim.now))
+
+        proc = sim.process(server(), name="server")
+
+        def wake():
+            if use_park:
+                proc.wake()
+            elif kick[0] is not None and not kick[0].triggered:
+                kick[0].succeed()
+
+        def waker():
+            for delay, times in schedule:
+                yield delay
+                for _ in range(times):
+                    wake()
+                trace.append(("woke", sim.now))
+
+        sim.process(waker(), name="waker")
+        for i, delay in enumerate(others):
+            sim.timeout(delay).add_callback(
+                lambda ev, i=i: trace.append(("other", i, sim.now)))
+        sim.run()
+        return tuple(trace), sim.now, sim.processed_events, sim._seq
+
+    assert execute(use_park=True) == execute(use_park=False)

@@ -9,9 +9,11 @@ ledger after every single queue resize (a transient over-commit raises
 the no-transient-over-commit check).
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import ProtocolError
 from repro.fm.config import FMConfig
 from repro.fm.context import FMContext
 from repro.fm.packet import Packet, PacketType
@@ -108,3 +110,80 @@ def test_preemptive_reclaim_never_overcommits(njobs, drain):
     counters = engine.counters()
     assert counters["reallocations"] == 2 * 2 * njobs
     assert counters["recv_packets_reclaimed"] > 0
+
+
+def assert_indexes_match_scans(engine):
+    """The engine's per-node / per-job key indexes equal sorted scans."""
+    keys = sorted(engine._contexts)
+    nodes = sorted({node for _, node in keys})
+    jobs = sorted({job for job, _ in keys})
+    assert sorted(engine._node_keys) == nodes
+    for node in nodes:
+        assert engine._node_keys[node] == [k for k in keys if k[1] == node]
+        assert engine._node_totals(node) == (
+            sum(engine._alloc[k][0] for k in keys if k[1] == node),
+            sum(engine._alloc[k][1] for k in keys if k[1] == node))
+    assert engine._job_ids() == jobs
+    assert sorted(engine._job_keys) == jobs
+    for job in jobs:
+        assert engine._job_keys[job] == [k for k in keys if k[0] == job]
+        assert engine._contexts_of(job) == [engine._contexts[k]
+                                            for k in keys if k[0] == job]
+
+
+_churn_op = st.one_of(
+    st.tuples(st.just("register"), st.integers(min_value=1, max_value=5)),
+    st.tuples(st.just("forget"), st.integers(min_value=1, max_value=5),
+              st.sampled_from((0, 1, None))),
+    st.tuples(st.just("switch"), st.integers(min_value=1, max_value=5)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(ops=st.lists(_churn_op, min_size=1, max_size=25),
+       policy_idx=st.integers(min_value=0, max_value=2))
+def test_engine_indexes_survive_churn(ops, policy_idx):
+    """Register, late newcomers, forget (one rank or both) and
+    re-register: after every step the indexes equal brute-force sorted
+    scans, the pools stay conserved, and a forced over-commit still
+    raises from the per-resize conservation check."""
+    policy = POLICY_FACTORIES[policy_idx]()
+    sim = Simulator()
+    config = FMConfig(max_contexts=3, num_processors=16)
+    engine = PolicyEngine(sim, policy, config)
+    rank_to_node = {0: 0, 1: 1}
+    seq = 0
+    for op in ops:
+        kind, job = op[0], op[1]
+        if kind == "register":
+            live = {j for j, _ in engine._contexts}
+            if job in live or len(live) >= config.max_contexts:
+                continue
+            for node in (0, 1):
+                engine.register(FMContext.create(
+                    sim, node, job, node, rank_to_node, config, policy))
+        elif kind == "forget":
+            for node in ((0, 1) if op[2] is None else (op[2],)):
+                engine.forget(job, node)
+        else:
+            seq += 1
+            in_job = job if (job, 0) in engine._contexts else None
+            for node in (0, 1):
+                engine.on_context_switch(node, seq, out_job=None,
+                                         in_job=in_job)
+        assert_indexes_match_scans(engine)
+        assert all(cell["ok"]
+                   for cell in engine.conservation_report().values())
+
+    # Force an over-commit through a tampered plan: the resize that
+    # breaks the pool must raise, whatever the churn left behind.
+    node_keys = engine._node_keys.get(0)
+    if not node_keys:
+        return
+    key = node_keys[0]
+    ctx = engine._contexts[key]
+    seq += 1
+    engine._plans[seq] = {key: (engine.recv_pool + 1,
+                                ctx.send_queue.capacity, ctx.credits.c0)}
+    with pytest.raises(ProtocolError, match="over-committed"):
+        engine.on_context_switch(0, seq, out_job=None, in_job=key[0])

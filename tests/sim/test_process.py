@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import InterruptError, SimulationError
-from repro.sim import Simulator
+from repro.sim import PARK, Simulator
 
 
 @pytest.fixture
@@ -319,3 +319,54 @@ def _after(sim, delay, action):
         action()
 
     return waiter()
+
+
+class TestParkWake:
+    def test_parked_process_has_no_calendar_entry(self, sim):
+        log = []
+
+        def server():
+            while True:
+                yield PARK
+                log.append(sim.now)
+
+        proc = sim.process(server())
+        sim.run()
+        assert sim.peek() == float("inf")
+        assert proc.is_alive and log == []
+        sim.process(_after(sim, 2.0, proc.wake))
+        sim.run()
+        assert log == [2.0]
+
+    def test_interrupt_reaches_a_parked_process(self, sim):
+        causes = []
+
+        def server():
+            try:
+                yield PARK
+            except InterruptError as err:
+                causes.append((err.cause, sim.now))
+
+        proc = sim.process(server())
+        sim.run()
+        sim.process(_after(sim, 1.0, lambda: proc.interrupt("poke")))
+        sim.run()
+        assert causes == [("poke", 1.0)]
+        assert proc.wake() is False   # no longer parked
+
+    def test_wake_while_suspended_is_deferred_to_resume(self, sim):
+        log = []
+
+        def server():
+            yield PARK
+            log.append(sim.now)
+
+        proc = sim.process(server())
+        sim.run()
+        proc.suspend()
+        proc.wake()
+        sim.run(until=3.0)
+        assert log == []
+        sim.process(_after(sim, 1.0, proc.resume))
+        sim.run()
+        assert log == [4.0]
