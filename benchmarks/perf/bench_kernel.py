@@ -86,7 +86,7 @@ n = int(sys.argv[4])
 fn = mod.KERNEL_BENCHMARKS[name]
 if name == "sleep" and not _bare_sleep_ok():
     fn = mod.bench_timeout
-fn(max(n // 8, 2000))  # warm-up: allocator arenas, code paths, free lists
+fn(max(n // 8, 2000))  # warm-up: allocator arenas, code paths
 print(json.dumps(max(fn(n), fn(n))))
 """
 

@@ -7,43 +7,42 @@ dispatch paths:
 
 ``sleep``
     one process yielding bare-number delays — the canonical simulation
-    idiom (every hardware/firmware model sleeps this way) and the fast
-    path the kernel optimises hardest;
+    idiom (every hardware/firmware model sleeps this way), which parks
+    the process itself in the calendar with no event object;
 ``timeout``
     the same loop through explicit :meth:`Simulator.timeout` events,
-    exercising the Timeout free-list;
+    one Timeout allocated per wake-up;
 ``chain``
     callback-driven timeout *links* of ``_WIDTH`` same-instant events
     each: every link schedules the next link's worth of simultaneous
     timeouts from inside a callback, the pattern of a barrier release
-    fanning out to a gang (pure ``add_callback`` dispatch, one bucket
-    drain per link);
+    fanning out to a gang (pure ``add_callback`` dispatch);
 ``churn``
     a process creating and immediately succeeding ``_WIDTH`` transient
-    events per wake-up (immediate-fire path through the instant bucket
-    plus the Event free-list);
+    events per wake-up (the immediate-fire path: every event is pushed
+    at the current instant);
 ``same_instant_burst``
     ``n`` timeouts pre-scheduled at one single future instant, then
-    drained in one batch — the calendar's tie-open path versus the
-    seed heap's worst case (log-n pops over equal keys);
+    drained in one run — heap pushes and pops whose keys tie on time
+    and are ordered by seq alone;
 ``far_horizon``
     ``n`` timeouts scattered pseudo-randomly over a wide horizon —
-    almost no same-instant sharing, stressing the overflow heap tier
-    (expected ~parity with a plain heap; kept to prove the calendar
-    does not regress the scattered case).
+    almost no same-instant sharing, so each push and pop pays the full
+    O(log n) heap sift.
 
-``chain`` and ``churn`` were redefined in the calendar PR from
-single-event links to ``_WIDTH``-wide same-instant links: the paper's
-workloads (figures 5–9) are dominated by barrier-release storms and
-broadcast fan-outs where hundreds-to-thousands of events share one
-timestamp, and batched same-instant dispatch is the optimisation these
-two patterns exist to measure.  The perf harness re-measures the seed
-kernel on the *same shapes* in the same run, so ratios stay honest.
+``chain`` and ``churn`` use ``_WIDTH``-wide same-instant links rather
+than single-event links: the paper's workloads (figures 5–9) are
+dominated by barrier-release storms and broadcast fan-outs where
+hundreds-to-thousands of events share one timestamp.  The perf harness
+re-measures the seed kernel on the *same shapes* in the same run, so
+ratios stay honest.  These are microbenchmarks: a kernel mechanism is
+kept only for a measured end-to-end win (``benchmarks/e2e``), never for
+a win here alone.
 
 The functions are imported both by ``python -m repro perf`` (a quick
 assert-only smoke check) and by ``benchmarks/perf/bench_kernel.py``
 (the full JSON-emitting harness).  They use only the public simulator
-API, so the harness can execute the identical workload source against
+API, so the harness can run the identical workload source against
 the seed tree.  Wall-clock numbers are measured with GC left as the
 caller configured it; the harness disables GC, the smoke check does
 not bother.
@@ -152,11 +151,9 @@ def bench_same_instant_burst(n: int) -> float:
     """Events/sec draining ``n`` timeouts that share one single instant.
 
     All events are pre-scheduled at the same future timestamp before the
-    clock starts; the run is one giant bucket drain.  The seed heap pays
-    a log-n pop with equal-key tuple comparisons per event here.
-    Scheduling is inside the timed region (both kernels do the same
-    amount of it, and insertion cost is part of what the calendar
-    changes).
+    clock starts; the run is one drain of that instant, each pop a
+    log-n sift over keys that tie on time.  Scheduling is inside the
+    timed region (insertion cost is part of the calendar's cost).
     """
     sim = Simulator()
     hits = [0]
@@ -176,8 +173,8 @@ def bench_far_horizon(n: int) -> float:
 
     Delays are generated by a fixed multiplicative LCG (no ``random``
     import, fully deterministic), giving ~n distinct timestamps spread
-    over ~1000 simulated seconds: the overflow-heap tier does all the
-    work and same-instant batching almost never engages.
+    over ~1000 simulated seconds: almost no two events share an
+    instant.
     """
     sim = Simulator()
     hits = [0]
@@ -195,8 +192,8 @@ def bench_far_horizon(n: int) -> float:
 def bench_sleep_profiled(n: int, stride: int = 32) -> float:
     """The ``sleep`` pattern with the sampling kernel profiler attached.
 
-    Measures what telemetry *costs*: the profiled specialisation of the
-    generated run loop observes every ``stride``-th event (exact event
+    Measures what telemetry *costs*: with a profiler attached the run
+    loop observes every ``stride``-th event (exact event
     totals, scaled attribution — see :mod:`repro.telemetry.profiler`),
     so the ratio against :func:`bench_sleep` is the price of
     ``--telemetry`` at the stride the sweeps use.  Pass ``stride=1`` to

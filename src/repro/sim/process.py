@@ -30,10 +30,7 @@ and continues it after the buffer switch.  While suspended a process makes
 no progress; a wake-up event that fires during suspension is *deferred* and
 delivered when the process is resumed.
 
-The wake-up path (``_step``) is the single hottest function of the
-simulator after the event loop itself, so the common resume-and-yield
-cycle is written without property lookups or intermediate calls, and each
-process registers one pre-bound callback (``_step_cb``) instead of
+Each process registers one pre-bound callback (``_step_cb``) instead of
 materialising a new bound method per yield.
 """
 
@@ -93,10 +90,6 @@ class Process(Event):
     # plus its own termination event), so the termination entry records its
     # seq and the run loop dispatches it only at the matching entry.
     def succeed(self, value: Any = None) -> "Process":
-        # Routes through _push, NOT Event.succeed: the inline routing in
-        # Event.succeed appends bare events to the instant bucket, while
-        # exact-Process entries must be stored as (seq, process) so the
-        # run loop can match this seq against the termination entry.
         if self._value is not _UNSET:
             raise SimulationError(f"{self!r} already triggered")
         self._ok = True
@@ -217,8 +210,6 @@ class Process(Event):
         """Callback: the event we were waiting on has been processed.
 
         Fast path only — failure delivery goes through :meth:`_advance`.
-        The wait-on logic of :meth:`_wait_on` is inlined here (and kept in
-        sync) because this function runs once per processed event.
         """
         if self._value is not _unset:  # generator already terminated
             return
@@ -239,20 +230,7 @@ class Process(Event):
                 self.fail(exc)
                 return
             raise
-        # -- inlined _wait_on ------------------------------------------------
-        if isinstance(nxt, Event) and nxt.sim is self.sim:
-            self._target = nxt
-            callbacks = nxt.callbacks
-            if callbacks is None:  # already processed: wake immediately
-                self._step(nxt)
-            elif nxt._waiter is None and not callbacks:
-                # Sole waiter so far: take the fast slot (order-preserving,
-                # since the callback list is empty at registration time).
-                nxt._waiter = self
-            else:
-                callbacks.append(self._step_cb)
-        else:
-            self._wait_on(nxt)  # slow path: raises the right error
+        self._wait_on(nxt)
 
     def _advance(self, value: Any, throw: bool) -> None:
         try:
@@ -311,9 +289,8 @@ class Process(Event):
         return f"<Process {self.name!r} {state}>"
 
 
-# Let the calendar routing in core recognise exact-Process entries (they
-# are the only bucket entries stored with their push seq); the import is
-# circular the other way, so the binding happens here.
+# Let the kernel's dispatch recognise exact-Process calendar entries; the
+# import is circular the other way, so the binding happens here.
 from repro.sim import core as _core  # noqa: E402
 
 _core._PROC_CLS = Process

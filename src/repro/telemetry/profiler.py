@@ -10,14 +10,12 @@ the event count and the simulated time that elapsed while that
 component's event was next in line, answering "where do my 10^7 events
 go?" for experiment-scale runs.
 
-The zero-cost-when-off guard follows the :class:`~repro.sim.trace.Tracer`
-truthiness idiom, but lives *outside* the hot loop: the kernel checks the
-profiler once per ``run()`` call, not per event.  With no profiler
-attached (or a disabled one) the generated plain run loops in
-``sim/core.py`` run untouched; with one attached, the kernel runs the
-*profiled* specialisation of the same generated loop — identical dispatch
-semantics with the :meth:`observe` hook compiled in — so profiled and
-unprofiled simulations produce identical results (pinned by
+The on/off guard follows the :class:`~repro.sim.trace.Tracer` truthiness
+idiom: a disabled profiler is never attached, and the kernel's one run
+loop in ``sim/core.py`` reads the profiler once per ``run()`` call into
+a local, so with none attached each dispatched entry pays a single
+``is not None`` test.  The :meth:`observe` hook only reads the entry, so
+profiled and unprofiled simulations produce identical results (pinned by
 ``tests/telemetry/test_determinism.py``).
 
 Sampling: with ``stride=N`` the kernel calls :meth:`observe` on every
@@ -27,7 +25,7 @@ percent.  Sampled attribution is *scaled*: each sample stands for
 ``samples * stride``) and is charged the full simulated time elapsed
 since the previous sample, so per-component ``sim_seconds`` still sum to
 the profiled span with no scaling.  Exact totals are never sampled: the
-kernel accounts the precise number of dispatched events per run loop via
+kernel accounts the precise number of dispatched events per run via
 :meth:`account_events`, so :attr:`events` always equals the simulator's
 ``processed_events``.  ``stride=1`` (the default) samples every event
 and is bit-identical to the pre-sampling profiler.

@@ -1,14 +1,14 @@
-"""Kernel oracle: random workloads through ``step()`` vs the fast loops.
+"""Kernel oracle: random workloads through ``step()`` vs the run loop.
 
-``Simulator.step()`` is the hand-written reference implementation of
-dispatch; the batched run loops are generated code.  This suite builds
-randomized workloads — bare-number sleeps, explicit timeouts,
+``Simulator.step()`` is the reference implementation of one dispatch;
+``run()`` and ``run_until_processed()`` share one run loop.  This suite
+builds randomized workloads — bare-number sleeps, explicit timeouts,
 immediately-succeeded events, failed events, AnyOf/AllOf conditions,
 cross-process interrupts, park/wake pairs (woken by processes and by
 callbacks, sometimes twice in one instant), and timeouts piled onto
 duplicate instants —
 and executes each twice from identical initial conditions: once by
-single-stepping, once through the fast loop.  The trace (every
+single-stepping, once through the run loop.  The trace (every
 observable action with its timestamp) and the final kernel state must
 match exactly.
 
@@ -25,8 +25,8 @@ from hypothesis import strategies as st
 from repro.errors import InterruptError, SimulationError
 from repro.sim import PARK, Simulator
 
-#: Delay alphabet with deliberate duplicates: same-instant pile-ups are
-#: the calendar's batched path, so most draws collide.
+#: Delay alphabet with deliberate duplicates, so most draws collide on
+#: one instant and FIFO-within-timestamp is exercised.
 DELAYS = (0.0, 0.25, 0.5, 1.0, 1.0, 1.0, 2.0, 3.5)
 
 _INF = float("inf")
@@ -172,20 +172,64 @@ def test_step_run_mixing_matches_pure_run(procs_spec, standalone_spec, head):
             == _execute(procs_spec, standalone_spec, lambda sim: sim.run()))
 
 
+def _run_watching_last(sim: Simulator, procs) -> None:
+    """run_until_processed() on the last process, then run() to drain."""
+    try:
+        sim.run_until_processed(procs[-1])
+    except RuntimeError:
+        pass  # an unwaited process failure propagates; still deterministic
+    except SimulationError:
+        pass  # drained first: the watched process parked for good
+    sim.run()
+
+
 @settings(max_examples=30, deadline=None)
 @given(procs_spec=_procs, standalone_spec=_standalone,
-       stride=st.sampled_from([1, 3, 16]))
-def test_profiled_run_matches_unprofiled(procs_spec, standalone_spec, stride):
-    """The profiled loop specialisation changes nothing observable."""
+       stride=st.sampled_from([1, 3, 16]), watch=st.booleans())
+def test_profiled_run_matches_unprofiled(procs_spec, standalone_spec, stride,
+                                         watch):
+    """A profiler, sampling at any stride, changes nothing observable in
+    run() or run_until_processed()."""
     from repro.telemetry.profiler import KernelProfiler
 
-    def profiled(sim):
-        sim.profiler = KernelProfiler(stride=stride)
+    def execute(profiled: bool):
+        sim = Simulator()
+        trace: list = []
+        procs = _build(sim, trace, procs_spec, standalone_spec)
+        if profiled:
+            sim.profiler = KernelProfiler(stride=stride)
+        if watch:
+            _run_watching_last(sim, procs)
+        else:
+            sim.run()
+        return tuple(trace), sim.now, sim.processed_events
+
+    assert execute(profiled=True) == execute(profiled=False)
+
+
+@settings(max_examples=30, deadline=None)
+@given(procs_spec=_procs, standalone_spec=_standalone,
+       horizons=st.lists(st.sampled_from(DELAYS + (0.1, 1.5, 2.75, 5.0)),
+                         max_size=6).map(lambda hs: sorted(set(hs))))
+def test_horizon_slices_match_single_run(procs_spec, standalone_spec,
+                                         horizons):
+    """run(until=h) over increasing horizons, then run(), == one run().
+
+    The trace and event count match exactly; the clock ends at the later
+    of the last event and the last horizon (a horizon past the drain
+    still advances it).
+    """
+
+    def sliced(sim):
+        for h in horizons:
+            sim.run(until=h)
+            assert sim.now == h
         sim.run()
 
-    plain = _execute(procs_spec, standalone_spec, lambda sim: sim.run())
-    prof = _execute(procs_spec, standalone_spec, profiled)
-    assert prof == plain
+    trace, now, processed = _execute(procs_spec, standalone_spec,
+                                     lambda sim: sim.run())
+    assert _execute(procs_spec, standalone_spec, sliced) == (
+        trace, max([now] + horizons), processed)
 
 
 @settings(max_examples=30, deadline=None)
@@ -193,18 +237,10 @@ def test_profiled_run_matches_unprofiled(procs_spec, standalone_spec, stride):
 def test_watch_loop_matches_step_oracle(procs_spec, standalone_spec):
     """run_until_processed() on the last process, then run(), == oracle."""
 
-    # run_until_processed needs the Process handle, so inline the build.
     def execute_watch():
         sim = Simulator()
         trace: list = []
-        procs = _build(sim, trace, procs_spec, standalone_spec)
-        try:
-            sim.run_until_processed(procs[-1])
-        except RuntimeError:
-            pass  # an unwaited process failure propagates; still deterministic
-        except SimulationError:
-            pass  # drained first: the watched process parked for good
-        sim.run()
+        _run_watching_last(sim, _build(sim, trace, procs_spec, standalone_spec))
         return tuple(trace), sim.now, sim.processed_events
 
     def execute_oracle():

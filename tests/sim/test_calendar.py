@@ -1,17 +1,16 @@
-"""Edge cases of the indexed event calendar (bucket/slot/heap tiers).
+"""Edge cases of the event calendar and its run loop.
 
 The kernel-oracle property suite covers random workloads; these tests
-pin the specific structural hazards of the three-tier calendar: bucket
-re-keying while a drain is in progress, watched runs returning from the
-middle of a batch, mixing ``step()`` with the batched loops, the
-consumed-prefix compaction bound, and free-list object recycling.
+pin specific shapes: same-instant batches extended while they drain,
+watched runs returning from the middle of a batch, mixing ``step()``
+with the run loop, very wide single-instant batches, and the
+``_post`` guard.
 """
 
 import pytest
 
 from repro.errors import SimulationError
 from repro.sim import Simulator
-from repro.sim.core import _BUCKET_COMPACT, _FREE_LIST_CAP
 
 
 @pytest.fixture
@@ -64,8 +63,8 @@ class TestSameInstantBatch:
         assert set(hits) == {2.0}
 
     def test_giant_batch_beyond_compaction_bound_is_fifo(self, sim):
-        """A batch wider than the compaction threshold drains completely."""
-        n = _BUCKET_COMPACT + 50
+        """A batch of 64 Ki+ entries grown while it drains stays FIFO."""
+        n = 65536 + 50
         got = []
         state = {"made": 0}
 
@@ -80,7 +79,9 @@ class TestSameInstantBatch:
         sim.timeout(1.0, value=1).add_callback(more)
         sim.run()
         assert got == list(range(1, n + 1))
-        assert len(sim._bucket) == 0  # compaction + final clear ran
+        assert sim.processed_events == n
+        assert sim.now == 1.0
+        assert sim.peek() == float("inf")
 
 
 class TestWatchMidBatch:
@@ -134,41 +135,6 @@ class TestStepRunMixing:
         while sim.peek() != float("inf"):
             sim.step()
         assert order == ["root", "same", "far"]
-
-
-class TestFreeLists:
-    def test_held_references_are_never_recycled(self, sim):
-        """An event the user still holds keeps its identity and value."""
-        held = sim.timeout(1.0, value="keep")
-        sim.run()
-        for _ in range(100):  # plenty of recycling churn
-            sim.timeout(0.0)
-        sim.run()
-        assert held.value == "keep"
-
-    def test_recycled_events_come_back_clean(self, sim):
-        def producer():
-            for _ in range(50):
-                ev = sim.event()
-                ev.succeed("stale")
-                yield ev
-
-        sim.run_until_processed(sim.process(producer()))
-        fresh = sim.event()
-        assert not fresh.triggered and fresh.ok is None
-        with pytest.raises(SimulationError):
-            _ = fresh.value
-
-    def test_free_lists_are_bounded(self, sim):
-        def producer():
-            for _ in range(_FREE_LIST_CAP + 500):
-                ev = sim.event()
-                ev.succeed(None)
-                yield ev
-
-        sim.run_until_processed(sim.process(producer()))
-        assert len(sim._free_events) <= _FREE_LIST_CAP
-        assert len(sim._free_timeouts) <= _FREE_LIST_CAP
 
 
 class TestPostGuard:

@@ -1,9 +1,9 @@
-"""Edge cases of the DES kernel's fast paths.
+"""Edge cases of the DES kernel's run loop.
 
-The hot loop in :meth:`Simulator.run` special-cases processes, waiter
-slots, Timeout recycling, and bare-number sleeps; these tests pin the
-behaviours that the generic (slow) path used to provide for free, so a
-fast-path regression cannot silently change semantics.
+The loop in :meth:`Simulator.run` special-cases processes, waiter slots
+and bare-number sleeps; these tests pin condition failures, horizons,
+event budgets, callback removal and timeout reuse patterns, so a kernel
+change cannot silently change semantics.
 """
 
 import pytest
@@ -91,11 +91,36 @@ class TestRunUntilClock:
         assert sim.now == 7.0
 
     def test_until_in_the_past_is_noop(self, sim):
-        sim.timeout(1.0)
+        """A horizon before ``now`` leaves the clock, the count and the
+        calendar alone: with the calendar empty, with an entry pending,
+        and mid-batch after a step()."""
+        fired = []
+
+        def at(delay):
+            sim.timeout(delay).add_callback(lambda ev: fired.append(sim.now))
+
+        at(1.0)
         sim.run()
         assert sim.now == 1.0
         sim.run(until=0.5)
-        assert sim.now == 1.0
+        assert (sim.now, sim.processed_events) == (1.0, 1)
+
+        at(4.0)                      # fires at 5.0
+        sim.run(until=2.0)
+        sim.run(until=1.5)
+        assert (sim.now, sim.processed_events, fired) == (2.0, 1, [1.0])
+        sim.run()
+        assert (sim.now, sim.processed_events, fired) == (5.0, 2, [1.0, 5.0])
+
+        at(1.0)
+        at(1.0)                      # two entries at 6.0
+        sim.step()
+        sim.run(until=3.0)
+        assert (sim.now, sim.processed_events, fired) == (6.0, 3, [1.0, 5.0, 6.0])
+        at(0.5)                      # a later push must not land in the past
+        sim.run()
+        assert fired == [1.0, 5.0, 6.0, 6.0, 6.5]
+        assert (sim.now, sim.processed_events) == (6.5, 5)
 
 
 class TestMaxEventsExhaustion:
@@ -179,8 +204,8 @@ class TestRemoveCallback:
 
 class TestTimeoutRecycling:
     def test_recycled_timeouts_stay_correct(self, sim):
-        """Drive enough drop-after-fire timeouts through the free list to
-        recycle, then check a recycled instance behaves like a fresh one."""
+        """After 2000 bare-number sleeps, a new timeout still delivers its
+        own value at its own time."""
         fired = []
 
         def proc():
@@ -195,6 +220,7 @@ class TestTimeoutRecycling:
         assert fired == [("fresh-semantics", pytest.approx(3.0))]
 
     def test_recycling_does_not_leak_values(self, sim):
+        """Each of many back-to-back timeouts delivers its own value."""
         values = []
 
         def proc():
