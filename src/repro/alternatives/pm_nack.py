@@ -106,7 +106,8 @@ class PMFirmware(LanaiFirmware):
     # ------------------------------------------------------------------ receiving
     # Per-packet processing time is slept by the base class's run loop
     # before these are called (fused with the context-switch interrupt
-    # when one fires) — don't sleep it again here.
+    # when one fires), and the DMA between _accept_data and _deliver_data
+    # — don't sleep either again here.
     def _receive_control(self, packet: Packet) -> None:
         if packet.ptype is PacketType.ACK:
             self.acks_received += 1
@@ -121,13 +122,15 @@ class PMFirmware(LanaiFirmware):
         # HALT/READY (unused by PM but harmless) and refills.
         super()._receive_control(packet)
 
-    def _receive_data(self, packet: Packet):
+    def _accept_data(self, packet: Packet) -> Optional[FMContext]:
         ctx = self._contexts.get(packet.job_id)
         if ctx is None or not ctx.is_active or ctx.recv_queue.is_full:
             # No room (or no context): nack so the sender retries.
             self._reply(packet, PacketType.NACK)
-            return
-        yield self.nic.dma.transfer(packet.size_bytes)
+            return None
+        return ctx
+
+    def _deliver_data(self, ctx: FMContext, packet: Packet) -> None:
         ctx.recv_queue.append(packet)
         ctx.stats.packets_received += 1
         ctx.stats.bytes_received += packet.payload_bytes

@@ -57,9 +57,9 @@ from repro.gluefm.backing import BackingStore
 from repro.hardware.nic import MyrinetNIC
 
 #: Queue operations that remove packets (the firmware pickup side).
-_POP_OPS = frozenset({"try_pop", "_pop", "drain_all"})
+_POP_OPS = frozenset({"try_pop", "drain_all"})
 #: All monitored queue mutators.
-_QUEUE_OPS = ("append", "try_pop", "_pop", "drain_all", "load_all")
+_QUEUE_OPS = ("append", "try_pop", "drain_all", "load_all")
 
 
 @dataclass(frozen=True)
@@ -335,10 +335,10 @@ class BufferOwnershipMonitor:
     class _FrozenSignalling:
         """Suspend a queue's wake-ups while a probe mutates and undoes.
 
-        Saves and empties the nonempty callbacks/waiters, pending
-        getters, space waiters and the wait observer, and restores the
-        peak-occupancy stat — the planted mutation must be invisible to
-        the firmware, to blocked processes, and to the stats."""
+        Saves and empties the nonempty callbacks/waiters, space waiters
+        and the wait observer, and restores the peak-occupancy stat —
+        the planted mutation must be invisible to the firmware, to
+        blocked processes, and to the stats."""
 
         def __init__(self, queue):
             self.queue = queue
@@ -346,18 +346,17 @@ class BufferOwnershipMonitor:
         def __enter__(self):
             q = self.queue
             self.saved = (q._nonempty_callbacks, q._nonempty_waiters,
-                          q._getters, q._space_waiters, q.wait_observer,
+                          q._space_waiters, q.wait_observer,
                           q.peak_occupancy)
             q._nonempty_callbacks = []
             q._nonempty_waiters = deque()
-            q._getters = deque()
             q._space_waiters = deque()
             q.wait_observer = None
             return self
 
         def __exit__(self, *exc):
             q = self.queue
-            (q._nonempty_callbacks, q._nonempty_waiters, q._getters,
+            (q._nonempty_callbacks, q._nonempty_waiters,
              q._space_waiters, q.wait_observer, q.peak_occupancy) = self.saved
 
     def _plant_stored_access(self, ctx: FMContext) -> None:

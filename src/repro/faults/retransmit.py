@@ -45,7 +45,7 @@ from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 from repro.errors import ConfigError
-from repro.fm.context import ContextState
+from repro.fm.context import ContextState, FMContext
 from repro.fm.firmware import LanaiFirmware
 from repro.fm.packet import Packet, PacketType
 from repro.units import MS, US
@@ -287,7 +287,7 @@ class ReliableFirmware(LanaiFirmware):
                 (packet.job_id, packet.dst_node), {})[packet.rel_seq] \
                 = packet.seq
         entry.attempts += 1
-        entry.sent_at = self.sim.now
+        entry.sent_at = self.sim._now
         self.strategy.on_data_sent(entry)
 
     def _drain_pending(self):
@@ -305,7 +305,7 @@ class ReliableFirmware(LanaiFirmware):
                     attempt=entry.attempts + 1))
             # A fresh clone: same seq (dedup key) and payload, CRC-clean
             # even if the queued original was corrupted in SRAM.
-            # dataclasses.replace re-runs __post_init__, recomputing
+            # dataclasses.replace re-runs Packet.__init__, recomputing
             # size_bytes.
             yield from self._requeue(replace(entry.packet, corrupted=False))
 
@@ -400,9 +400,9 @@ class ReliableFirmware(LanaiFirmware):
         self.strategy.on_job_forgotten(job_id)
 
     # ================================================================== receive side
-    # (Per-packet processing time is slept by the caller, as in the base
-    # class.)  Both receive paths run the CRC check first, for every
-    # packet type.
+    # (Per-packet processing time and the DMA are slept by the run loop,
+    # as in the base class.)  Both receive paths run the CRC check first,
+    # for every packet type.
     def _crc_discard(self, packet: Packet) -> bool:
         """Count an arrival; True (and discard it) if it failed its CRC."""
         self.packets_received += 1
@@ -437,9 +437,9 @@ class ReliableFirmware(LanaiFirmware):
         self.packets_received -= 1  # super() recounts it
         super()._receive_control(packet)
 
-    def _receive_data(self, packet: Packet):
+    def _accept_data(self, packet: Packet) -> Optional[FMContext]:
         if self._crc_discard(packet):
-            return
+            return None
         seq = packet.seq
         if seq in self._seen:
             # Switch-level duplicate, or a retransmit whose original made
@@ -447,35 +447,39 @@ class ReliableFirmware(LanaiFirmware):
             # strategy settle the sender's timer.
             self.dup_discards += 1
             self.strategy.on_data_received(packet, duplicate=True)
-            if self.tracer:
+            if self.tracer.enabled:
                 self.tracer.record("pkt-dup-discard", node=self.nic.node_id,
                                    seq=seq, job=packet.job_id)
-            return
+            return None
         ctx = self._contexts.get(packet.job_id)
         if ctx is None or ctx.state is not ContextState.ACTIVE:
             # Not an error under faults: withhold the ack and let the
             # sender recover once the context is back.
             self.unreachable_discards += 1
-            return
+            return None
         if packet.piggyback_refill and seq not in self._piggybacked:
             # Applied at most once per seq.  The dedup-by-_seen check
             # above is NOT enough: a copy can clear it, apply the
-            # refill, then get discarded during the DMA wait below
+            # refill, then get discarded during the DMA wait
             # (context swapped out mid-transfer) without ever reaching
             # ``_seen.add`` — the retransmit copy would then refill the
             # same credits a second time and corrupt flow control.
             self._piggybacked.add(seq)
             self._delayed_credit(ctx, packet.src_node, packet.piggyback_refill)
-        yield self.nic.dma.request(packet.size_bytes)
+        return ctx
+
+    def _deliver_data(self, ctx: FMContext, packet: Packet) -> None:
         if ctx.state is not ContextState.ACTIVE:
             self.unreachable_discards += 1
             return
+        seq = packet.seq
         self._seen.add(seq)
         ctx.recv_queue.append(packet)
-        ctx.stats.packets_received += 1
-        ctx.stats.bytes_received += packet.payload_bytes
+        stats = ctx.stats
+        stats.packets_received += 1
+        stats.bytes_received += packet.payload_bytes
         tracer = self.tracer
-        if tracer and tracer.wants("pkt-deliver"):
+        if tracer.enabled and tracer.wants("pkt-deliver"):
             tracer.record("pkt-deliver", node=self.nic.node_id,
                           src=packet.src_node, seq=seq, job=packet.job_id,
                           msg=packet.msg_id)

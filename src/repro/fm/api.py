@@ -22,6 +22,8 @@ from repro.fm.packet import Packet, PacketType
 from repro.hardware.node import HostNode
 from repro.sim.trace import NullTracer, Tracer
 
+_DATA = PacketType.DATA
+
 
 @dataclass(frozen=True)
 class Message:
@@ -95,69 +97,27 @@ class FMLibrary:
         msg_id = next(self._msg_ids)
         payload_obj = payload  # the loop variable below shadows the name
 
-        # Hot path: this generator body runs once per packet in every
-        # bandwidth experiment, so loop invariants live in locals.
+        # Hot path: the loop body runs once per packet in every bandwidth
+        # experiment, so loop invariants live in locals, the send-queue
+        # fullness test reads the queue directly, and the host CPU's busy
+        # accounting (HostCPU.busy) is inlined.
         send_queue = ctx.send_queue
+        queued = send_queue._items
         credits = ctx.credits
-        busy = self.host.cpu.busy
+        cpu = self.host.cpu
         sim = self.sim
         src_node, job_id, src_rank = ctx.node_id, ctx.job_id, ctx.rank
         tracer = self.tracer
         # Causal-tracing gates, resolved once per message: off-run cost is
-        # one falsy check; a kinds-filtered tracer pays three set lookups.
-        if tracer:
+        # one attribute test; a kinds-filtered tracer pays three set lookups.
+        if tracer.enabled:
             want_start = tracer.wants("msg-start")
             want_enq = tracer.wants("pkt-enq")
             want_stall = tracer.wants("stall")
         else:
             want_start = want_enq = want_stall = False
-        if nbytes <= payload_cap:
-            # Single-fragment fast path — every small-message point in the
-            # bandwidth figures lands here.  Message and packet overheads
-            # are one continuous host occupancy: a single sleep.
-            if want_start:
-                tracer.record("msg-start", node=src_node, job=job_id,
-                              msg=msg_id, dst=dst_node, dst_rank=dst_rank,
-                              nbytes=nbytes, frags=1)
-            yield busy(cfg.host_msg_overhead + cfg.host_packet_overhead
-                       + nbytes / cfg.pio_rate)
-            stall_start = -1.0
-            while send_queue.is_full:
-                if want_stall and stall_start < 0.0:
-                    stall_start = sim.now
-                yield send_queue.wait_space()
-            if stall_start >= 0.0:
-                tracer.record("stall", node=src_node, job=job_id, msg=msg_id,
-                              cause="buffer-full", dur=sim.now - stall_start)
-            stall_start = -1.0
-            while not credits.try_acquire_send(dst_node):
-                if want_stall and stall_start < 0.0:
-                    stall_start = sim.now
-                yield credits.wait_send(dst_node)
-            if stall_start >= 0.0:
-                tracer.record("stall", node=src_node, job=job_id, msg=msg_id,
-                              cause="credit", dur=sim.now - stall_start)
-            packet = Packet(
-                PacketType.DATA,
-                src_node=src_node, dst_node=dst_node,
-                job_id=job_id, src_rank=src_rank, dst_rank=dst_rank,
-                payload_bytes=nbytes, msg_id=msg_id,
-                piggyback_refill=credits.take_piggyback(dst_node),
-                tag=tag, payload_obj=payload_obj,
-            )
-            send_queue.append(packet)
-            if want_enq:
-                tracer.record("pkt-enq", node=src_node, job=job_id,
-                              msg=msg_id, frag=0, seq=packet.seq,
-                              dst=dst_node)
-            self.messages_sent += 1
-            self.bytes_sent += nbytes
-            if tracer:
-                tracer.record("msg-send", node=src_node, job=job_id,
-                              dst_rank=dst_rank, nbytes=nbytes, msg_id=msg_id)
-            return
-
-        nfrags = -(-nbytes // payload_cap)  # == cfg.packets_for(nbytes) here
+        # == cfg.packets_for(nbytes): a zero-byte message is one packet.
+        nfrags = -(-nbytes // payload_cap) or 1
         pio_rate = cfg.pio_rate
         packet_overhead = cfg.host_packet_overhead
         last = nfrags - 1
@@ -172,16 +132,20 @@ class FMLibrary:
         remaining = nbytes
         for index in range(nfrags):
             payload = remaining if remaining < payload_cap else payload_cap
-            yield busy(overhead + packet_overhead + payload / pio_rate)
+            busy = overhead + packet_overhead + payload / pio_rate
+            if busy < 0:
+                raise ConfigError(f"negative busy time {busy}")
+            cpu.busy_time += busy
+            yield busy
             overhead = 0.0
             stall_start = -1.0
-            while send_queue.is_full:
+            while len(queued) >= send_queue.capacity:
                 if want_stall and stall_start < 0.0:
-                    stall_start = sim.now
+                    stall_start = sim._now
                 yield send_queue.wait_space()
             if stall_start >= 0.0:
                 tracer.record("stall", node=src_node, job=job_id, msg=msg_id,
-                              cause="buffer-full", dur=sim.now - stall_start)
+                              cause="buffer-full", dur=sim._now - stall_start)
             # Level-triggered credit wait with an atomic take on wakeup:
             # this process can be SIGSTOPped at any yield, and a taken
             # credit must always be accounted for by a visible queued
@@ -189,21 +153,20 @@ class FMLibrary:
             stall_start = -1.0
             while not credits.try_acquire_send(dst_node):
                 if want_stall and stall_start < 0.0:
-                    stall_start = sim.now
+                    stall_start = sim._now
                 yield credits.wait_send(dst_node)
             if stall_start >= 0.0:
                 tracer.record("stall", node=src_node, job=job_id, msg=msg_id,
-                              cause="credit", dur=sim.now - stall_start)
-            packet = Packet(
-                PacketType.DATA,
-                src_node=src_node, dst_node=dst_node,
-                job_id=job_id, src_rank=src_rank, dst_rank=dst_rank,
-                payload_bytes=payload, msg_id=msg_id,
-                frag_index=index, frag_count=nfrags,
-                piggyback_refill=credits.take_piggyback(dst_node),
-                tag=tag,
-                payload_obj=payload_obj if index == last else None,
-            )
+                              cause="credit", dur=sim._now - stall_start)
+            # Positional: a keyword call costs as much again as the
+            # construction itself.  (ptype, src_node, dst_node, job_id,
+            # src_rank, dst_rank, payload_bytes, msg_id, frag_index,
+            # frag_count, piggyback_refill, refill_credits, ack_seq,
+            # rel_seq, tag, payload_obj)
+            packet = Packet(_DATA, src_node, dst_node, job_id, src_rank,
+                            dst_rank, payload, msg_id, index, nfrags,
+                            credits.take_piggyback(dst_node), 0, -1, -1, tag,
+                            payload_obj if index == last else None)
             send_queue.append(packet)
             if want_enq:
                 tracer.record("pkt-enq", node=src_node, job=job_id,
@@ -213,7 +176,7 @@ class FMLibrary:
 
         self.messages_sent += 1
         self.bytes_sent += nbytes
-        if tracer:
+        if tracer.enabled:
             tracer.record("msg-send", node=src_node, job=job_id,
                           dst_rank=dst_rank, nbytes=nbytes, msg_id=msg_id)
 
@@ -233,22 +196,28 @@ class FMLibrary:
         recv_queue = ctx.recv_queue
         # Level-triggered wait + atomic pop: the packet stays visible in
         # the queue until this process actually runs (SIGSTOP-safe).
-        packet = recv_queue.try_pop()
-        while packet is None:
+        while not recv_queue._items:
             yield recv_queue.wait_nonempty()
-            packet = recv_queue.try_pop()
+        packet = recv_queue.try_pop()
         # Note the consume atomically with the dequeue (see credits.py).
+        # CreditState.note_consumed and refill_due run inline, once per
+        # packet.  The refill test must follow the copy-out sleep: a
+        # piggyback sent meanwhile, or a window change while this process
+        # is stopped, moves the count or the threshold.
         credits = ctx.credits
+        consumed = credits._consumed
         src_node = packet.src_node
-        credits.note_consumed(src_node)
-        yield self.host.cpu.busy(
-            cfg.extract_packet_overhead + packet.payload_bytes / cfg.extract_copy_rate
-        )
+        consumed[src_node] += 1
+        busy = cfg.extract_packet_overhead + packet.payload_bytes / cfg.extract_copy_rate
+        if busy < 0:
+            raise ConfigError(f"negative busy time {busy}")
+        self.host.cpu.busy_time += busy
+        yield busy
 
-        if credits.refill_due(src_node):
+        if consumed[src_node] >= credits.refill_threshold:
             yield self.host.cpu.busy(cfg.refill_send_overhead)
             tracer = self.tracer
-            want_stall = bool(tracer) and tracer.wants("stall")
+            want_stall = tracer.enabled and tracer.wants("stall")
             stall_start = -1.0
             while ctx.send_queue.is_full:
                 if want_stall and stall_start < 0.0:
@@ -281,12 +250,13 @@ class FMLibrary:
         self.messages_received += 1
         self.bytes_received += nbytes
         message = Message(src_rank=packet.src_rank, nbytes=nbytes,
-                          msg_id=packet.msg_id, completed_at=self.sim.now,
+                          msg_id=packet.msg_id, completed_at=self.sim._now,
                           tag=packet.tag, payload=packet.payload_obj)
-        if self.tracer:
-            self.tracer.record("msg-recv", node=ctx.node_id, job=ctx.job_id,
-                               src_rank=packet.src_rank, nbytes=nbytes,
-                               msg=packet.msg_id, src=packet.src_node)
+        tracer = self.tracer
+        if tracer.enabled:
+            tracer.record("msg-recv", node=ctx.node_id, job=ctx.job_id,
+                          src_rank=packet.src_rank, nbytes=nbytes,
+                          msg=packet.msg_id, src=packet.src_node)
         return message
 
     def extract_messages(self, count: int):

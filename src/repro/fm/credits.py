@@ -96,9 +96,21 @@ class CreditState:
         return self._peer_sem(peer).acquire(1)
 
     def try_acquire_send(self, peer: int) -> bool:
-        """Atomically take one credit toward ``peer`` if available now."""
-        self._require_window()
-        return self._peer_sem(peer).try_acquire(1)
+        """Atomically take one credit toward ``peer`` if available now.
+
+        FM_send calls this once per packet, so the window check, the
+        peer lookup and ``Semaphore.try_acquire(1)`` run inline here.
+        """
+        if self.c0 == 0:
+            self._require_window()
+        try:
+            sem = self._send_credits[peer]
+        except KeyError:
+            raise CreditError(f"unknown peer node {peer}") from None
+        if sem._value >= 1 and not sem._waiters:
+            sem._value -= 1
+            return True
+        return False
 
     def wait_send(self, peer: int) -> Event:
         """Level-triggered: fires when a credit toward ``peer`` appears

@@ -13,6 +13,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
+from typing import Optional
 
 from repro.errors import ConfigError
 
@@ -33,44 +34,54 @@ _DATA = PacketType.DATA
 NIC_CONTROL_TYPES = frozenset({PacketType.HALT, PacketType.READY})
 
 _seq_counter = itertools.count()
+_next_seq = _seq_counter.__next__
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, init=False)
 class Packet:
     """One wire packet.
 
     ``msg_id``/``frag_index``/``frag_count`` implement fragmentation;
     ``piggyback_refill`` carries credits returned opportunistically on a
     data packet travelling in the reverse direction.
+
+    The field defaults live in the hand-written ``__init__``: every
+    fragment and control packet is built through it, and one plain
+    ``__slots__`` initialiser costs a fraction of the generated keyword
+    ``__init__`` plus ``__post_init__``.  The class stays a dataclass, so
+    ``dataclasses.replace`` copies a packet with its ``seq`` and
+    re-derives ``size_bytes``.
     """
 
     ptype: PacketType
     src_node: int
     dst_node: int
-    job_id: int = -1
-    src_rank: int = -1
-    dst_rank: int = -1
-    payload_bytes: int = 0
-    msg_id: int = -1
-    frag_index: int = 0
-    frag_count: int = 1
-    piggyback_refill: int = 0
-    refill_credits: int = 0          # explicit refill amount (REFILL only)
-    ack_seq: int = -1                # seq being (n)acked (ACK/NACK only)
+    job_id: int
+    src_rank: int
+    dst_rank: int
+    payload_bytes: int
+    msg_id: int
+    frag_index: int
+    frag_count: int
+    piggyback_refill: int
+    refill_credits: int              # explicit refill amount (REFILL only)
+    ack_seq: int                     # seq being (n)acked (ACK/NACK only)
     #: Contiguous per-channel (job, src->dst) sequence number, stamped by
     #: the reliability driver at first transmission; retransmit clones
     #: keep the original's.  Cumulative-ack and NACK strategies reason
     #: about prefixes/gaps in this space (the global ``seq`` counter is
     #: interleaved across channels and therefore gap-free nowhere).
-    rel_seq: int = -1
-    tag: int = 0                     # application message tag (MPI layer)
-    payload_obj: object = None       # opaque app payload (last fragment)
+    rel_seq: int
+    tag: int                         # application message tag (MPI layer)
+    payload_obj: object              # opaque app payload (last fragment)
     #: Set by the fault-injection layer (link bit errors, NIC SRAM
     #: flips).  A corrupted packet fails the receiver's CRC check and is
     #: discarded without acknowledgement; the reliability layer recovers
     #: it from the sender's pristine host-side copy.
-    corrupted: bool = False
-    seq: int = field(default_factory=_seq_counter.__next__)
+    corrupted: bool
+    #: Global construction order, drawn from ``_seq_counter`` unless a
+    #: copy passes its original's.
+    seq: int
     #: Bytes occupied on the wire (and in a buffer slot).  Derived from
     #: the payload once at construction — the send/receive/transmit paths
     #: each read it per packet, so it must be a plain attribute.
@@ -79,21 +90,44 @@ class Packet:
     HEADER_BYTES = 24
     CONTROL_BYTES = 16
 
-    def __post_init__(self):
-        # Runs for every packet built (one per fragment and per control
-        # packet): one type test picks the size, the checks ride along.
-        payload = self.payload_bytes
-        if payload < 0:
-            raise ConfigError(f"negative payload {payload}")
-        if self.ptype is _DATA:
-            self.size_bytes = self.HEADER_BYTES + payload
-        elif payload:
-            raise ConfigError(f"{self.ptype} packets carry no payload")
+    def __init__(self, ptype: PacketType, src_node: int, dst_node: int,
+                 job_id: int = -1, src_rank: int = -1, dst_rank: int = -1,
+                 payload_bytes: int = 0, msg_id: int = -1,
+                 frag_index: int = 0, frag_count: int = 1,
+                 piggyback_refill: int = 0, refill_credits: int = 0,
+                 ack_seq: int = -1, rel_seq: int = -1, tag: int = 0,
+                 payload_obj: object = None, corrupted: bool = False,
+                 seq: Optional[int] = None):
+        self.ptype = ptype
+        self.src_node = src_node
+        self.dst_node = dst_node
+        self.job_id = job_id
+        self.src_rank = src_rank
+        self.dst_rank = dst_rank
+        self.payload_bytes = payload_bytes
+        self.msg_id = msg_id
+        self.frag_index = frag_index
+        self.frag_count = frag_count
+        self.piggyback_refill = piggyback_refill
+        self.refill_credits = refill_credits
+        self.ack_seq = ack_seq
+        self.rel_seq = rel_seq
+        self.tag = tag
+        self.payload_obj = payload_obj
+        self.corrupted = corrupted
+        self.seq = _next_seq() if seq is None else seq
+        # One type test picks the size; the checks ride along.
+        if payload_bytes < 0:
+            raise ConfigError(f"negative payload {payload_bytes}")
+        if ptype is _DATA:
+            self.size_bytes = self.HEADER_BYTES + payload_bytes
+        elif payload_bytes:
+            raise ConfigError(f"{ptype} packets carry no payload")
         else:
             self.size_bytes = self.CONTROL_BYTES
-        if not 0 <= self.frag_index < self.frag_count:
+        if not 0 <= frag_index < frag_count:
             raise ConfigError(
-                f"fragment index {self.frag_index} out of range for count {self.frag_count}"
+                f"fragment index {frag_index} out of range for count {frag_count}"
             )
 
     @property

@@ -9,11 +9,20 @@ Two flavours, matching where FM puts them:
 
 Capacity is counted in packet *slots* (the unit credits protect).  The
 queues expose exactly the signalling the firmware and library need:
-blocking ``get``, blocking ``wait_space``, and a non-blocking ``append``
-that raises :class:`BufferOverflowError` — with correct flow control an
+level-triggered ``wait_nonempty`` (paired with the non-blocking
+``try_pop``) and ``wait_space``, and a non-blocking ``append`` that
+raises :class:`BufferOverflowError` — with correct flow control an
 overflow can never happen, so it is an invariant violation, not an
 expected condition (FM has no retransmission; an overflowing queue would
 mean silent packet loss and a wedged credit protocol).
+
+A consumer waits, then pops: the packet stays visible in the queue until
+the consumer actually runs, so a gang-switched (SIGSTOPped) consumer
+never holds one in limbo where occupancy and credit audits cannot see
+it.  The race monitor and the buffer policies' wait observers tap
+``append``, ``try_pop``, ``drain_all`` and ``load_all``, so the data and
+switch paths move packets only through those; they may read ``_items``
+and ``capacity`` directly.
 """
 
 from __future__ import annotations
@@ -21,14 +30,14 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Deque, Optional
 
-from repro.errors import BufferOverflowError, ConfigError, SimulationError
+from repro.errors import BufferOverflowError, ConfigError
 from repro.fm.packet import Packet
 from repro.hardware.memory import MemoryKind
 from repro.sim.core import Event, Simulator
 
 
 class PacketQueue:
-    """Fixed-capacity FIFO of packets with blocking get / space waits."""
+    """Fixed-capacity FIFO of packets with nonempty / space waits."""
 
     location: MemoryKind = MemoryKind.HOST_RAM
 
@@ -42,7 +51,6 @@ class PacketQueue:
         #: every hot path unless a PolicyEngine attached one
         self.wait_observer = None
         self._items: Deque[Packet] = deque()
-        self._getters: Deque[Event] = deque()
         self._space_waiters: Deque[Event] = deque()
         self._nonempty_waiters: Deque[Event] = deque()
         self._nonempty_callbacks: list[Callable[[], None]] = []
@@ -120,41 +128,27 @@ class PacketQueue:
             self.peak_occupancy = occupancy
         obs = self.wait_observer
         if obs is not None:
-            obs.enqueued(self.sim.now, occupancy)
-        if self._getters:
-            self._getters.popleft().succeed(self._pop())
+            obs.enqueued(self.sim._now, occupancy)
         waiters = self._nonempty_waiters
         while waiters and items:
             waiters.popleft().succeed()
         for fn in self._nonempty_callbacks:
             fn()
 
-    def _pop(self) -> Packet:
-        packet = self._items.popleft()
-        self.total_removed += 1
-        obs = self.wait_observer
-        if obs is not None:
-            obs.dequeued(self.sim.now, len(self._items))
-        while self._space_waiters and not self.is_full:
-            self._space_waiters.popleft().succeed()
-        return packet
-
     def try_pop(self) -> Optional[Packet]:
         """Non-blocking dequeue; None when empty.
 
-        The firmware send scan and FM_extract call this once per packet;
-        the body inlines :meth:`_pop` (keep the two in sync).
+        The firmware send scan and FM_extract call this once per packet,
+        and only after seeing ``_items`` nonempty.
         """
         items = self._items
         if not items:
             return None
-        if self._getters:
-            raise SimulationError(f"queue {self.name!r}: mixing try_pop with pending get()")
         packet = items.popleft()
         self.total_removed += 1
         obs = self.wait_observer
         if obs is not None:
-            obs.dequeued(self.sim.now, len(items))
+            obs.dequeued(self.sim._now, len(items))
         waiters = self._space_waiters
         if waiters and len(items) < self.capacity:
             # Level-triggered: release everyone while a slot is free (the
@@ -186,30 +180,13 @@ class PacketQueue:
                 waiters.popleft().succeed()
         return purged
 
-    def get(self) -> Event:
-        """Blocking dequeue: event succeeds with the next packet.
-
-        NOTE: the packet travels inside the event, so a consumer that is
-        SIGSTOPped between the trigger and its wakeup holds the packet in
-        limbo (invisible to occupancy and credit audits).  Processes that
-        can be gang-switched should use the level-triggered
-        ``wait_nonempty()`` + ``try_pop()`` pattern instead, which leaves
-        the packet in the queue until the consumer actually runs.
-        """
-        ev = self.sim.event()
-        if self._items and not self._getters:
-            ev.succeed(self._pop())
-        else:
-            self._getters.append(ev)
-        return ev
-
     def wait_nonempty(self) -> Event:
         """Event that succeeds when the queue has (or gets) an item.
 
         Level-triggered and non-consuming: the waiter must ``try_pop()``
         after waking and re-wait if someone else got there first.
         """
-        ev = self.sim.event()
+        ev = Event(self.sim)
         if self._items:
             ev.succeed()
         else:
@@ -219,7 +196,7 @@ class PacketQueue:
 
     def wait_space(self) -> Event:
         """Event that succeeds when at least one slot is free."""
-        ev = self.sim.event()
+        ev = Event(self.sim)
         if not self.is_full:
             ev.succeed()
         else:

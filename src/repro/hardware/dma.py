@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ConfigError
-from repro.sim.core import Simulator, Timeout
+from repro.sim.core import Simulator
 from repro.units import MB, US
 
 
@@ -39,28 +39,23 @@ class DmaEngine:
         self.transfers: int = 0
         self._free_at: float = 0.0
 
-    def transfer_time(self, nbytes: int) -> float:
-        """Duration of a single transfer of ``nbytes``."""
-        if nbytes < 0:
-            raise ConfigError(f"negative DMA size {nbytes}")
-        return self.spec.setup_time + nbytes / self.spec.bandwidth
-
     def request(self, nbytes: int) -> float:
         """Start a transfer; returns the delay until it completes.
 
-        Back-to-back requests queue behind each other (single engine).
-        The return value is meant to be yielded from a simulated process
-        (the kernel's bare-number sleep); :meth:`transfer` wraps it in an
-        event for callers that need callbacks.
+        Back-to-back requests queue behind each other (single engine);
+        a transfer takes the setup time plus ``nbytes`` at the engine's
+        bandwidth.  The return value is meant to be yielded from a
+        simulated process (the kernel's bare-number sleep).
         """
-        now = self.sim.now
-        start = max(now, self._free_at)
-        done = start + self.transfer_time(nbytes)
+        if nbytes < 0:
+            raise ConfigError(f"negative DMA size {nbytes}")
+        now = self.sim._now
+        start = self._free_at
+        if start < now:
+            start = now
+        spec = self.spec
+        done = start + (spec.setup_time + nbytes / spec.bandwidth)
         self._free_at = done
         self.bytes_moved += nbytes
         self.transfers += 1
         return done - now
-
-    def transfer(self, nbytes: int) -> Timeout:
-        """Start a transfer; the returned event fires at completion."""
-        return self.sim.timeout(self.request(nbytes))

@@ -21,7 +21,7 @@ class LinkSpec:
     All range checks happen once, at construction: the per-packet methods
     :meth:`wire_time` and :meth:`latency` are branch-free arithmetic on
     the fast path.  **Invariant** (validated by callers, not here): packet
-    sizes are non-negative — guaranteed by ``Packet.__post_init__`` — and
+    sizes are non-negative — guaranteed by ``Packet.__init__`` — and
     hop counts are non-negative — validated by ``MyrinetFabric.__init__``.
     """
 

@@ -23,7 +23,7 @@ from typing import Callable, Optional
 from repro.errors import RoutingError
 from repro.hardware.link import LinkSpec
 from repro.hardware.nic import MyrinetNIC
-from repro.sim.core import Event, Simulator
+from repro.sim.core import Event, Simulator, Timeout
 
 
 class MyrinetFabric:
@@ -99,28 +99,33 @@ class MyrinetFabric:
         order is preserved because the source injects serially and the
         destination port is FIFO.
         """
+        # One dict serves both endpoint checks (it has the same keys as
+        # _nics); the destination lookup doubles as its check.
+        deliver_cbs = self._deliver_cbs
         if src == dst:
             raise RoutingError(f"node {src} attempted to transmit to itself")
-        if src not in self._nics:
+        if src not in deliver_cbs:
             raise RoutingError(f"source node {src} not on the fabric")
         try:
-            deliver_cb = self._deliver_cbs[dst]
+            deliver_cb = deliver_cbs[dst]
         except KeyError:
             raise RoutingError(f"node {dst} not on the fabric") from None
 
         nbytes = packet.size_bytes
-        now = self.sim.now
+        sim = self.sim
+        now = sim._now
 
         if self.fault_injector is not None:
             return self._transmit_faulty(packet, dst, deliver_cb, nbytes, now)
 
         earliest = now + self._path_latency
         # Destination link busy until _rx_free_at: fan-in serialisation.
-        busy = self._rx_free_at[dst]
+        rx_free_at = self._rx_free_at
+        busy = rx_free_at[dst]
         if busy > earliest:
             earliest = busy
         deliver_at = earliest + nbytes * self._wire_inv
-        self._rx_free_at[dst] = deliver_at
+        rx_free_at[dst] = deliver_at
 
         self.packets_moved += 1
         self.bytes_moved += nbytes
@@ -129,8 +134,8 @@ class MyrinetFabric:
 
         # The arrival event carries the packet; the NIC's pre-bound
         # delivery callback reads it off the event — no per-packet closure.
-        arrival = self.sim.timeout(deliver_at - now, value=packet)
-        arrival.callbacks.append(deliver_cb)
+        arrival = Timeout(sim, deliver_at - now, packet)
+        arrival.callbacks = [deliver_cb]
         return arrival
 
     def _transmit_faulty(self, packet, dst: int, deliver_cb, nbytes: int,

@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import pytest
 
-from repro.errors import HardwareError, RoutingError
+from repro.errors import ConfigError, HardwareError, RoutingError
 from repro.hardware.dma import DmaEngine, DmaSpec
 from repro.hardware.ethernet import ControlNetwork, EthernetSpec
 from repro.hardware.link import LinkSpec
@@ -156,20 +156,27 @@ class TestFabric:
 class TestDma:
     def test_transfer_time_model(self, sim):
         dma = DmaEngine(sim, DmaSpec(bandwidth=100e6, setup_time=1e-6))
-        assert dma.transfer_time(1_000_000) == pytest.approx(1e-6 + 0.01)
+        assert dma.request(1_000_000) == pytest.approx(1e-6 + 0.01)
 
     def test_transfers_serialise(self, sim):
         dma = DmaEngine(sim, DmaSpec(bandwidth=100e6, setup_time=0.0))
-        done = []
-        dma.transfer(1_000_000).add_callback(lambda ev: done.append(sim.now))
-        dma.transfer(1_000_000).add_callback(lambda ev: done.append(sim.now))
-        sim.run()
-        assert done == [pytest.approx(0.01), pytest.approx(0.02)]
+        assert dma.request(1_000_000) == pytest.approx(0.01)
+        assert dma.request(1_000_000) == pytest.approx(0.02)
+        sim.run(until=0.015)
+        # Requested mid-transfer: queues behind the second one.
+        assert dma.request(1_000_000) == pytest.approx(0.015)
+        sim.run(until=0.05)
+        # Requested with the engine idle: starts at once.
+        assert dma.request(1_000_000) == pytest.approx(0.01)
+
+    def test_negative_size_rejected(self, sim):
+        with pytest.raises(ConfigError):
+            DmaEngine(sim).request(-1)
 
     def test_counters(self, sim):
         dma = DmaEngine(sim)
-        dma.transfer(100)
-        dma.transfer(200)
+        dma.request(100)
+        dma.request(200)
         assert dma.bytes_moved == 300 and dma.transfers == 2
 
 
