@@ -22,13 +22,13 @@ cyclic GC around the timed region (the workload allocates no cycles on
 the hot path; both trees get the identical treatment).
 
 The acceptance gate is the better of the serial and parallel speedups
-reaching 2x.  Requested workers are capped at ``os.cpu_count()`` by
-:func:`repro.experiments.common.effective_workers` — on a single-core
-box the "parallel" run therefore takes the serial in-process path
-instead of paying process-pool overhead for nothing (the regression the
-earlier BENCH_sweeps.json recorded: 42.41 s parallel vs 39.03 s serial
-at ``cpu_count: 1``).  The JSON records both the requested and the
-effective worker count.
+reaching 2x.  The requested workers are capped at ``os.cpu_count()``
+with :func:`repro.experiments.common.effective_workers`, exactly as the
+CLI caps ``-j`` — on a single-core box the "parallel" run therefore
+takes the serial in-process path instead of paying process-pool
+overhead for nothing (the regression the earlier BENCH_sweeps.json
+recorded: 42.41 s parallel vs 39.03 s serial at ``cpu_count: 1``).  The
+JSON records both the requested and the effective worker count.
 """
 
 from __future__ import annotations
@@ -114,17 +114,17 @@ def main() -> int:
               f"seed best {seed_s:6.1f} s")
 
     # Identity + parallel timing run in-process: the executor needs the
-    # results in hand to compare, and the parallel path is gated on the
-    # effective worker count either way.
+    # results in hand to compare.  run_points honours the worker count it
+    # is given, so the CPU cap is applied here, as the CLI applies it.
+    effective = effective_workers(WORKERS)
     serial = run_figure6(workers=1)
     t0 = time.perf_counter()  # simlint: ignore[SIM001] -- benchmark measures host wall time by design
-    parallel = run_figure6(workers=WORKERS)
+    parallel = run_figure6(workers=effective)
     parallel_s = time.perf_counter() - t0  # simlint: ignore[SIM001] -- benchmark measures host wall time by design
 
     identical = serial == parallel
     serial_speedup = seed_s / serial_s
     parallel_speedup = seed_s / parallel_s
-    effective = effective_workers(WORKERS)
     print(f"  serial        {serial_s:7.1f} s   "
           f"(seed {seed_s:.1f} s, x{serial_speedup:.2f})")
     print(f"  --jobs {WORKERS}      {parallel_s:7.1f} s   "

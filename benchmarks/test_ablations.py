@@ -48,8 +48,8 @@ def test_share_ablation(benchmark, publish):
 def run_pm_flush_scaling():
     """PM's local drain vs the halt-broadcast flush across cluster sizes."""
     from repro.alternatives.pm_nack import PMNetwork
-    from repro.fm.buffers import FullBuffer
     from repro.fm.config import FMConfig
+    from repro.fm.policies.static import FullBuffer
     from repro.sim import Simulator
     from tests.gluefm.conftest import GlueRig
 
@@ -96,9 +96,9 @@ def test_pm_flush_ablation(benchmark, publish):
 
 def run_pm_vs_fm_bandwidth():
     from repro.alternatives.pm_nack import PMNetwork
-    from repro.fm.buffers import FullBuffer
     from repro.fm.config import FMConfig
     from repro.fm.harness import FMNetwork
+    from repro.fm.policies.static import FullBuffer
     from repro.sim import Simulator
     from repro.units import mb_per_second
 

@@ -13,8 +13,8 @@ import pytest
 from benchmarks.conftest import run_once
 from repro.experiments.report import format_table
 from repro.fm.api import FMLibrary
-from repro.fm.buffers import FullBuffer
 from repro.fm.config import FMConfig
+from repro.fm.policies.static import FullBuffer
 from repro.gluefm.api import GlueFM
 from repro.hardware.network import MyrinetFabric
 from repro.hardware.node import HostNode

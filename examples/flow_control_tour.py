@@ -10,9 +10,9 @@ Run:  python examples/flow_control_tour.py
 """
 
 from repro.errors import CreditError
-from repro.fm.buffers import StaticPartition
 from repro.fm.config import FMConfig
 from repro.fm.harness import FMNetwork
+from repro.fm.policies.static import StaticPartition
 from repro.model.analytic import predict_p2p_bandwidth
 from repro.sim import Simulator
 from repro.units import mb_per_second

@@ -47,11 +47,12 @@ from typing import Optional, Sequence
 
 from repro.errors import ConfigError, ProtocolError
 from repro.fm.api import FMLibrary
-from repro.fm.buffers import BufferPolicy, FullBuffer
 from repro.fm.config import FMConfig
 from repro.fm.context import FMContext
 from repro.fm.firmware import LanaiFirmware
 from repro.fm.packet import Packet, PacketType
+from repro.fm.policies.base import BufferPolicy
+from repro.fm.policies.static import FullBuffer
 from repro.hardware.link import LinkSpec
 from repro.hardware.network import MyrinetFabric
 from repro.hardware.node import HostNode, NodeSpec

@@ -11,7 +11,10 @@ Regenerates any of the paper's figures from the shell without pytest:
 from __future__ import annotations
 
 import argparse
+import json
 import sys
+from operator import attrgetter
+from typing import Callable, NamedTuple
 
 #: Mirror of ``repro.faults.strategies.STRATEGY_NAMES`` — inlined so
 #: building the parser stays import-free; a test pins the two in sync.
@@ -315,10 +318,14 @@ def _git_changed_py_files(repo_root, base):
     return sorted(n for n in names if n.endswith(".py"))
 
 
+def _write_json(path: str, doc, **dump_kwargs) -> None:
+    with open(path, "w") as fh:
+        json.dump(doc, fh, **dump_kwargs)
+        fh.write("\n")
+
+
 def _write_merged_telemetry(path: str, snapshots) -> None:
     """Merge per-point snapshots and write the aggregate (validated)."""
-    import json
-
     from repro.telemetry.schema import validate_snapshot
     from repro.telemetry.session import merge_unified_snapshots
 
@@ -327,10 +334,248 @@ def _write_merged_telemetry(path: str, snapshots) -> None:
     if problems:  # pragma: no cover - contract drift is a bug
         raise RuntimeError("telemetry snapshot violates schema: "
                            + "; ".join(problems))
-    with open(path, "w") as fh:
-        json.dump(merged, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(path, merged, indent=2, sort_keys=True)
     print(f"telemetry snapshot written to {path}")
+
+
+class _Sweep(NamedTuple):
+    """One sweep verb, as far as it differs from the others.
+
+    ``run(workers)`` returns the results, the verb's ``--smoke`` preset
+    applied; ``render(results)`` is the stdout report;
+    ``documents(results)`` lists the JSON files the verb writes as
+    ``(path or None, doc, indent, note printed after writing or None)``;
+    ``checks(results)`` lists failures that exit 1.  ``smoke_line`` is
+    printed when the gate passes ({n} = points), to stderr when
+    ``json_stdout`` keeps stdout a pure JSON document.
+    """
+
+    run: Callable
+    render: Callable
+    documents: Callable = lambda results: ()
+    checks: Callable = lambda results: []
+    smoke_line: str = ""
+    json_stdout: bool = False
+    snapshot: Callable = attrgetter("telemetry")
+
+
+def _sweep(args, spec: _Sweep) -> int:
+    """Run one sweep verb: points, report, documents, ``--telemetry``.
+
+    Under ``--smoke`` the reference run is serial and the same sweep
+    reruns on a real 2-worker process pool, whatever the CPU count: the
+    report and every document must come back byte-identical and the
+    verb's checks must pass, or the command exits 1.
+    """
+    def digest(text, documents):
+        return json.dumps([text, [doc for _, doc, _, _ in documents]],
+                          sort_keys=True)
+
+    smoke = getattr(args, "smoke", False)
+    results = spec.run(1 if smoke else args.workers)
+    text, documents = spec.render(results), spec.documents(results)
+    print(text)
+    problems = spec.checks(results)
+    if smoke:
+        pooled = spec.run(2)
+        if (digest(spec.render(pooled), spec.documents(pooled))
+                != digest(text, documents)):
+            problems.insert(0, "-j2 sweep diverged from the serial run")
+    for problem in problems:
+        print(f"FAIL: {problem}", file=sys.stderr)
+    if smoke and not problems:
+        print(spec.smoke_line.format(n=len(results)),
+              file=sys.stderr if spec.json_stdout else sys.stdout)
+    for path, doc, indent, note in documents:
+        if path:
+            _write_json(path, doc, indent=indent, sort_keys=True)
+            if note:
+                print(note.format(path))
+    if getattr(args, "telemetry", None):
+        _write_merged_telemetry(args.telemetry, map(spec.snapshot, results))
+    return 1 if problems else 0
+
+
+def _sweeps(args) -> dict:
+    """The sweep verbs' table, one :class:`_Sweep` each, bound to ``args``."""
+    from functools import partial
+
+    from repro.experiments import (figure5, figure6, figure7, figure8,
+                                   figure9, figure_policies,
+                                   figure_reliability, nic_memory, report)
+    from repro.faults.chaos import ChaosPoint, run_chaos_campaign
+    from repro.telemetry import explain
+
+    smoke = getattr(args, "smoke", False)
+    telemetry = getattr(args, "telemetry", None) is not None
+
+    def given(**flags):
+        """Runner kwargs for the flags the user set (lists as tuples);
+        the rest fall back to the runner's or the smoke preset's defaults."""
+        return {name: tuple(value) if isinstance(value, list) else value
+                for name, value in flags.items() if value}
+
+    def policies(workers):
+        # --smoke: small, but every arm, a gang-switching point and the
+        # zero-credit static cell.
+        preset = (dict(jobs=(1, 2), message_sizes=(1536,),
+                       quanta_per_job=1.5) if smoke else {})
+        return figure_policies.run_figure_policies(
+            **{**preset, **given(policies=args.policies, jobs=args.jobs,
+                                 message_sizes=args.sizes,
+                                 quantum=args.quantum)},
+            root_seed=args.seed, workers=workers, telemetry=telemetry)
+
+    def reliability(workers):
+        # --smoke: every arm, a lossless anchor and a lossy cell, few rounds.
+        preset = dict(drops=(0.0, 0.05), rounds=6) if smoke else {}
+        return figure_reliability.run_figure_reliability(
+            **{**preset, **given(strategies=args.strategies,
+                                 drops=args.drops, rounds=args.rounds)},
+            root_seed=args.seed, workers=workers, telemetry=telemetry)
+
+    def reliability_checks(points):
+        bad = [p for p in points if not p.audit_ok]
+        return ([f"{len(bad)} points failed the invariant audit"]
+                if smoke and bad else [])
+
+    def switch_stages(runner):
+        return lambda workers: runner(
+            nodes=tuple(args.nodes), num_switches=args.switches,
+            workers=workers, telemetry=telemetry)
+
+    def nicmem_render(points):
+        knee = nic_memory.knee_of(points)
+        rows = [(p.send_buffer_kib, p.credits, f"{p.mbps:.1f}",
+                 "<- knee" if p is knee else "") for p in points]
+        supported = nic_memory.contexts_supported(432, knee.send_buffer_kib)
+        return (report.format_table(["sendbuf[KiB]", "C0", "MB/s", ""], rows)
+                + f"\nknee at {knee.send_buffer_kib} KiB; a 512 KiB card "
+                f"supports ~{supported} contexts")
+
+    def explain_run(workers):
+        if args.trace and not smoke:
+            with open(args.trace) as fh:
+                return explain.load_trace(json.load(fh))
+        preset = (dict(jobs=(1, 2), messages=60, keep_records=True)
+                  if smoke else given(
+                      jobs=args.jobs, message_sizes=args.sizes,
+                      messages=args.messages, policy=args.policy,
+                      quantum=args.quantum,
+                      keep_records=args.save_trace is not None))
+        return explain.run_explain(root_seed=args.seed, workers=workers,
+                                   **preset)
+
+    def explain_documents(results):
+        top, chrome_top = (5, 20) if smoke else (args.top, 50)
+        quiet = smoke   # the smoke gate's report ends with its verdict
+        return [
+            (args.json_out, explain.explain_payload(results, top=top), 2,
+             None if quiet else "attribution summary written to {}"),
+            (args.chrome, explain.explain_chrome_trace(results[-1],
+                                                       top=chrome_top), 1,
+             None if quiet else "Chrome trace written to {} -- load it in "
+             "chrome://tracing or https://ui.perfetto.dev"),
+            (args.save_trace,
+             args.save_trace and explain.trace_payload(results), None,
+             None if quiet else "record streams written to {}")]
+
+    def explain_checks(results):
+        problems = []
+        for p in (result["point"] for result in results):
+            if p["mismatches"]:
+                problems.append(f"point jobs={p['jobs']}: {p['mismatches']} "
+                                "attribution sum mismatches")
+            if smoke and (p["incomplete"] or not p["complete"]):
+                problems.append(f"point jobs={p['jobs']}: {p['complete']} "
+                                f"complete, {p['incomplete']} incomplete "
+                                "messages in an untruncated run")
+        return problems
+
+    def chaos(workers):
+        common = dict(seed=args.seed, audit=not args.no_audit,
+                      strategy=args.strategy, telemetry=telemetry)
+        if smoke and args.failstop:
+            # Recovery preset: one fail-stop death with rejoin and
+            # requeue, jobs long enough that the death lands mid-run.
+            point = ChaosPoint(rounds=600, failstops=1, rejoin=True,
+                               requeue=True, **common)
+        elif smoke:
+            # Every fault model lit on a small cluster.
+            point = ChaosPoint(rounds=10, drop=0.02, dup=0.01,
+                               corrupt=0.005, jitter=0.05, sram=200.0,
+                               stall=0.05, crash=0.02, **common)
+        else:
+            point = ChaosPoint(
+                nodes=args.nodes, time_slots=args.slots, jobs=args.chaos_jobs,
+                quantum=args.quantum, rounds=args.rounds,
+                message_bytes=args.size, drop=args.drop, dup=args.dup,
+                corrupt=args.corrupt, jitter=args.jitter, sram=args.sram,
+                stall=args.stall, crash=args.crash, failstops=args.failstop,
+                rejoin=args.rejoin, requeue=args.requeue, **common)
+        return run_chaos_campaign(point, runs=args.runs, workers=workers)
+
+    def chaos_checks(results):
+        if args.no_audit:
+            return []
+        bad = [r for r in results if r.get("error") or not r["audit"]["ok"]]
+        return [f"{len(bad)} runs failed the safety audit"] if bad else []
+
+    return {
+        "figure5": _Sweep(
+            run=lambda workers: figure5.run_figure5(
+                **given(contexts=args.contexts, message_sizes=args.sizes),
+                target_packets=args.packets, workers=workers,
+                telemetry=telemetry),
+            render=report.render_figure5),
+        "figure6": _Sweep(
+            run=lambda workers: figure6.run_figure6(
+                **given(jobs=args.jobs, message_sizes=args.sizes,
+                        quantum=args.quantum),
+                workers=workers, telemetry=telemetry),
+            render=report.render_figure6),
+        "figure7": _Sweep(
+            run=switch_stages(figure7.run_figure7),
+            render=partial(report.render_switch_overheads, figure="7")),
+        "figure8": _Sweep(run=switch_stages(figure8.run_figure8),
+                          render=report.render_figure8),
+        "figure9": _Sweep(
+            run=switch_stages(figure9.run_figure9),
+            render=partial(report.render_switch_overheads, figure="9")),
+        "nicmem": _Sweep(
+            run=lambda workers: nic_memory.run_nic_memory_sweep(
+                workers=workers, telemetry=telemetry),
+            render=nicmem_render),
+        "figure_policies": _Sweep(
+            run=policies, render=report.render_policies,
+            documents=lambda points: [
+                (args.out, figure_policies.points_payload(points), 2,
+                 "benchmark JSON written to {}")],
+            smoke_line="smoke: serial and -j2 sweeps bit-identical "
+                       "({n} points)"),
+        "figure_reliability": _Sweep(
+            run=reliability, render=report.render_reliability,
+            documents=lambda points: [
+                (args.out, figure_reliability.points_payload(points), 2,
+                 "benchmark JSON written to {}")],
+            checks=reliability_checks,
+            smoke_line="smoke: serial and -j2 sweeps bit-identical, audits "
+                       "green ({n} points)"),
+        "explain": _Sweep(
+            run=explain_run, render=explain.render_explain,
+            documents=explain_documents, checks=explain_checks,
+            smoke_line="\nsmoke: serial and -j2 byte-identical ({n} points), "
+                       "all causes sum exactly"),
+        "chaos": _Sweep(
+            run=chaos,
+            render=lambda results: json.dumps(
+                results if len(results) > 1 else results[0], indent=2),
+            checks=chaos_checks,
+            smoke_line="chaos smoke: serial and -j2 campaigns bit-identical "
+                       "(runs={n})",
+            json_stdout=True,
+            snapshot=lambda result: result.get("telemetry")),
+    }
 
 
 def main(argv=None) -> int:
@@ -339,174 +584,6 @@ def main(argv=None) -> int:
     if args.command == "list":
         for name, desc in EXPERIMENTS.items():
             print(f"  {name:<9} {desc}")
-        return 0
-
-    if args.command == "figure5":
-        from repro.experiments.common import FIG5_MESSAGE_SIZES
-        from repro.experiments.figure5 import run_figure5
-        from repro.experiments.report import render_figure5
-
-        sizes = tuple(args.sizes) if args.sizes else FIG5_MESSAGE_SIZES
-        points = run_figure5(contexts=tuple(args.contexts),
-                             message_sizes=sizes,
-                             target_packets=args.packets,
-                             workers=args.workers,
-                             telemetry=args.telemetry is not None)
-        print(render_figure5(points))
-        if args.telemetry:
-            _write_merged_telemetry(args.telemetry,
-                                    (p.telemetry for p in points))
-        return 0
-
-    if args.command == "figure6":
-        from repro.experiments.common import FIG6_MESSAGE_SIZES
-        from repro.experiments.figure6 import run_figure6
-        from repro.experiments.report import render_figure6
-
-        sizes = tuple(args.sizes) if args.sizes else FIG6_MESSAGE_SIZES
-        kwargs = {}
-        if args.quantum:
-            kwargs["quantum"] = args.quantum
-        points = run_figure6(jobs=tuple(args.jobs), message_sizes=sizes,
-                             workers=args.workers,
-                             telemetry=args.telemetry is not None, **kwargs)
-        print(render_figure6(points))
-        if args.telemetry:
-            _write_merged_telemetry(args.telemetry,
-                                    (p.telemetry for p in points))
-        return 0
-
-    if args.command == "figure_policies":
-        import json
-
-        from repro.experiments.figure_policies import (DEFAULT_JOBS,
-                                                       DEFAULT_MESSAGE_BYTES,
-                                                       POLICY_ARMS,
-                                                       points_payload,
-                                                       run_figure_policies)
-        from repro.experiments.report import render_policies
-
-        policies = tuple(args.policies) if args.policies else POLICY_ARMS
-        jobs = tuple(args.jobs) if args.jobs else DEFAULT_JOBS
-        sizes = tuple(args.sizes) if args.sizes else DEFAULT_MESSAGE_BYTES
-        kwargs = {}
-        if args.quantum:
-            kwargs["quantum"] = args.quantum
-        if args.smoke:
-            # Small but exercises every arm, a gang-switching point, and
-            # the zero-credit static cell — then proves the process-pool
-            # fan-out is bit-identical to the serial path.
-            jobs = tuple(args.jobs) if args.jobs else (1, 2)
-            sizes = tuple(args.sizes) if args.sizes else (1536,)
-            kwargs.setdefault("quanta_per_job", 1.5)
-        points = run_figure_policies(policies=policies, jobs=jobs,
-                                     message_sizes=sizes,
-                                     root_seed=args.seed,
-                                     workers=args.workers,
-                                     telemetry=args.telemetry is not None,
-                                     **kwargs)
-        print(render_policies(points))
-        payload = json.dumps(points_payload(points), indent=2, sort_keys=True)
-        if args.smoke:
-            parallel = run_figure_policies(policies=policies, jobs=jobs,
-                                           message_sizes=sizes,
-                                           root_seed=args.seed, workers=2,
-                                           telemetry=args.telemetry is not None,
-                                           **kwargs)
-            parallel_payload = json.dumps(points_payload(parallel),
-                                          indent=2, sort_keys=True)
-            if parallel_payload != payload:
-                print("FAIL: -j2 sweep diverged from the serial run")
-                return 1
-            print("smoke: serial and -j2 sweeps bit-identical "
-                  f"({len(points)} points)")
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(payload)
-                fh.write("\n")
-            print(f"benchmark JSON written to {args.out}")
-        if args.telemetry:
-            _write_merged_telemetry(args.telemetry,
-                                    (p.telemetry for p in points))
-        return 0
-
-    if args.command == "figure_reliability":
-        import json
-
-        from repro.experiments.figure_reliability import (DEFAULT_DROPS,
-                                                          STRATEGY_ARMS,
-                                                          points_payload,
-                                                          run_figure_reliability)
-        from repro.experiments.report import render_reliability
-
-        strategies = (tuple(args.strategies) if args.strategies
-                      else STRATEGY_ARMS)
-        drops = tuple(args.drops) if args.drops else DEFAULT_DROPS
-        rounds = args.rounds if args.rounds else 20
-        if args.smoke:
-            # Every arm, a lossless anchor and a lossy cell, few rounds —
-            # then prove the process-pool fan-out is bit-identical.
-            drops = tuple(args.drops) if args.drops else (0.0, 0.05)
-            rounds = args.rounds if args.rounds else 6
-        points = run_figure_reliability(strategies=strategies, drops=drops,
-                                        rounds=rounds, root_seed=args.seed,
-                                        workers=args.workers,
-                                        telemetry=args.telemetry is not None)
-        print(render_reliability(points))
-        payload = json.dumps(points_payload(points), indent=2, sort_keys=True)
-        if args.smoke:
-            parallel = run_figure_reliability(
-                strategies=strategies, drops=drops, rounds=rounds,
-                root_seed=args.seed, workers=2,
-                telemetry=args.telemetry is not None)
-            parallel_payload = json.dumps(points_payload(parallel),
-                                          indent=2, sort_keys=True)
-            if parallel_payload != payload:
-                print("FAIL: -j2 sweep diverged from the serial run")
-                return 1
-            bad = [p for p in points if not p.audit_ok]
-            if bad:
-                print(f"FAIL: {len(bad)} points failed the invariant audit")
-                return 1
-            print("smoke: serial and -j2 sweeps bit-identical, audits "
-                  f"green ({len(points)} points)")
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(payload)
-                fh.write("\n")
-            print(f"benchmark JSON written to {args.out}")
-        if args.telemetry:
-            _write_merged_telemetry(args.telemetry,
-                                    (p.telemetry for p in points))
-        return 0
-
-    if args.command in ("figure7", "figure9"):
-        from repro.experiments.figure7 import run_figure7
-        from repro.experiments.figure9 import run_figure9
-        from repro.experiments.report import render_switch_overheads
-
-        runner = run_figure7 if args.command == "figure7" else run_figure9
-        points = runner(nodes=tuple(args.nodes), num_switches=args.switches,
-                        workers=args.workers,
-                        telemetry=args.telemetry is not None)
-        print(render_switch_overheads(points, args.command[-1]))
-        if args.telemetry:
-            _write_merged_telemetry(args.telemetry,
-                                    (p.telemetry for p in points))
-        return 0
-
-    if args.command == "figure8":
-        from repro.experiments.figure8 import run_figure8
-        from repro.experiments.report import render_figure8
-
-        points = run_figure8(nodes=tuple(args.nodes),
-                             num_switches=args.switches,
-                             workers=args.workers,
-                             telemetry=args.telemetry is not None)
-        print(render_figure8(points))
-        if args.telemetry:
-            _write_merged_telemetry(args.telemetry,
-                                    (p.telemetry for p in points))
         return 0
 
     if args.command == "headline":
@@ -520,115 +597,6 @@ def main(argv=None) -> int:
         from repro.sim.bench import run_smoke
 
         return run_smoke()
-
-    if args.command == "explain":
-        import json
-
-        from repro.telemetry.explain import (explain_chrome_trace,
-                                             explain_payload, load_trace,
-                                             render_explain, run_explain,
-                                             run_explain_smoke,
-                                             trace_payload)
-
-        if args.smoke:
-            ok, text, json_doc, chrome_doc = run_explain_smoke(
-                root_seed=args.seed)
-            print(text)
-            if args.json_out:
-                with open(args.json_out, "w") as fh:
-                    json.dump(json_doc, fh, indent=2, sort_keys=True)
-                    fh.write("\n")
-            if args.chrome:
-                with open(args.chrome, "w") as fh:
-                    json.dump(chrome_doc, fh, indent=1, sort_keys=True)
-                    fh.write("\n")
-            return 0 if ok else 1
-
-        if args.trace:
-            with open(args.trace) as fh:
-                results = load_trace(json.load(fh))
-        else:
-            kwargs = {}
-            if args.quantum:
-                kwargs["quantum"] = args.quantum
-            results = run_explain(
-                jobs=tuple(args.jobs), message_sizes=tuple(args.sizes),
-                messages=args.messages, policy=args.policy,
-                root_seed=args.seed, workers=args.workers,
-                keep_records=args.save_trace is not None, **kwargs)
-        print(render_explain(results))
-        if args.json_out:
-            with open(args.json_out, "w") as fh:
-                json.dump(explain_payload(results, top=args.top), fh,
-                          indent=2, sort_keys=True)
-                fh.write("\n")
-            print(f"attribution summary written to {args.json_out}")
-        if args.chrome:
-            with open(args.chrome, "w") as fh:
-                json.dump(explain_chrome_trace(results[-1]), fh, indent=1,
-                          sort_keys=True)
-                fh.write("\n")
-            print(f"Chrome trace written to {args.chrome} "
-                  "-- load it in chrome://tracing or "
-                  "https://ui.perfetto.dev")
-        if args.save_trace:
-            with open(args.save_trace, "w") as fh:
-                json.dump(trace_payload(results), fh, sort_keys=True)
-                fh.write("\n")
-            print(f"record streams written to {args.save_trace}")
-        bad = sum(r["point"]["mismatches"] for r in results)
-        return 1 if bad else 0
-
-    if args.command == "chaos":
-        import json
-
-        from repro.faults.chaos import ChaosPoint, run_chaos_campaign
-
-        point = ChaosPoint(
-            seed=args.seed, nodes=args.nodes, time_slots=args.slots,
-            jobs=args.chaos_jobs, quantum=args.quantum, rounds=args.rounds,
-            message_bytes=args.size, drop=args.drop, dup=args.dup,
-            corrupt=args.corrupt, jitter=args.jitter, sram=args.sram,
-            stall=args.stall, crash=args.crash,
-            failstops=args.failstop, rejoin=args.rejoin,
-            requeue=args.requeue, audit=not args.no_audit,
-            strategy=args.strategy,
-            telemetry=args.telemetry is not None,
-        )
-        if args.smoke and args.failstop:
-            # CI recovery preset: one fail-stop death with rejoin and
-            # requeue, long-enough jobs to guarantee the death lands
-            # mid-run — eviction, requeue, and reintegration all fire.
-            point = ChaosPoint(
-                seed=args.seed, nodes=4, time_slots=2, jobs=2,
-                quantum=0.004, rounds=600, message_bytes=1024,
-                failstops=1, rejoin=True, requeue=True,
-                audit=not args.no_audit,
-                strategy=args.strategy,
-                telemetry=args.telemetry is not None,
-            )
-        elif args.smoke:
-            # CI preset: every fault model lit, small cluster, < 60 s.
-            point = ChaosPoint(
-                seed=args.seed, nodes=4, time_slots=2, jobs=2,
-                quantum=0.004, rounds=10, message_bytes=1024,
-                drop=0.02, dup=0.01, corrupt=0.005, jitter=0.05,
-                sram=200.0, stall=0.05, crash=0.02,
-                audit=not args.no_audit,
-                strategy=args.strategy,
-                telemetry=args.telemetry is not None,
-            )
-        results = run_chaos_campaign(point, runs=args.runs,
-                                     workers=args.workers)
-        print(json.dumps(results if args.runs > 1 else results[0], indent=2))
-        if args.telemetry:
-            _write_merged_telemetry(args.telemetry,
-                                    (r.get("telemetry") for r in results))
-        if point.audit:
-            bad = [r for r in results
-                   if r.get("error") or not r["audit"]["ok"]]
-            return 1 if bad else 0
-        return 0
 
     if args.command == "lint":
         from pathlib import Path
@@ -732,24 +700,6 @@ def main(argv=None) -> int:
         expected = 1 if args.plant else 0
         return 0 if result.race_count == expected else 1
 
-    if args.command == "nicmem":
-        from repro.experiments.nic_memory import (
-            contexts_supported, knee_of, run_nic_memory_sweep)
-        from repro.experiments.report import format_table
-
-        points = run_nic_memory_sweep(workers=args.workers,
-                                      telemetry=args.telemetry is not None)
-        knee = knee_of(points)
-        rows = [(p.send_buffer_kib, p.credits, f"{p.mbps:.1f}",
-                 "<- knee" if p is knee else "") for p in points]
-        print(format_table(["sendbuf[KiB]", "C0", "MB/s", ""], rows))
-        print(f"knee at {knee.send_buffer_kib} KiB; a 512 KiB card supports "
-              f"~{contexts_supported(432, knee.send_buffer_kib)} contexts")
-        if args.telemetry:
-            _write_merged_telemetry(args.telemetry,
-                                    (p.telemetry for p in points))
-        return 0
-
     if args.command == "telemetry":
         import json
 
@@ -780,7 +730,10 @@ def main(argv=None) -> int:
                   "halt/swap/release spans OK")
         return 0
 
-    return 1  # pragma: no cover
+    from repro.experiments.common import effective_workers
+
+    args.workers = effective_workers(args.workers)
+    return _sweep(args, _sweeps(args)[args.command])
 
 
 if __name__ == "__main__":  # pragma: no cover

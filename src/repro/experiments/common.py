@@ -73,12 +73,13 @@ def point_seed(root_seed: int, label: str) -> int:
 
 
 def effective_workers(workers: int | None) -> int:
-    """The worker count :func:`run_points` will actually use.
+    """A user's ``-j`` request capped at ``os.cpu_count()``.
 
-    Requested workers are capped at ``os.cpu_count()``: a pool wider
-    than the machine only adds fork and pickle overhead (on a one-core
-    box a 4-worker pool made the Figure 6 sweep *slower* than serial).
-    A cap of 1 means the serial in-process path.
+    A pool wider than the machine only adds fork and pickle overhead (on
+    a one-core box a 4-worker pool made the Figure 6 sweep *slower* than
+    serial), so the CLI applies this cap where ``-j`` enters.  Library
+    callers and the ``--smoke`` gates pass their worker count straight
+    to :func:`run_points`, which honours it.
     """
     import os
 
@@ -89,22 +90,21 @@ def effective_workers(workers: int | None) -> int:
 
 def run_points(worker: Callable[[_T], _R], items: Sequence[_T],
                workers: int = 1) -> list[_R]:
-    """Map ``worker`` over sweep ``items``, optionally in parallel.
+    """Map ``worker`` over sweep ``items``, serially or in a process pool.
 
-    An effective worker count of 1 (requested serial, or the
-    :func:`effective_workers` CPU cap) runs serially in-process.
-    Otherwise the points run in a
-    :class:`~concurrent.futures.ProcessPoolExecutor`; results come
+    ``workers <= 1`` (or None) runs serially in-process.  Anything more
+    runs in a :class:`~concurrent.futures.ProcessPoolExecutor` of
+    ``min(workers, len(items))`` processes, even for one item, so a
+    serial-vs-pool gate always crosses a process boundary.  Results come
     back in input order, and because every point is hermetic (see module
     docstring) the output is bit-identical to the serial path.  ``worker``
     and each item must be picklable, i.e. a module-level function applied
     to plain-data arguments.
     """
     items = list(items)
-    capped = effective_workers(workers)
-    if capped <= 1 or len(items) <= 1:
+    if workers is None or workers <= 1 or not items:
         return [worker(item) for item in items]
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=min(capped, len(items))) as pool:
+    with ProcessPoolExecutor(max_workers=min(workers, len(items))) as pool:
         return list(pool.map(worker, items))

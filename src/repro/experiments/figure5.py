@@ -13,9 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from repro.fm.buffers import StaticPartition
 from repro.fm.config import FMConfig
 from repro.fm.harness import FMNetwork
+from repro.fm.policies.static import StaticPartition
 from repro.sim.core import Simulator
 from repro.experiments.common import (FIG5_MESSAGE_SIZES, messages_for_size,
                                       packets_for_messages, run_points)

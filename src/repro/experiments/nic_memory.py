@@ -17,9 +17,9 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.errors import CreditError
-from repro.fm.buffers import BufferPolicy, ContextGeometry
 from repro.fm.config import FMConfig
 from repro.fm.harness import FMNetwork
+from repro.fm.policies.base import BufferPolicy, ContextGeometry
 from repro.sim.core import Simulator
 from repro.experiments.common import run_points
 from repro.units import KiB, mb_per_second

@@ -20,7 +20,6 @@ Mirrors the structure of Illinois FM 2.0 as the paper describes it
   replaces.
 """
 
-from repro.fm.buffers import BufferPolicy, FullBuffer, StaticPartition
 from repro.fm.config import FMConfig
 from repro.fm.context import ContextState, FMContext
 from repro.fm.credits import CreditState
@@ -28,6 +27,8 @@ from repro.fm.packet import Packet, PacketType
 from repro.fm.policies import (POLICIES, BShareDelay, DynamicThreshold,
                                OccamyPreemptive, PolicyEngine, make_policy,
                                policy_names)
+from repro.fm.policies.base import BufferPolicy
+from repro.fm.policies.static import FullBuffer, StaticPartition
 from repro.fm.queues import ReceiveQueue, SendQueue
 
 __all__ = [

@@ -17,12 +17,13 @@ from typing import Optional, Sequence
 
 from repro.errors import AllocationError, ProtocolError
 from repro.fm.api import FMLibrary
-from repro.fm.buffers import BufferPolicy, StaticPartition
 from repro.fm.config import FMConfig
 from repro.fm.context import FMContext
 from repro.fm.firmware import LanaiFirmware
 from repro.fm.grm import GlobalResourceManager
 from repro.fm.harness import Endpoint
+from repro.fm.policies.base import BufferPolicy
+from repro.fm.policies.static import StaticPartition
 from repro.hardware.ethernet import ControlNetwork
 from repro.hardware.node import HostNode
 from repro.sim.core import Event, Simulator

@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from repro.errors import ConfigError
-from repro.fm.buffers import BufferPolicy, ContextGeometry
 from repro.fm.config import FMConfig
 from repro.fm.credits import CreditState
+from repro.fm.policies.base import BufferPolicy, ContextGeometry
 from repro.fm.queues import ReceiveQueue, SendQueue
 from repro.sim.core import Simulator
 

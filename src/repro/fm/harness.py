@@ -14,10 +14,11 @@ from typing import Optional, Sequence
 
 from repro.errors import ConfigError
 from repro.fm.api import FMLibrary
-from repro.fm.buffers import BufferPolicy, StaticPartition
 from repro.fm.config import FMConfig
 from repro.fm.context import FMContext
 from repro.fm.firmware import LanaiFirmware
+from repro.fm.policies.base import BufferPolicy
+from repro.fm.policies.static import StaticPartition
 from repro.hardware.ethernet import ControlNetwork
 from repro.hardware.link import LinkSpec
 from repro.hardware.network import MyrinetFabric

@@ -47,8 +47,8 @@ from repro.fm.policies.base import (RECV, SEND, BufferPolicy, ContextGeometry,
                                     JobView, SwitchView)
 
 # NOTE: contexts are typed loosely (any FMContext-shaped object) rather
-# than importing repro.fm.context, which would close an import cycle
-# through repro.fm.buffers.
+# than importing repro.fm.context, which imports repro.fm.policies.base
+# and would close an import cycle through repro.fm.policies.
 
 
 class QueueWaitObserver:
@@ -168,33 +168,30 @@ class PolicyEngine:
 
         Planning reserves a baseline share for every configured context
         that has not registered yet, so in the normal lifecycle the
-        baseline geometry always fits.  Under churn (a job evicted and a
-        new one admitted after the residents absorbed the pool) the
-        newcomer is shrunk instead — it has no traffic yet, so its
-        credit window and queue capacities can be cut safely — down to a
-        floor of one credit slot.  Below that floor the baseline is kept
-        and the conservation check reports the over-commit honestly.
+        baseline geometry always fits.  Under churn (a job leaves, the
+        residents absorb the pool at a switch, then a job is admitted or
+        re-admitted) the newcomer is shrunk instead — it has no traffic
+        yet, so its credit window and queue capacities can be cut
+        safely.  With less than one credit slot per peer left its window
+        is zero: legal, communication impossible (see
+        :mod:`repro.fm.credits`), and a gang-scheduled job cannot run
+        before the flushed switch that installs it, whose plan floors
+        every job at p slots and a window of one.
         """
         recv_used, send_used = self._node_totals(ctx.node_id)
-        recv_room = self.recv_pool - recv_used
-        send_room = self.send_pool - send_used
-        recv = ctx.geometry.recv_packets
-        send = ctx.geometry.send_packets
-        if recv <= recv_room and send <= send_room:
+        recv = min(ctx.geometry.recv_packets, self.recv_pool - recv_used)
+        send = min(ctx.geometry.send_packets, self.send_pool - send_used)
+        if (recv == ctx.geometry.recv_packets
+                and send == ctx.geometry.send_packets):
             return recv, send
-        p = self.config.num_processors
-        new_recv = min(recv, recv_room)
-        new_send = min(send, send_room)
-        if new_recv < p or new_send < 1:
-            return recv, send   # pool exhausted; let conservation raise
-        window = max(1, min(ctx.credits.c0, new_recv // p))
-        ctx.credits.set_window(window)
-        ctx.recv_queue.set_capacity(new_recv)
-        ctx.send_queue.set_capacity(new_send)
+        ctx.credits.set_window(
+            min(ctx.credits.c0, recv // self.config.num_processors))
+        ctx.recv_queue.set_capacity(recv)
+        ctx.send_queue.set_capacity(send)
         ctx.geometry = ContextGeometry(
-            recv_packets=new_recv, send_packets=new_send,
+            recv_packets=recv, send_packets=send,
             initial_credits=ctx.credits.c0)
-        return new_recv, new_send
+        return recv, send
 
     def forget(self, job_id: int, node_id: int) -> None:
         key = (job_id, node_id)

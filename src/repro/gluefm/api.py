@@ -23,10 +23,10 @@ from __future__ import annotations
 from typing import Mapping, Optional, Sequence
 
 from repro.errors import ProtocolError
-from repro.fm.buffers import BufferPolicy
 from repro.fm.config import FMConfig
 from repro.fm.context import FMContext
 from repro.fm.firmware import LanaiFirmware
+from repro.fm.policies.base import BufferPolicy
 from repro.gluefm.backing import BackingStore
 from repro.gluefm.env import build_environment
 from repro.gluefm.flush import FlushProtocol

@@ -29,8 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ConfigError
-from repro.fm.buffers import ContextGeometry
 from repro.fm.config import FMConfig
+from repro.fm.policies.base import ContextGeometry
 from repro.hardware.dma import DmaSpec
 from repro.hardware.link import LinkSpec
 from repro.hardware.nic import NicSpec

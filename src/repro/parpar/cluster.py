@@ -28,8 +28,9 @@ from repro.faults.injector import FaultInjector
 from repro.faults.model import FaultSpec
 from repro.faults.retransmit import ReliableFirmware, RetransmitPolicy
 from repro.faults.strategies import DEFAULT_STRATEGY, STRATEGY_NAMES
-from repro.fm.buffers import BufferPolicy, FullBuffer, StaticPartition
 from repro.fm.config import FMConfig
+from repro.fm.policies.base import BufferPolicy
+from repro.fm.policies.static import FullBuffer, StaticPartition
 from repro.gluefm.api import GlueFM
 from repro.gluefm.switch import SwitchAlgorithm, ValidOnlyCopy
 from repro.hardware.ethernet import ControlNetwork, EthernetSpec

@@ -35,9 +35,9 @@ from typing import Any, Optional
 
 from repro.errors import InterruptError, SchedulingError
 from repro.fm.api import FMLibrary
-from repro.fm.buffers import BufferPolicy
 from repro.fm.context import FMContext
 from repro.fm.harness import Endpoint
+from repro.fm.policies.base import BufferPolicy
 from repro.gluefm.api import GlueFM
 from repro.gluefm.env import parse_environment
 from repro.hardware.ethernet import ControlNetwork

@@ -35,8 +35,7 @@ only a point whose records are kept pays for normalization.
 
 from __future__ import annotations
 
-import json
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.experiments.common import point_seed, run_points
 from repro.experiments.figure6 import _messages_for_quanta
@@ -489,53 +488,3 @@ def explain_chrome_trace(result: dict, top: int = 50) -> dict:
         metadata={"schema": EXPLAIN_SCHEMA,
                   "point": {k: p[k] for k in ("jobs", "message_bytes",
                                               "quantum", "policy", "seed")}})
-
-
-# ---------------------------------------------------------------- smoke
-def run_explain_smoke(root_seed: int = 0) -> Tuple[bool, str, dict, dict]:
-    """CI gate: a small sweep must attribute cleanly and be pool-stable.
-
-    Runs the preset serially and on a 2-worker pool; requires complete
-    messages, zero sum mismatches, and byte-identical text + JSON + chrome
-    outputs across the two runs.  Returns (ok, report_text, json_doc,
-    chrome_doc) so the CLI can also write the artifacts.
-    """
-    preset = dict(jobs=(1, 2), message_sizes=(1536,), messages=60,
-                  quantum=0.004, root_seed=root_seed, keep_records=True)
-    serial = run_explain(workers=1, **preset)
-    pooled = run_explain(workers=2, **preset)
-
-    def outputs(results):
-        return (render_explain(results),
-                json.dumps(explain_payload(results, top=5),
-                           indent=2, sort_keys=True),
-                json.dumps(explain_chrome_trace(results[-1], top=20),
-                           indent=1, sort_keys=True))
-
-    text_s, json_s, chrome_s = outputs(serial)
-    text_p, json_p, chrome_p = outputs(pooled)
-    problems = []
-    if text_s != text_p:
-        problems.append("text report diverged between serial and -j2")
-    if json_s != json_p:
-        problems.append("JSON summary diverged between serial and -j2")
-    if chrome_s != chrome_p:
-        problems.append("chrome trace diverged between serial and -j2")
-    for result in serial:
-        p = result["point"]
-        if not p["complete"]:
-            problems.append(f"point jobs={p['jobs']}: no complete messages")
-        if p["mismatches"]:
-            problems.append(f"point jobs={p['jobs']}: {p['mismatches']} "
-                            "attribution sum mismatches")
-        if p["incomplete"]:
-            problems.append(f"point jobs={p['jobs']}: {p['incomplete']} "
-                            "incomplete messages in an untruncated run")
-    text = text_s
-    if problems:
-        text += "\n\nsmoke FAILURES:\n" + "\n".join(
-            f"  - {prob}" for prob in problems)
-    else:
-        text += ("\n\nsmoke: serial and -j2 byte-identical "
-                 f"({len(serial)} points), all causes sum exactly")
-    return (not problems, text, json.loads(json_s), json.loads(chrome_s))

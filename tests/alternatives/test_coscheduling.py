@@ -4,9 +4,9 @@ import pytest
 
 from repro.alternatives.coscheduling import DemandScheduler, LocalRoundRobin
 from repro.errors import SchedulingError
-from repro.fm.buffers import StaticPartition
 from repro.fm.config import FMConfig
 from repro.fm.harness import FMNetwork
+from repro.fm.policies.static import StaticPartition
 from repro.sim import Simulator
 
 

@@ -3,8 +3,8 @@
 import pytest
 
 from repro.alternatives.pm_nack import PMNetwork
-from repro.fm.buffers import FullBuffer
 from repro.fm.config import FMConfig
+from repro.fm.policies.static import FullBuffer
 from repro.sim import Simulator
 
 

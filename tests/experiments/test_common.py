@@ -1,5 +1,7 @@
 """Tests for shared experiment plumbing: point sizing, seeding, fan-out."""
 
+import os
+
 import pytest
 
 from repro.errors import ConfigError
@@ -58,6 +60,10 @@ def _square(x):
     return x * x
 
 
+def _pid(_):
+    return os.getpid()
+
+
 class TestRunPoints:
     def test_serial_matches_input_order(self):
         assert run_points(_square, [3, 1, 2], workers=1) == [9, 1, 4]
@@ -67,9 +73,15 @@ class TestRunPoints:
         assert run_points(_square, items, workers=4) == \
             run_points(_square, items, workers=1)
 
-    def test_single_item_stays_in_process(self):
-        # No pool spin-up for a one-point sweep.
+    def test_single_item_runs_in_a_one_worker_pool(self):
         assert run_points(_square, [5], workers=8) == [25]
+
+    def test_pool_is_real_on_a_one_cpu_host(self, monkeypatch):
+        """The serial-vs-pool gates must cross a process boundary even
+        where ``os.cpu_count()`` is 1 and the sweep has one point."""
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        assert run_points(_pid, [0], workers=2) != [os.getpid()]
+        assert run_points(_pid, [0], workers=1) == [os.getpid()]
 
     def test_workers_none_is_serial(self):
         assert run_points(_square, [2, 3], workers=None) == [4, 9]

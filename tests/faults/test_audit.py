@@ -8,10 +8,10 @@ taps by hand and the verdict is compared against the known ground truth.
 import pytest
 
 from repro.faults.audit import AuditReport, InvariantAuditor, credit_leaks
-from repro.fm.buffers import FullBuffer
 from repro.fm.config import FMConfig
 from repro.fm.context import FMContext
 from repro.fm.packet import Packet, PacketType
+from repro.fm.policies.static import FullBuffer
 from repro.gluefm.backing import BackingStore
 from repro.sim import Simulator
 

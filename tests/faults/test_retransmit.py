@@ -10,10 +10,10 @@ from dataclasses import replace
 import pytest
 
 from repro.faults.retransmit import ReliableFirmware, RetransmitPolicy
-from repro.fm.buffers import FullBuffer
 from repro.fm.config import FMConfig
 from repro.fm.harness import FMNetwork
 from repro.fm.packet import PacketType
+from repro.fm.policies.static import FullBuffer
 from repro.sim import Simulator
 from tests.helpers import audit_credit_leaks
 

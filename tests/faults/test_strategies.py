@@ -19,10 +19,10 @@ from repro.faults.strategies import (DEFAULT_STRATEGY, STRATEGIES,
                                      STRATEGY_NAMES, AdaptiveBackoff,
                                      CumulativeAck, NackSelective,
                                      PerPacketAck, make_strategy)
-from repro.fm.buffers import FullBuffer
 from repro.fm.config import FMConfig
 from repro.fm.harness import FMNetwork
 from repro.fm.packet import PacketType
+from repro.fm.policies.static import FullBuffer
 from repro.sim import Simulator
 from tests.helpers import audit_credit_leaks
 from tests.faults.test_retransmit import DropAllData, ScriptedInjector

@@ -18,10 +18,10 @@ from repro.alternatives.pm_nack import PMNetwork
 from repro.faults.injector import FaultInjector
 from repro.faults.model import FaultSpec
 from repro.faults.retransmit import ReliableFirmware
-from repro.fm.buffers import FullBuffer, StaticPartition
 from repro.fm.config import FMConfig
 from repro.fm.harness import FMNetwork
 from repro.fm.packet import Packet, PacketType
+from repro.fm.policies.static import FullBuffer, StaticPartition
 from repro.sim import Simulator
 from repro.sim.rand import RandomStreams
 from repro.sim.trace import Tracer

@@ -3,9 +3,9 @@
 import pytest
 
 from repro.errors import ConfigError, CreditError
-from repro.fm.buffers import FullBuffer, StaticPartition
 from repro.fm.config import FMConfig
 from repro.fm.harness import FMNetwork
+from repro.fm.policies.static import FullBuffer, StaticPartition
 from repro.sim import Simulator
 from repro.units import mb_per_second
 

@@ -3,11 +3,11 @@
 import pytest
 
 from repro.errors import HardwareError, PacketLossError, ProtocolError
-from repro.fm.buffers import FullBuffer, StaticPartition
 from repro.fm.config import FMConfig
 from repro.fm.context import ContextState, FMContext
 from repro.fm.harness import FMNetwork
 from repro.fm.packet import Packet, PacketType
+from repro.fm.policies.static import FullBuffer, StaticPartition
 from repro.sim import Simulator
 
 

@@ -3,9 +3,10 @@
 import pytest
 
 from repro.errors import ConfigError
-from repro.fm.buffers import ContextGeometry, FullBuffer, StaticPartition
 from repro.fm.config import FMConfig
 from repro.fm.packet import Packet, PacketType
+from repro.fm.policies.base import ContextGeometry
+from repro.fm.policies.static import FullBuffer, StaticPartition
 
 
 class TestPacket:

@@ -318,6 +318,35 @@ class TestEngineAdmissionControl:
                    for cell in engine.conservation_report().values())
 
 
+    def test_readmission_into_an_exhausted_pool_waits_for_the_switch(
+            self, sim):
+        """Every configured job seen, one leaves, the residents absorb the
+        whole pool, the job comes back: it is admitted with what is left
+        (nothing: a zero window) and the next flushed switch floors it at
+        p slots and a window of one — the node is never over-committed."""
+        config, engine, contexts, policy = self.partial_rig(
+            sim, (1, 2, 3), max_contexts=3, policy=DynamicThreshold())
+        engine.forget(1, 0)
+        engine.forget(1, 1)
+        for node in (0, 1):
+            engine.on_context_switch(node, 1, out_job=None, in_job=2)
+        assert engine._node_totals(0)[0] == engine.recv_pool
+        returning = make_job_contexts(sim, config, policy, 1)
+        for ctx in returning:
+            engine.register(ctx)     # must not raise
+        assert all(ctx.credits.c0 == 0 for ctx in returning)
+        assert all(cell["ok"]
+                   for cell in engine.conservation_report().values())
+        for node in (0, 1):
+            engine.on_context_switch(node, 2, out_job=2, in_job=1)
+        p = config.num_processors
+        for ctx in returning:
+            assert ctx.credits.c0 >= 1
+            assert ctx.recv_queue.capacity >= ctx.credits.c0 * p
+        assert all(cell["ok"]
+                   for cell in engine.conservation_report().values())
+
+
 class TestEngineTraceRecords:
     """The tracer hook: plan / window-set / apply records feed the causal
     layer's reallocation spans and window timelines."""

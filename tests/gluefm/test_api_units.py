@@ -4,8 +4,8 @@ scenarios: init-job variants, end-job edges, context bookkeeping."""
 import pytest
 
 from repro.errors import ProtocolError
-from repro.fm.buffers import FullBuffer, StaticPartition
 from repro.fm.context import ContextState
+from repro.fm.policies.static import FullBuffer, StaticPartition
 from tests.gluefm.conftest import GlueRig
 
 

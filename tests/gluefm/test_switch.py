@@ -3,10 +3,10 @@
 import pytest
 
 from repro.errors import ContextSwitchError
-from repro.fm.buffers import FullBuffer
 from repro.fm.config import FMConfig
 from repro.fm.context import FMContext
 from repro.fm.packet import Packet, PacketType
+from repro.fm.policies.static import FullBuffer
 from repro.gluefm.backing import BackingStore
 from repro.gluefm.switch import FullCopy, ValidOnlyCopy
 from repro.hardware.memory import MemoryModel

@@ -10,7 +10,7 @@ import pytest
 
 from repro.errors import ProtocolError
 from repro.fm.api import FMLibrary
-from repro.fm.buffers import FullBuffer
+from repro.fm.policies.static import FullBuffer
 from repro.gluefm.switch import FullCopy, ValidOnlyCopy
 from tests.gluefm.conftest import GlueRig
 

@@ -7,9 +7,9 @@ derivation silently changes, the two diverge and these tests fail.
 import pytest
 
 from repro.errors import ConfigError, CreditError
-from repro.fm.buffers import FullBuffer, StaticPartition
 from repro.fm.config import FMConfig
 from repro.fm.harness import FMNetwork
+from repro.fm.policies.static import FullBuffer, StaticPartition
 from repro.model.analytic import predict_p2p_bandwidth
 from repro.sim import Simulator
 from repro.units import mb_per_second

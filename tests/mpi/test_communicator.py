@@ -5,9 +5,9 @@ import operator
 import pytest
 
 from repro.errors import ConfigError
-from repro.fm.buffers import FullBuffer
 from repro.fm.config import FMConfig
 from repro.fm.harness import FMNetwork
+from repro.fm.policies.static import FullBuffer
 from repro.mpi import ANY_SOURCE, ANY_TAG, Communicator
 from repro.sim import Simulator
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.fm.buffers import FullBuffer, StaticPartition
+from repro.fm.policies.static import FullBuffer, StaticPartition
 from repro.gluefm.switch import FullCopy, ValidOnlyCopy
 from repro.parpar.cluster import ClusterConfig, ParParCluster
 from repro.parpar.job import JobSpec, JobState

@@ -74,7 +74,7 @@ def test_refill_threshold_bounds(c0, fraction):
 def test_policy_geometry_invariants(n, p):
     """Whatever the shape, geometries must be self-consistent: credits
     sized so the worst-case fan-in cannot overflow the receive queue."""
-    from repro.fm.buffers import FullBuffer, StaticPartition
+    from repro.fm.policies.static import FullBuffer, StaticPartition
 
     config = FMConfig(max_contexts=n, num_processors=p)
     static = StaticPartition(on_zero_credit="report").geometry(config)

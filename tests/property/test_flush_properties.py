@@ -131,7 +131,7 @@ def test_flush_quiesces_live_traffic(nodes, traffic_pairs):
     """After a flush completes, no data packet is in flight anywhere:
     every packet sent before the halt has been delivered."""
     from repro.fm.api import FMLibrary
-    from repro.fm.buffers import FullBuffer
+    from repro.fm.policies.static import FullBuffer
 
     rig = GlueRig(nodes)
     sim = rig.sim

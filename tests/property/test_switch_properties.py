@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.fm.api import FMLibrary
-from repro.fm.buffers import FullBuffer
+from repro.fm.policies.static import FullBuffer
 from repro.gluefm.switch import FullCopy, ValidOnlyCopy
 from tests.gluefm.conftest import GlueRig
 

@@ -1,5 +1,9 @@
 """Tests for the command-line experiment runner."""
 
+import dataclasses
+import importlib
+import os
+
 import pytest
 
 from repro.cli import main
@@ -81,3 +85,41 @@ class TestCli:
     def test_unknown_command_exits(self):
         with pytest.raises(SystemExit):
             main(["no-such-figure"])
+
+
+# (argv, module, point function the pool worker calls, perturbation)
+SMOKE_GATES = [
+    (["figure_policies", "--smoke"], "repro.experiments.figure_policies",
+     "_measure_point",
+     lambda point: dataclasses.replace(point, switches=point.switches + 1)),
+    (["chaos", "--smoke"], "repro.faults.chaos", "run_chaos_point",
+     lambda result: {**result, "perturbed": True}),
+]
+
+
+@pytest.mark.parametrize("argv, module, name, perturb", SMOKE_GATES,
+                         ids=[gate[0][0] for gate in SMOKE_GATES])
+class TestSmokeGatesCanFail:
+    """``--smoke`` compares a serial run with a real process pool, even on
+    a one-CPU host: a result that changes only in a worker process must
+    fail the gate."""
+
+    def test_pool_only_perturbation_fails(self, argv, module, name, perturb,
+                                          monkeypatch, capsys):
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        target = importlib.import_module(module)
+        real = getattr(target, name)
+        parent = os.getpid()
+
+        def perturbed(*args, **kwargs):
+            result = real(*args, **kwargs)
+            return result if os.getpid() == parent else perturb(result)
+
+        monkeypatch.setattr(target, name, perturbed)
+        assert main(argv) == 1
+        assert "diverged" in capsys.readouterr().err
+
+    def test_unperturbed_passes(self, argv, module, name, perturb,
+                                monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        assert main(argv) == 0

@@ -3,9 +3,9 @@
 import pytest
 
 from repro.errors import ConfigError
-from repro.fm.buffers import FullBuffer
 from repro.fm.config import FMConfig
 from repro.fm.harness import FMNetwork
+from repro.fm.policies.static import FullBuffer
 from repro.sim import Simulator
 from repro.units import US
 from repro.workloads.latency import LatencyResult, pingpong_benchmark

@@ -3,9 +3,9 @@
 import pytest
 
 from repro.errors import ConfigError
-from repro.fm.buffers import FullBuffer
 from repro.fm.config import FMConfig
 from repro.fm.harness import FMNetwork
+from repro.fm.policies.static import FullBuffer
 from repro.sim import Simulator
 from repro.workloads.alltoall import alltoall_benchmark, alltoall_stream
 from repro.workloads.bandwidth import BandwidthResult, bandwidth_benchmark
