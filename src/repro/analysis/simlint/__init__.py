@@ -17,10 +17,6 @@ See ``RULES.md`` in this package for the rule catalogue and
 EXPERIMENTS.md for workflow documentation.
 """
 
-from repro.analysis.simlint.cache import (  # noqa: F401
-    DEFAULT_CACHE_NAME,
-    LintCache,
-)
 from repro.analysis.simlint.core import (  # noqa: F401
     Finding,
     LintResult,
@@ -29,26 +25,15 @@ from repro.analysis.simlint.core import (  # noqa: F401
     all_rules,
     lint_module,
     lint_paths,
-    project_fingerprint,
-    rules_inventory_hash,
 )
 from repro.analysis.simlint.project import (  # noqa: F401
     ProjectIndex,
     module_name_for,
 )
-from repro.analysis.simlint.report import (  # noqa: F401
-    diff_against_baseline,
-    load_baseline,
-    render_baseline,
-    render_json,
-    render_text,
-)
-from repro.analysis.simlint.sarif import render_sarif  # noqa: F401
+from repro.analysis.simlint.report import render_json, render_text  # noqa: F401
 
 __all__ = [
-    "DEFAULT_CACHE_NAME", "Finding", "LintCache", "LintResult",
-    "ModuleUnderLint", "ProjectIndex", "Rule", "all_rules", "lint_module",
-    "lint_paths", "module_name_for", "project_fingerprint",
-    "rules_inventory_hash", "diff_against_baseline", "load_baseline",
-    "render_baseline", "render_json", "render_sarif", "render_text",
+    "Finding", "LintResult", "ModuleUnderLint", "ProjectIndex", "Rule",
+    "all_rules", "lint_module", "lint_paths", "module_name_for",
+    "render_json", "render_text",
 ]

@@ -332,11 +332,11 @@ class Rule:
     """Base class: subclasses set the metadata and implement check().
 
     ``scope`` declares what a rule's findings depend on: ``"module"``
-    rules see one file at a time (their results are cacheable by that
-    file's content hash alone); ``"project"`` rules read the shared
-    :class:`~repro.analysis.simlint.project.ProjectIndex` (their results
-    additionally depend on every other file in the run and are keyed by
-    the project fingerprint).
+    rules see one file at a time; ``"project"`` rules also read the
+    shared :class:`~repro.analysis.simlint.project.ProjectIndex`, so
+    their findings in one file can change when any other file in the
+    run changes.  :func:`lint_paths` builds the index only when a
+    project-scope rule is active.
     """
 
     code: str = "SIM000"
@@ -377,23 +377,6 @@ def all_rules() -> list[Rule]:
     return [_REGISTRY[code] for code in sorted(_REGISTRY)]
 
 
-def rules_inventory_hash(rules: Optional[Iterable[Rule]] = None) -> str:
-    """Digest of the active rule inventory (codes + metadata).
-
-    Keys the cross-run result cache and the checked-in baseline: when a
-    rule is added, removed, re-scoped, or its severity changes, every
-    cached result and baseline count derived under the old inventory is
-    invalid and must be recomputed.
-    """
-    import hashlib
-
-    active = list(rules) if rules is not None else all_rules()
-    text = "\n".join(
-        f"{r.code}|{r.name}|{r.severity}|{r.scope}|{r.description}"
-        for r in sorted(active, key=lambda r: r.code))
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
 # --------------------------------------------------------------------- driver
 @dataclass
 class LintResult:
@@ -402,8 +385,6 @@ class LintResult:
     findings: list = field(default_factory=list)
     files: int = 0
     parse_errors: list = field(default_factory=list)  # (path, message)
-    cache_hits: int = 0          # files whose findings came from the cache
-    cache_misses: int = 0        # files that ran at least one rule fresh
 
     def count(self, severity: str) -> int:
         return sum(1 for f in self.findings if f.severity == severity)
@@ -421,8 +402,8 @@ def _iter_py_files(paths: Iterable[Path]) -> Iterator[Path]:
     """Every ``*.py`` under ``paths``, each file yielded exactly once.
 
     Overlapping inputs (``repro lint src src/repro/fm``) must not
-    double-count findings against ``--fail-on`` or the baseline, so
-    files are deduplicated by resolved path across all inputs.
+    double-count findings against ``--fail-on``, so files are
+    deduplicated by resolved path across all inputs.
     """
     seen: set = set()
     for path in paths:
@@ -472,148 +453,32 @@ def lint_module(module: ModuleUnderLint,
 
 
 def lint_paths(paths: Iterable, root: Optional[Path] = None,
-               rules: Optional[Iterable[Rule]] = None,
-               cache=None,
-               report_paths: Optional[Iterable[str]] = None) -> LintResult:
+               rules: Optional[Iterable[Rule]] = None) -> LintResult:
     """Lint every ``*.py`` under ``paths``; findings in stable order.
 
     This is the two-pass whole-program driver: pass one parses every
     file and builds the shared
     :class:`~repro.analysis.simlint.project.ProjectIndex` (symbol table
     + call graph), pass two runs the rules with that cross-module
-    context attached to each module.
-
-    ``cache`` is an optional
-    :class:`~repro.analysis.simlint.cache.LintCache`: module-scope rule
-    results are reused when a file's content hash is unchanged,
-    project-scope results additionally require the whole-tree
-    fingerprint to match.  When *every* file hits the cache the parse
-    and index passes are skipped entirely.
-
-    ``report_paths`` restricts which files *report* findings (the
-    ``--changed`` mode): the index is still built over everything so
-    interprocedural rules see the whole program, but findings are only
-    emitted for the named repo-relative paths.
+    context attached to each module.  The index is built only when a
+    project-scope rule is active.
     """
     from repro.analysis.simlint.project import ProjectIndex
 
     result = LintResult()
     active = list(rules) if rules is not None else all_rules()
-    module_rules = [r for r in active if r.scope != "project"]
-    project_rules = [r for r in active if r.scope == "project"]
-    rules_hash = rules_inventory_hash(active)
-    report_set = set(report_paths) if report_paths is not None else None
-
-    files = []   # (path, rel, sha)
+    modules: list = []
     for path in _iter_py_files(Path(p) for p in paths):
         rel = relative_path(path, root)
         try:
-            data = path.read_bytes()
-        except OSError as exc:
+            modules.append(ModuleUnderLint(rel, path.read_bytes().decode()))
+        except (OSError, SyntaxError, UnicodeDecodeError, ValueError) as exc:
             result.parse_errors.append((rel, str(exc)))
-            continue
-        sha = _sha256(data)
-        files.append((path, rel, sha, data))
+    result.files = len(modules)
 
-    fingerprint = None
-    if cache is not None:
-        fingerprint = project_fingerprint(
-            rules_hash, [(rel, sha) for _, rel, sha, _ in files])
-        if _serve_fully_from_cache(result, cache, files, rules_hash,
-                                   fingerprint, report_set):
-            return result
-
-    modules: list = []
-    for path, rel, sha, data in files:
-        try:
-            module = ModuleUnderLint(rel, data.decode())
-        except (SyntaxError, UnicodeDecodeError, ValueError) as exc:
-            result.parse_errors.append((rel, str(exc)))
-            if cache is not None:
-                cache.store_error(path, rel, sha, rules_hash, str(exc))
-            continue
-        result.files += 1
-        modules.append((path, rel, sha, module))
-
-    if project_rules:
-        ProjectIndex([m for _, _, _, m in modules]).attach()
-
-    for path, rel, sha, module in modules:
-        local = project = None
-        if cache is not None:
-            local = cache.lookup_local(path, rel, sha, rules_hash)
-            project = cache.lookup_project(path, rel, sha, fingerprint)
-        fresh = False
-        if local is None:
-            fresh = True
-            local = lint_module(module, rules=module_rules)
-        if project is None:
-            fresh = fresh or bool(project_rules)
-            project = lint_module(module, rules=project_rules) \
-                if project_rules else []
-        if fresh:
-            result.cache_misses += 1
-        else:
-            result.cache_hits += 1
-        if cache is not None:
-            cache.store(path, rel, sha, rules_hash, fingerprint,
-                        local, project)
-        if report_set is None or rel in report_set:
-            result.findings.extend(local)
-            result.findings.extend(project)
+    if any(r.scope == "project" for r in active):
+        ProjectIndex(modules).attach()
+    for module in modules:
+        result.findings.extend(lint_module(module, rules=active))
     result.findings.sort()
     return result
-
-
-def _sha256(data: bytes) -> str:
-    import hashlib
-
-    return hashlib.sha256(data).hexdigest()
-
-
-def project_fingerprint(rules_hash: str, rel_shas: Iterable) -> str:
-    """Digest of the whole linted tree + rule inventory.
-
-    Any file changing anywhere invalidates every *project-scope* cached
-    result (a helper edited in one module can change taint for call
-    sites in another), while *module-scope* results survive on their
-    per-file hash alone.
-    """
-    import hashlib
-
-    h = hashlib.sha256(rules_hash.encode())
-    for rel, sha in sorted(rel_shas):
-        h.update(f"\0{rel}\0{sha}".encode())
-    return h.hexdigest()
-
-
-def _serve_fully_from_cache(result: LintResult, cache, files,
-                            rules_hash: str, fingerprint: str,
-                            report_set) -> bool:
-    """Assemble the whole result from cache if *every* file hits.
-
-    The warm-tree fast path: no parsing, no index, no rule runs — just
-    content hashing and a findings merge.  Returns False (and leaves
-    ``result`` untouched) as soon as any file misses.
-    """
-    findings: list = []
-    parse_errors: list = []
-    parsed_files = 0
-    for path, rel, sha, _ in files:
-        entry = cache.lookup_full(path, rel, sha, rules_hash, fingerprint)
-        if entry is None:
-            return False
-        error, local, project = entry
-        if error is not None:
-            parse_errors.append((rel, error))
-            continue
-        parsed_files += 1
-        if report_set is None or rel in report_set:
-            findings.extend(local)
-            findings.extend(project)
-    result.files = parsed_files
-    result.parse_errors.extend(parse_errors)
-    result.findings.extend(findings)
-    result.findings.sort()
-    result.cache_hits = len(files)
-    return True

@@ -434,23 +434,16 @@ class BufferOwnershipMonitor:
 def preset_point(preset: str, seed: int = 0):
     """The chaos / fail-stop smoke configurations racecheck runs under.
 
-    Mirrors the ``repro chaos --smoke`` presets: ``chaos`` exercises the
-    full fault mix (drops, dups, corruption, jitter, SRAM flips, daemon
+    The ``repro chaos --smoke`` presets: ``chaos`` exercises the full
+    fault mix (drops, dups, corruption, jitter, SRAM flips, daemon
     stalls/crashes); ``failstop`` exercises node death, eviction,
     requeue and rejoin — the paths that page contexts in and out
     hardest.
     """
-    from repro.faults.chaos import ChaosPoint
+    from repro.faults.chaos import smoke_point
 
-    if preset == "chaos":
-        return ChaosPoint(seed=seed, nodes=4, time_slots=2, jobs=2,
-                          quantum=0.004, rounds=10, message_bytes=1024,
-                          drop=0.02, dup=0.01, corrupt=0.005, jitter=0.05,
-                          sram=200.0, stall=0.05, crash=0.02)
-    if preset == "failstop":
-        return ChaosPoint(seed=seed, nodes=4, time_slots=2, jobs=2,
-                          quantum=0.004, rounds=600, message_bytes=1024,
-                          failstops=1, rejoin=True, requeue=True)
+    if preset in ("chaos", "failstop"):
+        return smoke_point(preset == "failstop", seed=seed)
     raise SimulationError(f"unknown racecheck preset {preset!r}")
 
 

@@ -1,4 +1,4 @@
-"""simlint reporters and the CI baseline protocol.
+"""simlint reporters.
 
 Two output formats, both stable (findings pre-sorted by the engine):
 
@@ -6,21 +6,11 @@ Two output formats, both stable (findings pre-sorted by the engine):
   finding plus a summary line, for humans;
 - **json** — a versioned document with the finding list and per-rule
   counts, for CI artifacts and machine diffing.
-
-The **baseline** protocol lets CI fail only on *new* findings: a
-checked-in ``schemas/simlint_baseline.json`` records finding counts per
-``(path, rule)`` key.  :func:`diff_against_baseline` compares a fresh
-run against it — a key whose count grew (or is new) is a regression; a
-key that shrank or vanished is progress and never fails the gate.
-Counts (not line numbers) make the baseline robust to unrelated edits
-shifting code up or down a file.
 """
 
 from __future__ import annotations
 
 import json
-from pathlib import Path
-from typing import Optional
 
 from repro.analysis.simlint.core import LintResult
 
@@ -57,61 +47,3 @@ def render_json(result: LintResult) -> str:
         "findings": [f.to_dict() for f in result.findings],
     }
     return json.dumps(doc, indent=2, sort_keys=False) + "\n"
-
-
-# -------------------------------------------------------------------- baseline
-def baseline_counts(result: LintResult) -> dict:
-    """``"path::RULE" -> count`` for every finding in ``result``."""
-    counts: dict = {}
-    for f in result.findings:
-        key = f"{f.path}::{f.rule}"
-        counts[key] = counts.get(key, 0) + 1
-    return counts
-
-
-def render_baseline(result: LintResult,
-                    rules_hash: Optional[str] = None) -> str:
-    doc = {
-        "version": REPORT_VERSION,
-        "counts": dict(sorted(baseline_counts(result).items())),
-    }
-    if rules_hash is not None:
-        doc["rules_hash"] = rules_hash
-    return json.dumps(doc, indent=2) + "\n"
-
-
-def load_baseline(path: Path, rules_hash: Optional[str] = None) -> dict:
-    """Counts map from a baseline file; empty when the file is absent.
-
-    When ``rules_hash`` is given, a baseline recorded under a different
-    rule inventory (or with no recorded inventory at all) is *stale*:
-    its counts were computed by different rules and cannot ratchet the
-    current run, so an empty map is returned — every current finding
-    then reads as a regression until the baseline is regenerated with
-    ``--write-baseline``.
-    """
-    if not path.exists():
-        return {}
-    doc = json.loads(path.read_text())
-    if rules_hash is not None and doc.get("rules_hash") != rules_hash:
-        return {}
-    return dict(doc.get("counts", {}))
-
-
-def diff_against_baseline(result: LintResult,
-                          baseline: Optional[dict]) -> list:
-    """New-finding keys: present keys whose count exceeds the baseline.
-
-    Returns sorted ``(key, baseline_count, new_count)`` tuples; empty
-    means the gate passes.  Improvements (shrunk or vanished keys) are
-    deliberately not reported — ratcheting down is always allowed.
-    """
-    if not baseline:
-        baseline = {}
-    current = baseline_counts(result)
-    regressions = []
-    for key in sorted(current):
-        allowed = int(baseline.get(key, 0))
-        if current[key] > allowed:
-            regressions.append((key, allowed, current[key]))
-    return regressions

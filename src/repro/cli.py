@@ -212,42 +212,10 @@ def build_parser() -> argparse.ArgumentParser:
     pl.add_argument("paths", nargs="*", default=None, metavar="PATH",
                     help="files or directories to lint "
                          "(default: the repro package)")
-    pl.add_argument("--format", choices=("text", "json", "sarif"),
-                    default="text",
-                    help="report format (json is stable for CI diffing; "
-                         "sarif is the SARIF 2.1.0 interchange document "
-                         "for code-scanning annotations)")
-    pl.add_argument("--changed", nargs="?", const="HEAD", default=None,
-                    metavar="BASE",
-                    help="only report findings in files git-changed "
-                         "since BASE (default HEAD = uncommitted "
-                         "changes); the whole tree is still indexed so "
-                         "interprocedural rules see full context")
-    pl.add_argument("--cache", nargs="?", const="auto", default=None,
-                    metavar="FILE",
-                    help="reuse results across runs via a JSON cache "
-                         "keyed by file sha + rule inventory "
-                         "(default location: .simlint_cache.json at "
-                         "the repo root)")
-    pl.add_argument("--no-cache", action="store_true",
-                    help="ignore --cache (escape hatch for scripts)")
-    pl.add_argument("--sarif-out", metavar="REPORT.sarif", default=None,
-                    help="also write the SARIF 2.1.0 report here "
-                         "(CI code-scanning artifact)")
     pl.add_argument("--fail-on", choices=("error", "warning"),
                     default="error", dest="fail_on",
-                    help="exit non-zero when findings at or above this "
-                         "severity survive the baseline")
-    pl.add_argument("--baseline", metavar="FILE", default=None,
-                    help="baseline JSON of accepted findings; only *new* "
-                         "findings fail the gate "
-                         "(default: schemas/simlint_baseline.json when "
-                         "present)")
-    pl.add_argument("--no-baseline", action="store_true",
-                    help="ignore any baseline; every finding counts")
-    pl.add_argument("--write-baseline", metavar="FILE", default=None,
-                    help="write the current findings as the new baseline "
-                         "and exit 0")
+                    help="exit non-zero on any finding at or above this "
+                         "severity")
     pl.add_argument("--out", metavar="REPORT.json", default=None,
                     help="also write the JSON report here (CI artifact)")
 
@@ -292,30 +260,6 @@ EXPERIMENTS = {
     "lint": "simlint determinism & protocol-safety static analysis",
     "racecheck": "dynamic buffer-ownership race detector (gang-switch protocol)",
 }
-
-
-def _git_changed_py_files(repo_root, base):
-    """Repo-relative posix paths of ``*.py`` files changed since ``base``.
-
-    The union of tracked changes (``git diff --name-only <base>``) and
-    untracked files, for ``repro lint --changed``.  Returns None when
-    git is unavailable or the ref does not resolve — the caller falls
-    back to reporting the full tree rather than silently reporting
-    nothing.
-    """
-    import subprocess
-    try:
-        diff = subprocess.run(
-            ["git", "diff", "--name-only", base, "--"],
-            cwd=repo_root, capture_output=True, text=True, check=True)
-        untracked = subprocess.run(
-            ["git", "ls-files", "--others", "--exclude-standard"],
-            cwd=repo_root, capture_output=True, text=True, check=True)
-    except (OSError, subprocess.CalledProcessError):
-        return None
-    names = set(diff.stdout.splitlines())
-    names.update(untracked.stdout.splitlines())
-    return sorted(n for n in names if n.endswith(".py"))
 
 
 def _write_json(path: str, doc, **dump_kwargs) -> None:
@@ -403,7 +347,8 @@ def _sweeps(args) -> dict:
     from repro.experiments import (figure5, figure6, figure7, figure8,
                                    figure9, figure_policies,
                                    figure_reliability, nic_memory, report)
-    from repro.faults.chaos import ChaosPoint, run_chaos_campaign
+    from repro.faults.chaos import (ChaosPoint, run_chaos_campaign,
+                                    smoke_point)
     from repro.telemetry import explain
 
     smoke = getattr(args, "smoke", False)
@@ -495,16 +440,8 @@ def _sweeps(args) -> dict:
     def chaos(workers):
         common = dict(seed=args.seed, audit=not args.no_audit,
                       strategy=args.strategy, telemetry=telemetry)
-        if smoke and args.failstop:
-            # Recovery preset: one fail-stop death with rejoin and
-            # requeue, jobs long enough that the death lands mid-run.
-            point = ChaosPoint(rounds=600, failstops=1, rejoin=True,
-                               requeue=True, **common)
-        elif smoke:
-            # Every fault model lit on a small cluster.
-            point = ChaosPoint(rounds=10, drop=0.02, dup=0.01,
-                               corrupt=0.005, jitter=0.05, sram=200.0,
-                               stall=0.05, crash=0.02, **common)
+        if smoke:
+            point = smoke_point(bool(args.failstop), **common)
         else:
             point = ChaosPoint(
                 nodes=args.nodes, time_slots=args.slots, jobs=args.chaos_jobs,
@@ -602,71 +539,17 @@ def main(argv=None) -> int:
         from pathlib import Path
 
         import repro
-        from repro.analysis.simlint import (
-            DEFAULT_CACHE_NAME, LintCache, all_rules,
-            diff_against_baseline, lint_paths, load_baseline,
-            render_baseline, render_json, render_sarif, render_text,
-            rules_inventory_hash)
+        from repro.analysis.simlint import lint_paths, render_json, render_text
 
         package_dir = Path(repro.__file__).resolve().parent
-        repo_root = package_dir.parent.parent
-        paths = args.paths if args.paths else [package_dir]
-        rules_hash = rules_inventory_hash()
-
-        report_paths = None
-        if args.changed:
-            report_paths = _git_changed_py_files(repo_root, args.changed)
-            if report_paths is None:
-                print("simlint: --changed: git diff failed; "
-                      "reporting the full tree", file=sys.stderr)
-
-        cache = None
-        if args.cache and not args.no_cache:
-            cache_path = (repo_root / DEFAULT_CACHE_NAME
-                          if args.cache == "auto" else Path(args.cache))
-            cache = LintCache(cache_path)
-
-        result = lint_paths(paths, root=repo_root, cache=cache,
-                            report_paths=report_paths)
-        if cache is not None:
-            cache.save()
-
-        if args.write_baseline:
-            Path(args.write_baseline).write_text(
-                render_baseline(result, rules_hash=rules_hash))
-            print(f"simlint baseline written to {args.write_baseline} "
-                  f"({len(result.findings)} findings)")
-            return 0
-
-        if args.format == "json":
-            print(render_json(result), end="")
-        elif args.format == "sarif":
-            print(render_sarif(result), end="")
-        else:
-            print(render_text(result))
+        result = lint_paths(args.paths or [package_dir],
+                            root=package_dir.parent.parent)
+        print(render_text(result))
         if args.out:
             Path(args.out).write_text(render_json(result))
-        if args.sarif_out:
-            Path(args.sarif_out).write_text(render_sarif(result))
-
-        baseline = {}
-        if not args.no_baseline:
-            baseline_path = (Path(args.baseline) if args.baseline
-                             else repo_root / "schemas" / "simlint_baseline.json")
-            baseline = load_baseline(baseline_path, rules_hash=rules_hash)
-        regressions = diff_against_baseline(result, baseline)
-
-        gate = ({"error"} if args.fail_on == "error"
-                else {"error", "warning"})
-        severity_of = {r.code: r.severity for r in all_rules()}
-        failing = [r for r in regressions
-                   if severity_of.get(r[0].rsplit("::", 1)[-1]) in gate]
-        for key, allowed, now in failing:
-            print(f"simlint: NEW finding {key}: {now} (baseline {allowed})",
-                  file=sys.stderr)
-        if result.parse_errors:
-            return 1
-        return 1 if failing else 0
+        failing = result.errors or (args.fail_on == "warning"
+                                    and result.warnings)
+        return 1 if result.parse_errors or failing else 0
 
     if args.command == "racecheck":
         import json

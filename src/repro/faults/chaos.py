@@ -106,6 +106,22 @@ class ChaosPoint:
         return tuple(entries)
 
 
+
+def smoke_point(failstop: bool, **common) -> ChaosPoint:
+    """The ``repro chaos --smoke`` presets on the default 4-node cluster.
+
+    ``failstop`` selects the recovery preset: one fail-stop death with
+    rejoin and requeue, jobs long enough that the death lands mid-run.
+    Otherwise every fault model is lit for a few rounds.  ``common``
+    carries the run-wide fields (seed, audit, strategy, telemetry).
+    """
+    if failstop:
+        return ChaosPoint(rounds=600, failstops=1, rejoin=True,
+                          requeue=True, **common)
+    return ChaosPoint(rounds=10, drop=0.02, dup=0.01, corrupt=0.005,
+                      jitter=0.05, sram=200.0, stall=0.05, crash=0.02,
+                      **common)
+
 def run_chaos_point(point: ChaosPoint) -> dict:
     """Run one seeded chaos simulation and report (deterministically)."""
     faults = point.fault_spec()

@@ -1,13 +1,11 @@
-"""Engine-level tests: pragmas, reporters, baseline diffing, CLI."""
+"""Engine-level tests: pragmas, reporters, registry, CLI."""
 
 import json
 
 from repro.analysis.simlint import (
     all_rules,
-    diff_against_baseline,
     lint_module,
     lint_paths,
-    render_baseline,
     render_json,
     render_text,
 )
@@ -100,28 +98,6 @@ def lint_paths_for(source, tmp_name="module.py"):
     return lint_paths([tmp], root=tmp)
 
 
-# ------------------------------------------------------------------ baseline
-def test_baseline_accepts_known_findings_and_flags_new_ones():
-    result = lint_paths_for(BAD)
-    baseline = json.loads(render_baseline(result))["counts"]
-    assert diff_against_baseline(result, baseline) == []
-
-    worse = lint_paths_for(BAD + "\nx = time.time()\n")
-    regressions = diff_against_baseline(worse, baseline)
-    assert regressions == [("module.py::SIM001", 1, 2)]
-
-
-def test_baseline_never_blocks_improvement():
-    result = lint_paths_for(BAD)
-    generous = {"module.py::SIM001": 5, "gone.py::SIM002": 3}
-    assert diff_against_baseline(result, generous) == []
-
-
-def test_empty_baseline_means_everything_is_new():
-    result = lint_paths_for(BAD)
-    assert diff_against_baseline(result, {}) == [("module.py::SIM001", 0, 1)]
-
-
 # ----------------------------------------------------------------- registry
 def test_registry_has_the_fourteen_rules_in_order():
     codes = [r.code for r in all_rules()]
@@ -129,15 +105,6 @@ def test_registry_has_the_fourteen_rules_in_order():
     assert all(r.severity in ("error", "warning") for r in all_rules())
     assert all(r.description for r in all_rules())
     assert all(r.scope in ("module", "project") for r in all_rules())
-
-
-def test_rules_inventory_hash_tracks_the_inventory():
-    from repro.analysis.simlint import rules_inventory_hash
-
-    active = all_rules()
-    full = rules_inventory_hash(active)
-    assert full == rules_inventory_hash(active)          # deterministic
-    assert full != rules_inventory_hash(active[:-1])     # rule removed
 
 
 # ------------------------------------------------------------- deduplication
@@ -152,132 +119,18 @@ def test_overlapping_paths_count_each_file_once(tmp_path):
     assert len(result.findings) == 1
 
 
-# ------------------------------------------------------------------- caching
-def _tree(tmp_path, sources):
-    for name, src in sources.items():
-        p = tmp_path / name
-        p.parent.mkdir(parents=True, exist_ok=True)
-        p.write_text(src)
-    return tmp_path
-
-
-def test_cache_serves_a_warm_tree_without_reparsing(tmp_path):
-    from repro.analysis.simlint import LintCache
-
-    _tree(tmp_path, {"a.py": BAD, "b.py": "x = 1\n"})
-    cache = LintCache(tmp_path / "cache.json")
-    cold = lint_paths([tmp_path], root=tmp_path, cache=cache)
-    cache.save()
-    assert cold.cache_hits == 0 and cold.cache_misses == 2
-
-    warm_cache = LintCache(tmp_path / "cache.json")
-    warm = lint_paths([tmp_path], root=tmp_path, cache=warm_cache)
-    assert warm.cache_hits == 2 and warm.cache_misses == 0
-    assert [f.to_dict() for f in warm.findings] == \
-        [f.to_dict() for f in cold.findings]
-
-
-def test_cache_invalidates_on_file_edit(tmp_path):
-    from repro.analysis.simlint import LintCache
-
-    _tree(tmp_path, {"a.py": "x = 1\n"})
-    cache = LintCache(tmp_path / "cache.json")
-    lint_paths([tmp_path], root=tmp_path, cache=cache)
-    cache.save()
-
-    (tmp_path / "a.py").write_text(BAD)
-    warm = lint_paths([tmp_path], root=tmp_path,
-                      cache=LintCache(tmp_path / "cache.json"))
-    assert warm.cache_misses == 1
-    assert [f.rule for f in warm.findings] == ["SIM001"]
-
-
-def test_cache_invalidates_on_rule_inventory_change(tmp_path):
-    from repro.analysis.simlint import LintCache
-
-    _tree(tmp_path, {"a.py": BAD})
-    active = all_rules()
-    cache = LintCache(tmp_path / "cache.json")
-    lint_paths([tmp_path], root=tmp_path, rules=active, cache=cache)
-    cache.save()
-
-    # Same tree, smaller inventory: nothing may be served stale.
-    warm = lint_paths([tmp_path], root=tmp_path, rules=active[:3],
-                      cache=LintCache(tmp_path / "cache.json"))
-    assert warm.cache_hits == 0 and warm.cache_misses == 1
-
-
-def test_project_scope_results_invalidate_when_any_file_changes(tmp_path):
-    from repro.analysis.simlint import LintCache
-
-    helper = ("import time\n\n"
-              "def now():\n"
-              "    return time.time()  # simlint: ignore[SIM001] -- bench\n")
-    caller = ("from helper import now\n\n"
-              "def step(self):\n    self.t = now()\n")
-    _tree(tmp_path, {"helper.py": helper, "caller.py": caller})
-    cache = LintCache(tmp_path / "cache.json")
-    clean = lint_paths([tmp_path], root=tmp_path, cache=cache)
-    cache.save()
-    assert clean.findings == []
-
-    # Dropping the pragma in helper.py must re-taint the *caller* even
-    # though caller.py's bytes are unchanged.
-    (tmp_path / "helper.py").write_text(
-        "import time\n\ndef now():\n    return time.time()\n")
-    warm = lint_paths([tmp_path], root=tmp_path,
-                      cache=LintCache(tmp_path / "cache.json"))
-    assert any(f.rule == "SIM011" and f.path == "caller.py"
-               for f in warm.findings)
-
-
-# --------------------------------------------------------------------- SARIF
-def test_sarif_document_has_required_properties():
-    from repro.analysis.simlint import render_sarif
-
-    result = lint_paths_for(BAD)
-    doc = json.loads(render_sarif(result))
-    assert doc["version"] == "2.1.0"
-    assert doc["$schema"].endswith("sarif-2.1.0.json")
-    (run,) = doc["runs"]
-    driver = run["tool"]["driver"]
-    assert driver["name"] == "simlint"
-    rule_ids = [r["id"] for r in driver["rules"]]
-    assert rule_ids == [f"SIM{n:03d}" for n in range(1, 15)] + ["PARSE"]
-    for rule in driver["rules"]:
-        assert rule["shortDescription"]["text"]
-        assert rule["defaultConfiguration"]["level"] in ("error", "warning")
-    (res,) = run["results"]
-    assert res["ruleId"] == "SIM001"
-    assert res["level"] == "error"
-    assert res["message"]["text"]
-    loc = res["locations"][0]["physicalLocation"]
-    assert loc["artifactLocation"]["uri"] == "module.py"
-    assert loc["region"]["startLine"] == 4
-    assert loc["region"]["startColumn"] >= 1   # SARIF columns are 1-based
-
-
-def test_sarif_reports_parse_errors_under_the_parse_rule():
-    from repro.analysis.simlint import render_sarif
-
-    result = lint_paths_for("def broken(:\n")
-    doc = json.loads(render_sarif(result))
-    (res,) = doc["runs"][0]["results"]
-    assert res["ruleId"] == "PARSE" and res["level"] == "error"
-
-
 # ---------------------------------------------------------------------- CLI
 def test_cli_lint_exits_nonzero_on_planted_wall_clock(tmp_path, capsys):
     bad = tmp_path / "bad.py"
     bad.write_text(BAD)
-    rc = main(["lint", str(bad), "--no-baseline"])
+    rc = main(["lint", str(bad)])
     out = capsys.readouterr().out
     assert rc == 1
     assert "SIM001" in out
 
 
 def test_cli_lint_clean_tree_exits_zero(capsys):
-    rc = main(["lint"])  # defaults to the shipped repro package + baseline
+    rc = main(["lint"])  # defaults to the shipped repro package
     out = capsys.readouterr().out
     assert rc == 0
     assert "0 errors" in out
@@ -286,36 +139,37 @@ def test_cli_lint_clean_tree_exits_zero(capsys):
 def test_cli_lint_fail_on_warning_gates_warnings(tmp_path, capsys):
     warn = tmp_path / "warn.py"
     warn.write_text("s = {1, 2}\nfor x in s:\n    print(x)\n")
-    assert main(["lint", str(warn), "--no-baseline"]) == 0
+    assert main(["lint", str(warn)]) == 0
     capsys.readouterr()
-    assert main(["lint", str(warn), "--no-baseline",
-                 "--fail-on", "warning"]) == 1
+    assert main(["lint", str(warn), "--fail-on", "warning"]) == 1
 
 
 def test_cli_lint_json_format_and_artifact(tmp_path, capsys):
     bad = tmp_path / "bad.py"
     bad.write_text(BAD)
     out_file = tmp_path / "report.json"
-    rc = main(["lint", str(bad), "--no-baseline", "--format", "json",
-               "--out", str(out_file)])
-    stdout = capsys.readouterr().out
+    rc = main(["lint", str(bad), "--out", str(out_file)])
+    capsys.readouterr()
     assert rc == 1
-    assert json.loads(stdout)["errors"] == 1
-    assert json.loads(out_file.read_text())["errors"] == 1
+    doc = json.loads(out_file.read_text())
+    assert doc["version"] == 1
+    assert doc["errors"] == 1
+    assert doc["counts_by_rule"] == {"SIM001": 1}
+    assert doc["findings"][0]["path"] == "bad.py"
 
 
-def test_cli_lint_write_baseline_roundtrip(tmp_path, capsys):
-    bad = tmp_path / "bad.py"
-    bad.write_text(BAD)
-    baseline = tmp_path / "baseline.json"
-    assert main(["lint", str(bad), "--write-baseline", str(baseline)]) == 0
-    capsys.readouterr()
-    # With the baseline the same findings now pass...
-    assert main(["lint", str(bad), "--baseline", str(baseline)]) == 0
-    capsys.readouterr()
-    # ...and a new finding still fails.
-    bad.write_text(BAD + "\ny = time.time()\n")
-    assert main(["lint", str(bad), "--baseline", str(baseline)]) == 1
+def test_cli_lint_gates_on_an_unparsable_file(tmp_path, capsys):
+    (tmp_path / "ok.py").write_text("x = 1\n")
+    (tmp_path / "broken.py").write_text("def broken(:\n")
+    out_file = tmp_path / "report.json"
+    rc = main(["lint", str(tmp_path), "--out", str(out_file)])
+    out = capsys.readouterr().out
+    assert rc == 1
+    assert "broken.py:1:0: PARSE [error]" in out
+    assert out.rstrip().endswith("1 files, 0 errors, 0 warnings, 1 unparsable")
+    doc = json.loads(out_file.read_text())
+    assert [e["path"] for e in doc["parse_errors"]] == ["broken.py"]
+    assert doc["findings"] == []
 
 
 def test_shipped_tree_lints_clean_within_budget():
