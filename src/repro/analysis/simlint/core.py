@@ -26,6 +26,7 @@ rule, filters suppressed findings, and returns them in a stable order
 from __future__ import annotations
 
 import ast
+import os
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -420,8 +421,15 @@ def _iter_py_files(paths: Iterable[Path]) -> Iterator[Path]:
                 yield candidate
 
 
-def relative_path(path: Path, root: Optional[Path] = None) -> str:
-    """Repo-relative posix form of ``path`` (stable across machines)."""
+def relative_path(path: Path, root: Optional[Path] = None,
+                  base: Optional[Path] = None) -> str:
+    """Repo-relative posix form of ``path`` (stable across machines).
+
+    A file outside ``root`` and outside any ``src`` tree is named
+    relative to ``base``, the deepest directory holding every lint input
+    (:func:`_inputs_base`): ``repro lint a b`` reports ``a/x.py`` and
+    ``b/x.py``, not ``x.py`` twice, and indexes them as two modules.
+    """
     resolved = path.resolve()
     if root is not None:
         try:
@@ -433,7 +441,20 @@ def relative_path(path: Path, root: Optional[Path] = None) -> str:
     if "src" in parts:
         idx = len(parts) - 1 - parts[::-1].index("src")
         return Path(*parts[idx:]).as_posix()
+    if base is not None:
+        try:
+            return resolved.relative_to(base).as_posix()
+        except ValueError:
+            pass
     return resolved.name
+
+
+def _inputs_base(paths: list) -> Optional[Path]:
+    """The deepest directory holding every lint input (a file input
+    counts as its directory), or None for no inputs."""
+    dirs = [str(p if p.is_dir() else p.parent)
+            for p in (path.resolve() for path in paths)]
+    return Path(os.path.commonpath(dirs)) if dirs else None
 
 
 def lint_module(module: ModuleUnderLint,
@@ -468,8 +489,10 @@ def lint_paths(paths: Iterable, root: Optional[Path] = None,
     result = LintResult()
     active = list(rules) if rules is not None else all_rules()
     modules: list = []
-    for path in _iter_py_files(Path(p) for p in paths):
-        rel = relative_path(path, root)
+    paths = [Path(p) for p in paths]
+    base = _inputs_base(paths)
+    for path in _iter_py_files(paths):
+        rel = relative_path(path, root, base)
         try:
             modules.append(ModuleUnderLint(rel, path.read_bytes().decode()))
         except (OSError, SyntaxError, UnicodeDecodeError, ValueError) as exc:

@@ -303,6 +303,12 @@ class _Sweep(NamedTuple):
     snapshot: Callable = attrgetter("telemetry")
 
 
+def _digest(text: str, documents) -> str:
+    """A sweep's report and documents, as one comparable string."""
+    return json.dumps([text, [doc for _, doc, _, _ in documents]],
+                      sort_keys=True)
+
+
 def _sweep(args, spec: _Sweep) -> int:
     """Run one sweep verb: points, report, documents, ``--telemetry``.
 
@@ -311,10 +317,6 @@ def _sweep(args, spec: _Sweep) -> int:
     report and every document must come back byte-identical and the
     verb's checks must pass, or the command exits 1.
     """
-    def digest(text, documents):
-        return json.dumps([text, [doc for _, doc, _, _ in documents]],
-                          sort_keys=True)
-
     smoke = getattr(args, "smoke", False)
     results = spec.run(1 if smoke else args.workers)
     text, documents = spec.render(results), spec.documents(results)
@@ -322,8 +324,8 @@ def _sweep(args, spec: _Sweep) -> int:
     problems = spec.checks(results)
     if smoke:
         pooled = spec.run(2)
-        if (digest(spec.render(pooled), spec.documents(pooled))
-                != digest(text, documents)):
+        if (_digest(spec.render(pooled), spec.documents(pooled))
+                != _digest(text, documents)):
             problems.insert(0, "-j2 sweep diverged from the serial run")
     for problem in problems:
         print(f"FAIL: {problem}", file=sys.stderr)
@@ -435,6 +437,17 @@ def _sweeps(args) -> dict:
                 problems.append(f"point jobs={p['jobs']}: {p['complete']} "
                                 f"complete, {p['incomplete']} incomplete "
                                 "messages in an untruncated run")
+        if smoke:
+            # The run attributed each message as it completed; the offline
+            # replay of its saved trace must say exactly the same.
+            replayed = explain.load_trace(json.loads(json.dumps(
+                explain.trace_payload(results))))
+            if (_digest(explain.render_explain(replayed),
+                        explain_documents(replayed))
+                    != _digest(explain.render_explain(results),
+                               explain_documents(results))):
+                problems.append("streamed attribution differs from the "
+                                "offline replay of its saved trace")
         return problems
 
     def chaos(workers):

@@ -64,10 +64,17 @@ class Tracer:
     ``if tracer and tracer.wants("pkt-tx"):`` so a filtered-out kind costs
     one membership test instead of a dict build plus a discarded call.
 
-    ``limit`` caps the record list so an unbounded run cannot silently
-    exhaust memory: once ``limit`` records are held the tracer disables
-    itself (all ``if tracer:`` guards go cold) and sets ``truncated`` so
-    consumers can tell a complete stream from a clipped one.
+    ``limit`` caps the record stream so an unbounded run cannot silently
+    exhaust memory: once ``limit`` records have been made the tracer
+    disables itself (all ``if tracer:`` guards go cold) and sets
+    ``truncated`` so consumers can tell a complete stream from a clipped
+    one.
+
+    :meth:`stream` hands each record to a sink as it is made, and may
+    stop the tracer keeping them: an online consumer then never holds the
+    whole stream.  ``records`` stays an (empty) list on such a tracer;
+    :meth:`kept_records` and every query over it raise instead of
+    reporting an empty stream.
     """
 
     def __init__(self, clock: Callable[[], float], enabled: bool = True,
@@ -79,6 +86,9 @@ class Tracer:
         self.limit = limit
         self.truncated = False
         self.records: list[TraceRecord] = []
+        self.keep_records = True
+        self.sink: Optional[Callable[[float, str, dict], None]] = None
+        self.count = 0       # records made since the last clear()
 
     def __bool__(self) -> bool:
         return self.enabled
@@ -99,35 +109,63 @@ class Tracer:
             # Filtered out: return before constructing the TraceRecord
             # (and before touching the clock or the record list).
             return
-        records = self.records
         limit = self.limit
-        if limit is not None and len(records) >= limit:
+        if limit is not None and self.count >= limit:
             self.enabled = False   # guards go cold; no silent unbounded growth
             self.truncated = True
             return
-        records.append(TraceRecord(self._clock(), kind, fields))
+        self.count += 1
+        time = self._clock()
+        if self.keep_records:
+            self.records.append(TraceRecord(time, kind, fields))
+        if self.sink is not None:
+            self.sink(time, kind, fields)
+
+    def stream(self, sink: Callable[[float, str, dict], None],
+               keep_records: bool = False) -> None:
+        """Call ``sink(time, kind, fields)`` for every record from now on.
+
+        Records already kept are replayed into ``sink`` first, so it sees
+        the whole stream.  Unless ``keep_records``, the tracer then keeps
+        nothing: the records go only to ``sink``.
+        """
+        for rec in self.records:
+            sink(rec.time, rec.kind, rec.fields)
+        self.sink = sink
+        self.keep_records = keep_records
+        if not keep_records:
+            self.records.clear()
+
+    def kept_records(self) -> list[TraceRecord]:
+        """The kept record list; raises if records went only to a sink."""
+        if not self.keep_records:
+            raise RuntimeError("this tracer streams its records to a sink "
+                               "and keeps none; there is no record list "
+                               "to read")
+        return self.records
 
     def clear(self) -> None:
         self.records.clear()
+        self.count = 0
         if self.truncated:
             # Freeing the buffer re-arms a tracer that hit its cap.
             self.truncated = False
             self.enabled = True
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.kept_records())
 
     def __iter__(self) -> Iterator[TraceRecord]:
-        return iter(self.records)
+        return iter(self.kept_records())
 
     def of_kind(self, kind: str) -> list[TraceRecord]:
-        return [r for r in self.records if r.kind == kind]
+        return [r for r in self.kept_records() if r.kind == kind]
 
     def between(self, start: float, end: float) -> list[TraceRecord]:
-        return [r for r in self.records if start <= r.time <= end]
+        return [r for r in self.kept_records() if start <= r.time <= end]
 
     def last(self, kind: str) -> Optional[TraceRecord]:
-        for rec in reversed(self.records):
+        for rec in reversed(self.kept_records()):
             if rec.kind == kind:
                 return rec
         return None

@@ -40,10 +40,11 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from itertools import accumulate
-from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Union
 
 from repro.sim.trace import TraceRecord
-from repro.telemetry.causal import MessageTrace, SchedulingWindows
+from repro.telemetry.causal import (Interval, LiveIntervals, MessageTrace,
+                                    SchedulingWindows, WindowBuilder, _clip)
 
 #: every cause, in waterfall (chain) order
 CAUSES = (
@@ -54,17 +55,9 @@ CAUSES = (
 
 _STALL_CAUSE = {"credit": "credit-stall", "buffer-full": "buffer-full"}
 
-Interval = Tuple[float, float]
-
-
-def _clip(intervals: Iterable[Interval], lo: float,
-          hi: float) -> List[Interval]:
-    out = []
-    for start, end in intervals:
-        s, e = max(start, lo), min(end, hi)
-        if e > s:
-            out.append((s, e))
-    return out
+#: the causes of chain segments B (NIC queue) and C (the wire)
+NIC_CAUSES = ("stored-context", "buffer-swap", "gang-barrier", "nic-queue",
+              "retransmit-backoff", "wire")
 
 
 class IntervalIndex:
@@ -93,14 +86,13 @@ class IntervalIndex:
         return _clip(self.intervals[first:stop], lo, hi)
 
 
-_NO_INTERVALS = IntervalIndex(())
-
-
 class WindowIndex:
     """:class:`SchedulingWindows` with every interval list indexed.
 
     Build one per record stream and pass it to :func:`attribute_message`
-    for every message, instead of rescanning whole window lists.
+    for every message, instead of rescanning whole window lists.  (A
+    :class:`~repro.telemetry.causal.WindowBuilder` serves the same
+    lookups while the stream is still running.)
     """
 
     __slots__ = ("halted", "swapping", "stored", "stopped")
@@ -111,10 +103,11 @@ class WindowIndex:
                                  in getattr(windows, name).items()})
 
 
-def _clip_in(table: Dict[Any, IntervalIndex], key, lo: float,
-             hi: float) -> List[Interval]:
+def _clip_in(table: Dict[Any, Union[IntervalIndex, LiveIntervals]], key,
+             lo: float, hi: float) -> List[Interval]:
     """``table[key]``'s intervals clipped to ``[lo, hi]`` (none if absent)."""
-    return table.get(key, _NO_INTERVALS).clip(lo, hi)
+    intervals = table.get(key)
+    return [] if intervals is None else intervals.clip(lo, hi)
 
 
 def _total(intervals: Iterable[Interval]) -> float:
@@ -139,20 +132,24 @@ def _subtract(base: List[Interval],
     return result
 
 
+Windows = Union[SchedulingWindows, WindowIndex, WindowBuilder]
+
+
 def attribute_message(trace: MessageTrace,
-                      windows: Union[SchedulingWindows, WindowIndex]
-                      ) -> Optional[dict]:
+                      windows: Windows) -> Optional[dict]:
     """Exact latency partition for one complete message.
 
     Returns ``{"latency": s, "causes": {cause: seconds}}`` (every cause
     key present, zero-filled) or ``None`` when the trace is incomplete —
     a truncated stream, a kinds-filtered tracer, or a message still in
     flight when the run ended.  Pass a :class:`WindowIndex` when
-    attributing many messages against the same windows.
+    attributing many messages against the same windows, or the live
+    :class:`~repro.telemetry.causal.WindowBuilder` of a stream that has
+    just completed ``trace``.
     """
     if not trace.complete:
         return None
-    if not isinstance(windows, WindowIndex):
+    if isinstance(windows, SchedulingWindows):
         windows = WindowIndex(windows)
     frag = trace.completing_fragment()
     if frag is None or frag.enqueued is None:
@@ -167,53 +164,78 @@ def attribute_message(trace: MessageTrace,
     # trace was stitched from mismatched streams.
     if not (t_start <= enq <= first_tx <= deliver <= t_end):
         return None
-    causes = {cause: 0.0 for cause in CAUSES}
+    causes = dict.fromkeys(CAUSES, 0.0)
 
     # -- segment A: sender host, [t_start, enq] -------------------------
     # Recorded stalls are sequential sender waits; clip to the segment
     # (stalls of later fragments fall outside it).  Of what remains,
     # time the *sender* spent SIGSTOPped is descheduled, not CPU work —
     # without this split a send interrupted by a gang switch would book
-    # whole quanta as host-send.
-    stall_ivs: List[Interval] = []
-    for stall_cause, s, e in trace.stalls:
-        clipped = _clip([(s, e)], t_start, enq)
-        causes[_STALL_CAUSE.get(stall_cause, stall_cause)] += _total(clipped)
-        stall_ivs.extend(clipped)
-    remaining_a = _subtract([(t_start, enq)], _merge(stall_ivs))
+    # whole quanta as host-send.  (Each "if" below skips only work whose
+    # result would be an exact no-op: subtracting nothing, adding 0.0.)
+    remaining_a = [(t_start, enq)]
+    if trace.stalls:
+        stall_ivs: List[Interval] = []
+        for stall_cause, s, e in trace.stalls:
+            clipped = _clip([(s, e)], t_start, enq)
+            causes[_STALL_CAUSE.get(stall_cause, stall_cause)] += _total(
+                clipped)
+            stall_ivs.extend(clipped)
+        remaining_a = _subtract(remaining_a, _merge(stall_ivs))
     src_stopped = _clip_in(windows.stopped, (trace.src_node, trace.job),
                            t_start, enq)
     before_a = _total(remaining_a)
-    remaining_a = _subtract(remaining_a, _merge(src_stopped))
-    causes["descheduled"] += before_a - _total(remaining_a)
-    causes["host-send"] = _total(remaining_a)
+    if src_stopped:
+        remaining_a = _subtract(remaining_a, _merge(src_stopped))
+        causes["descheduled"] += before_a - _total(remaining_a)
+        before_a = _total(remaining_a)
+    causes["host-send"] = before_a
 
+    charge_nic(causes, windows, trace.src_node, trace.job, enq, first_tx,
+               tx, deliver)
+
+    # -- segment D: receiver host, [deliver, t_end] ---------------------
+    desched = _clip_in(windows.stopped, (trace.dst_node, trace.job),
+                       deliver, t_end)
+    if desched:
+        desched_total = _total(_merge(desched))
+        causes["descheduled"] += desched_total
+        causes["host-pickup"] += (t_end - deliver) - desched_total
+    else:
+        causes["host-pickup"] += t_end - deliver
+
+    return {"latency": t_end - t_start, "causes": causes}
+
+
+def charge_nic(causes: Dict[str, float], windows: Windows, src: int,
+               job: int, enq: float, first_tx: float, tx: float,
+               deliver: float) -> None:
+    """(Re)charge :data:`NIC_CAUSES`, segments B and C of the chain.
+
+    Nothing else writes these causes, so a partition whose swap windows
+    or delivering copy became known only after it was made can be
+    brought up to date by calling this again.
+    """
+    for cause in NIC_CAUSES:
+        causes[cause] = 0.0
     # -- segment B: NIC queue, [enq, first_tx] --------------------------
     # Priority: stored-context ⊃ buffer-swap ⊃ gang-barrier; remainder is
     # honest queueing behind other traffic.
     remaining = [(enq, first_tx)]
     for cause, table, key in (
-            ("stored-context", windows.stored, (trace.src_node, trace.job)),
-            ("buffer-swap", windows.swapping, trace.src_node),
-            ("gang-barrier", windows.halted, trace.src_node)):
+            ("stored-context", windows.stored, (src, job)),
+            ("buffer-swap", windows.swapping, src),
+            ("gang-barrier", windows.halted, src)):
         overlap = _clip_in(table, key, enq, first_tx)
-        before = _total(remaining)
-        remaining = _subtract(remaining, _merge(overlap))
-        causes[cause] += before - _total(remaining)
+        if overlap:
+            before = _total(remaining)
+            remaining = _subtract(remaining, _merge(overlap))
+            causes[cause] += before - _total(remaining)
     causes["nic-queue"] += _total(remaining)
 
     # -- segment C: the wire, [first_tx, deliver] -----------------------
     causes["retransmit-backoff"] += tx - first_tx
     causes["wire"] += deliver - tx
-
-    # -- segment D: receiver host, [deliver, t_end] ---------------------
-    desched = _clip_in(windows.stopped, (trace.dst_node, trace.job),
-                       deliver, t_end)
-    desched_total = _total(_merge(desched))
-    causes["descheduled"] += desched_total
-    causes["host-pickup"] += (t_end - deliver) - desched_total
-
-    return {"latency": t_end - t_start, "causes": causes}
 
 
 def _merge(intervals: List[Interval]) -> List[Interval]:

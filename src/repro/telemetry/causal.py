@@ -23,10 +23,14 @@ reconstructs the *causal DAG* the records imply:
 Everything here is pure replay: deterministic, order-preserving, and
 safe to run on a truncated stream (open intervals clip to the last
 record time; incomplete messages are reported as such, never guessed).
+The windows are built one record at a time (:class:`WindowBuilder`), so
+the same code serves the offline replay and a live
+:class:`~repro.telemetry.explain.ExplainStream`.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -44,7 +48,7 @@ CAUSAL_KINDS = frozenset((
 ))
 
 
-@dataclass
+@dataclass(slots=True)
 class FragmentTrace:
     """One wire fragment's life, summarised from its per-packet records."""
 
@@ -74,7 +78,7 @@ class FragmentTrace:
         return before[-1] if before else self.tx_times[0]
 
 
-@dataclass
+@dataclass(slots=True)
 class MessageTrace:
     """One application message's causal trace."""
 
@@ -272,14 +276,122 @@ def _dup_owner(seq_owner: dict, seq_first: dict,
 
 
 # ---------------------------------------------------------------- windows
+Interval = Tuple[float, float]
+
+
+def _clip(intervals: Iterable[Interval], lo: float,
+          hi: float) -> List[Interval]:
+    out = []
+    for start, end in intervals:
+        s, e = max(start, lo), min(end, hi)
+        if e > s:
+            out.append((s, e))
+    return out
+
+
 @dataclass(frozen=True)
 class SchedulingWindows:
     """Interval sets the attribution pass charges overlap against."""
 
-    halted: Dict[int, List[Tuple[float, float]]]           # node -> intervals
-    swapping: Dict[int, List[Tuple[float, float]]]         # node -> intervals
-    stored: Dict[tuple, List[Tuple[float, float]]]         # (node, job) -> ...
-    stopped: Dict[tuple, List[Tuple[float, float]]]        # (node, job) -> ...
+    halted: Dict[int, List[Interval]]           # node -> intervals
+    swapping: Dict[int, List[Interval]]         # node -> intervals
+    stored: Dict[tuple, List[Interval]]         # (node, job) -> ...
+    stopped: Dict[tuple, List[Interval]]        # (node, job) -> ...
+
+
+class LiveIntervals:
+    """One key's windows while the stream is still running: the closed
+    intervals in the order their closing records came, their ends (which
+    therefore never decrease), and the open edge, if any."""
+
+    __slots__ = ("closed", "ends", "open")
+
+    def __init__(self):
+        self.closed: List[Interval] = []
+        self.ends: List[float] = []
+        self.open: Optional[float] = None
+
+    def add(self, start: float, end: float) -> None:
+        self.closed.append((start, end))
+        self.ends.append(end)
+
+    def clip(self, lo: float, hi: float) -> List[Interval]:
+        """The pieces inside ``[lo, hi]``, for ``hi`` no later than the
+        last record fed.  An open window closes at or after that record,
+        so it clips exactly as its final interval will."""
+        pieces = _clip(self.closed[bisect_right(self.ends, lo):], lo, hi)
+        if self.open is not None:
+            start = max(self.open, lo)
+            if hi > start:
+                pieces.append((start, hi))
+        return pieces
+
+
+class WindowBuilder:
+    """:class:`SchedulingWindows` built one record at a time.
+
+    ``halted``, ``swapping``, ``stored`` and ``stopped`` map each key to
+    its :class:`LiveIntervals`, so the builder can stand in for a
+    :class:`~repro.telemetry.attribution.WindowIndex` while the stream
+    runs (for a message that completed no later than the last record).
+    Repeated opens (a fail-stop SIGSTOPping an already-parked process)
+    keep the earliest open edge; a close with no open edge is ignored.
+    """
+
+    __slots__ = ("halted", "swapping", "stored", "stopped")
+
+    def __init__(self):
+        self.halted: Dict[int, LiveIntervals] = {}
+        self.swapping: Dict[int, LiveIntervals] = {}
+        self.stored: Dict[tuple, LiveIntervals] = {}
+        self.stopped: Dict[tuple, LiveIntervals] = {}
+
+    def feed(self, time: float, kind: str, f: dict) -> None:
+        if kind == "nic-halt":
+            _open(self.halted, f["node"], time)
+        elif kind == "nic-release":
+            _close(self.halted, f["node"], time)
+        elif kind == "buffer-switch":
+            live = self.swapping.get(f["node"])
+            if live is None:
+                live = self.swapping[f["node"]] = LiveIntervals()
+            live.add(time - f.get("duration", 0.0), time)
+        elif kind == "ctx-remove":
+            _open(self.stored, (f["node"], f["job"]), time)
+        elif kind == "ctx-install":
+            _close(self.stored, (f["node"], f["job"]), time)
+        elif kind == "init-job" and not f.get("installed", True):
+            _open(self.stored, (f["node"], f["job"]), time)
+        elif kind == "job-stop":
+            _open(self.stopped, (f["node"], f["job"]), time)
+        elif kind == "job-go":
+            _close(self.stopped, (f["node"], f["job"]), time)
+
+    def windows(self, clip: float) -> SchedulingWindows:
+        """The final windows, open intervals clipped to ``clip``."""
+        def final(table):
+            return {key: live.closed if live.open is None
+                    else [*live.closed, (live.open, max(clip, live.open))]
+                    for key, live in table.items()}
+        return SchedulingWindows(halted=final(self.halted),
+                                 swapping=final(self.swapping),
+                                 stored=final(self.stored),
+                                 stopped=final(self.stopped))
+
+
+def _open(table: dict, key, time: float) -> None:
+    live = table.get(key)
+    if live is None:
+        live = table[key] = LiveIntervals()
+    if live.open is None:
+        live.open = time
+
+
+def _close(table: dict, key, time: float) -> None:
+    live = table.get(key)
+    if live is not None and live.open is not None:
+        live.add(live.open, time)
+        live.open = None
 
 
 def build_windows(records: Iterable[TraceRecord],
@@ -288,56 +400,13 @@ def build_windows(records: Iterable[TraceRecord],
 
     Open intervals (a halt with no release before the stream ended) are
     clipped to ``end_time`` (default: the last record's timestamp).
-    Repeated opens (a fail-stop SIGSTOPping an already-parked process)
-    keep the earliest open edge.
     """
-    halted_open: Dict[int, float] = {}
-    stored_open: Dict[tuple, float] = {}
-    stopped_open: Dict[tuple, float] = {}
-    halted: Dict[int, list] = {}
-    swapping: Dict[int, list] = {}
-    stored: Dict[tuple, list] = {}
-    stopped: Dict[tuple, list] = {}
+    builder = WindowBuilder()
     last_time = 0.0
     for rec in records:
         last_time = rec.time
-        kind = rec.kind
-        f = rec.fields
-        if kind == "nic-halt":
-            halted_open.setdefault(f["node"], rec.time)
-        elif kind == "nic-release":
-            start = halted_open.pop(f["node"], None)
-            if start is not None:
-                halted.setdefault(f["node"], []).append((start, rec.time))
-        elif kind == "buffer-switch":
-            dur = f.get("duration", 0.0)
-            swapping.setdefault(f["node"], []).append(
-                (rec.time - dur, rec.time))
-        elif kind == "ctx-remove":
-            stored_open.setdefault((f["node"], f["job"]), rec.time)
-        elif kind == "ctx-install":
-            key = (f["node"], f["job"])
-            start = stored_open.pop(key, None)
-            if start is not None:
-                stored.setdefault(key, []).append((start, rec.time))
-        elif kind == "init-job" and not f.get("installed", True):
-            stored_open.setdefault((f["node"], f["job"]), rec.time)
-        elif kind == "job-stop":
-            stopped_open.setdefault((f["node"], f["job"]), rec.time)
-        elif kind == "job-go":
-            key = (f["node"], f["job"])
-            start = stopped_open.pop(key, None)
-            if start is not None:
-                stopped.setdefault(key, []).append((start, rec.time))
-    clip = end_time if end_time is not None else last_time
-    for node, start in sorted(halted_open.items()):
-        halted.setdefault(node, []).append((start, max(clip, start)))
-    for key, start in sorted(stored_open.items()):
-        stored.setdefault(key, []).append((start, max(clip, start)))
-    for key, start in sorted(stopped_open.items()):
-        stopped.setdefault(key, []).append((start, max(clip, start)))
-    return SchedulingWindows(halted=halted, swapping=swapping,
-                             stored=stored, stopped=stopped)
+        builder.feed(rec.time, rec.kind, rec.fields)
+    return builder.windows(end_time if end_time is not None else last_time)
 
 
 # ---------------------------------------------------------------- spans

@@ -28,9 +28,14 @@ rewrites them to dense per-stream indices — lineage order and first
 appearance respectively — before the stream is kept, which makes
 saved traces stable enough to diff.
 
-The analysis is one pass per point: :func:`analyze_records` replays
-the lineage and the scheduling windows once and hands both back, and
-only a point whose records are kept pays for normalization.
+A live point keeps no trace.  The tracer hands every record to an
+:class:`ExplainStream` as it is made: it holds the lineage of open
+messages only, builds the scheduling windows as it goes, and attributes
+each message the moment its ``msg-recv`` completes it, keeping just the
+message's output row.  :func:`analyze_records` is the offline replay of
+a kept stream (``--trace`` re-ingest, and the oracle the streamed
+analysis must match byte for byte); a point keeps its records only for
+``--save-trace`` or ``--smoke``, and only then pays for normalization.
 """
 
 from __future__ import annotations
@@ -45,11 +50,12 @@ from repro.parpar.cluster import ClusterConfig, ParParCluster
 from repro.parpar.job import JobSpec
 from repro.sim.trace import TraceRecord
 from repro.telemetry.attribution import (CAUSES, WindowIndex,
-                                         attribute_message,
+                                         attribute_message, charge_nic,
                                          summarize_attribution,
                                          summarize_stalls)
-from repro.telemetry.causal import (MessageTrace, build_lineage,
-                                    build_windows)
+from repro.telemetry.causal import (FragmentTrace, MessageTrace,
+                                    WindowBuilder, _frag_by_seq,
+                                    build_lineage, build_windows)
 from repro.telemetry.spans import Span
 from repro.workloads.bandwidth import bandwidth_benchmark
 
@@ -62,8 +68,14 @@ _SUM_TOLERANCE = 1e-6
 
 # ---------------------------------------------------------------- running
 def _run_point(jobs: int, message_bytes: int, messages: int, quantum: float,
-               num_processors: int, policy: str, seed: int):
-    """One traced contention point; returns (records, truncated, end_time)."""
+               num_processors: int, policy: str, seed: int,
+               keep_records: bool = False):
+    """One traced contention point, attributed while it runs.
+
+    Returns ``(analysis, reallocs, records, end_time)``: the
+    :meth:`ExplainStream.finish` analysis, the policy reallocations, and
+    the raw record list if ``keep_records`` (else ``None``).
+    """
     fm = FMConfig(max_contexts=max(jobs, 1), num_processors=num_processors,
                   buffer_policy=policy or "")
     cluster = ParParCluster(ClusterConfig(
@@ -75,12 +87,17 @@ def _run_point(jobs: int, message_bytes: int, messages: int, quantum: float,
     # kernel profiler, whose profile nobody reads (results are identical
     # with or without it).
     cluster.sim.profiler = None
+    stream = ExplainStream()
+    tracer = cluster.telemetry.tracer
+    tracer.stream(stream.feed, keep_records=keep_records)
     workload = bandwidth_benchmark(messages, message_bytes)
     submitted = [cluster.submit(JobSpec(f"bw{i}", 2, workload))
                  for i in range(jobs)]
     cluster.run_until_finished(submitted, max_events=500_000_000)
-    tracer = cluster.telemetry.tracer
-    return list(tracer.records), tracer.truncated, cluster.sim.now
+    end_time = cluster.sim.now
+    reallocs = stream.reallocs()
+    return (stream.finish(tracer.truncated, end_time), reallocs,
+            tracer.records if keep_records else None, end_time)
 
 
 # ---------------------------------------------------------------- normalize
@@ -155,55 +172,337 @@ def analyze_records(records: Sequence[TraceRecord], truncated: bool = False,
     Ids are compared only for identity and outputs name messages by
     lineage index, so a raw stream and its :func:`normalize_records`
     rewrite give the same result (``lineage`` aside, which keeps ids).
+    This offline replay is the oracle :class:`ExplainStream` matches.
     """
     traces = build_lineage(records)
     windows = build_windows(records, end_time=end_time)
     indexed = WindowIndex(windows)
     per_message: List[dict] = []
     incomplete = 0
-    mismatches = 0
     for index, trace in enumerate(traces):
         att = attribute_message(trace, indexed)
         if att is None:
             incomplete += 1
             continue
-        total = sum(att["causes"].values())
-        if abs(total - att["latency"]) > _SUM_TOLERANCE * max(
-                1.0, att["latency"]):
-            mismatches += 1
-        frag = trace.completing_fragment()
-        per_message.append({
-            "index": index,
-            "job": trace.job,
-            "src": trace.src_node,
-            "dst": trace.dst_node,
-            "nbytes": trace.nbytes,
-            "frags": trace.frag_count,
-            "retransmits": trace.retransmits,
-            "latency": att["latency"],
-            "causes": att["causes"],
-            "chain": {
-                "started": trace.started,
-                "enqueued": frag.enqueued,
-                "first_tx": frag.first_tx,
-                "delivered": frag.delivered,
-                "completed": trace.completed,
-            },
-        })
+        per_message.append(_row(index, trace, att,
+                                trace.completing_fragment()))
+    mismatches = sum(map(_mismatched, per_message))
+    return _analysis(len(traces), per_message, incomplete, mismatches,
+                     truncated, summarize_stalls(records), windows,
+                     lineage=traces)
+
+
+def _row(index: Optional[int], trace: MessageTrace, att: dict,
+         frag: FragmentTrace) -> dict:
+    """One ``per_message`` row; ``frag`` is the completing fragment."""
+    return {
+        "index": index,
+        "job": trace.job,
+        "src": trace.src_node,
+        "dst": trace.dst_node,
+        "nbytes": trace.nbytes,
+        "frags": trace.frag_count,
+        "retransmits": trace.retransmits,
+        "latency": att["latency"],
+        "causes": att["causes"],
+        "chain": {
+            "started": trace.started,
+            "enqueued": frag.enqueued,
+            "first_tx": frag.first_tx,
+            "delivered": frag.delivered,
+            "completed": trace.completed,
+        },
+    }
+
+
+def _mismatched(row: dict) -> bool:
+    """Do ``row``'s causes fail to sum to its latency?"""
+    latency = row["latency"]
+    return (abs(sum(row["causes"].values()) - latency)
+            > _SUM_TOLERANCE * max(1.0, latency))
+
+
+def _analysis(messages: int, per_message: List[dict], incomplete: int,
+              mismatches: int, truncated: bool, stalls: dict, windows,
+              **extra) -> dict:
     summary = summarize_attribution(per_message)
     return {
-        "messages": len(traces),
+        "messages": messages,
         "complete": len(per_message),
         "incomplete": incomplete,
         "mismatches": mismatches,
         "truncated": truncated,
         "latency": summary["latency"],
         "causes": summary["causes"],
-        "stalls": summarize_stalls(records),
+        "stalls": stalls,
         "per_message": per_message,
         "windows": _serialize_windows(windows),
-        "lineage": traces,
+        **extra,
     }
+
+
+class ExplainStream:
+    """:func:`analyze_records` run online, one record at a time.
+
+    :meth:`feed` is a tracer sink.  Open messages keep their lineage as
+    :func:`~repro.telemetry.causal.build_lineage` would build it, and the
+    scheduling windows grow in a
+    :class:`~repro.telemetry.causal.WindowBuilder`.  When a ``msg-recv``
+    completes a message, everything its attribution reads is known —
+    the completing fragment's chain, the sender's stalls, and the windows
+    up to its completion — so it is attributed at once and its fragments
+    are dropped.  What is kept of it is its output row and, through the
+    ``(src, seq)`` owner map, the way back to that row for records that
+    arrive late:
+
+    - ``rto-retransmit`` counts into the row's ``retransmits``;
+    - a ``pkt-tx`` copy of one of its fragments is a no-op, unless it is
+      stamped at the completing fragment's delivery time (then it is the
+      delivering copy, and the wire causes are recharged);
+    - a duplicate ``pkt-deliver``, ``msg-send``, ``pkt-drop``,
+      ``pkt-dup-discard`` and ``rto-give-up`` change no output;
+    - a ``buffer-switch`` whose swap reaches back into a closed
+      message's NIC-queue segment recharges that segment.
+
+    Any other record about a completed message (a new fragment, a second
+    ``msg-start``/``msg-recv``, a stall) would need the fragments that
+    were dropped, and raises ``ValueError``; the simulator emits none.
+    :meth:`finish` attributes what is still open against the final
+    windows, numbers every message in lineage order, and returns the
+    analysis :func:`analyze_records` would return, minus ``lineage``.
+    """
+
+    def __init__(self):
+        self.windows = WindowBuilder()
+        self.open: Dict[tuple, MessageTrace] = {}
+        self.first_seen: Dict[tuple, float] = {}
+        # key -> [row, completing fragment index, its delivering tx]
+        self.closed: Dict[tuple, list] = {}
+        self.completions: List[list] = []   # closed entries, in order
+        self.seq_owner: Dict[tuple, tuple] = {}   # (src, seq) -> (key, frag)
+        self.stalls: Dict[str, list] = {}          # cause -> [waits, seconds]
+        self.realloc_records: List[TraceRecord] = []   # a few per switch
+        self.mismatches = 0
+        self.last_time = 0.0
+
+    def feed(self, time: float, kind: str, fields: dict) -> None:
+        self.last_time = time
+        handler = self._HANDLERS.get(kind)
+        if handler is not None:
+            handler(self, time, kind, fields)
+
+    # -- lineage of open messages (build_lineage, one record at a time) --
+    def _trace(self, key: tuple, time: float, kind: str) -> MessageTrace:
+        trace = self.open.get(key)
+        if trace is None:
+            if key in self.closed:
+                raise ValueError(f"{kind} record at t={time!r} for message "
+                                 f"{key}, which already completed")
+            trace = self.open[key] = MessageTrace(*key)
+            self.first_seen[key] = time
+        return trace
+
+    def _msg_start(self, time, kind, f):
+        trace = self._trace((f["node"], f["job"], f["msg"]), time, kind)
+        trace.started = time
+        trace.dst_node = f.get("dst")
+        trace.dst_rank = f.get("dst_rank")
+        trace.nbytes = f.get("nbytes")
+        trace.frag_count = f.get("frags")
+
+    def _pkt_enq(self, time, kind, f):
+        key = (f["node"], f["job"], f["msg"])
+        frag = _fragment(self._trace(key, time, kind), f["frag"])
+        frag.seq = f.get("seq")
+        frag.enqueued = time
+        if frag.seq is not None:
+            self.seq_owner[(key[0], frag.seq)] = (key, f["frag"])
+
+    def _pkt_tx(self, time, kind, f):
+        msg = f.get("msg", -1)
+        if msg is None or msg < 0:
+            return    # control packet (refill/halt/ready/ack)
+        key = (f["node"], f["job"], msg)
+        index = f.get("frag", 0)
+        closed = self.closed.get(key)
+        if closed is not None:
+            self._late_tx(time, key, index, f.get("seq"), closed)
+            return
+        frag = _fragment(self._trace(key, time, kind), index)
+        if frag.seq is None and f.get("seq") is not None:
+            frag.seq = f["seq"]
+            self.seq_owner[(key[0], frag.seq)] = (key, index)
+        frag.tx_times.append(time)
+
+    def _pkt_deliver(self, time, kind, f):
+        msg = f.get("msg", -1)
+        if msg is None or msg < 0:
+            return
+        key = (f["src"], f["job"], msg)
+        if key in self.closed:
+            seq = f.get("seq")
+            owner = (None if seq is None
+                     else self.seq_owner.get((key[0], seq)))
+            if owner is None or owner[0] != key:
+                raise ValueError(f"pkt-deliver record at t={time!r} for an "
+                                 f"unknown fragment of message {key}, "
+                                 "which already completed")
+            return    # a duplicate of a delivered fragment
+        trace = self._trace(key, time, kind)
+        frag = _frag_by_seq(trace, self.seq_owner, key, f)
+        if frag.delivered is None:
+            frag.delivered = time
+        else:
+            frag.extra_deliveries += 1
+
+    def _msg_recv(self, time, kind, f):
+        msg = f.get("msg")
+        src = f.get("src")
+        if msg is None or src is None:
+            return    # pre-causal record shape
+        key = (src, f["job"], msg)
+        trace = self._trace(key, time, kind)
+        trace.completed = time
+        att = attribute_message(trace, self.windows)
+        if att is None:
+            return    # not complete (yet): finish() tries again
+        frag = trace.completing_fragment()
+        row = _row(None, trace, att, frag)
+        self.mismatches += _mismatched(row)
+        closed = self.closed[key] = [row, frag.frag, frag.delivering_tx]
+        self.completions.append(closed)
+        del self.open[key]
+        del self.first_seen[key]
+
+    def _msg_send(self, time, kind, f):
+        key = (f["node"], f["job"], f.get("msg_id", f.get("msg")))
+        if key[2] is not None and key not in self.closed:
+            self._trace(key, time, kind).sent = time
+
+    def _stall(self, time, kind, f):
+        cell = self.stalls.setdefault(f["cause"], [0, 0.0])
+        cell[0] += 1
+        cell[1] += f["dur"]
+        msg = f.get("msg", -1)
+        if msg is None or msg < 0:
+            return    # anonymous stall (refill path)
+        trace = self._trace((f["node"], f["job"], msg), time, kind)
+        trace.stalls.append((f["cause"], time - f["dur"], time))
+
+    def _rto_retransmit(self, time, kind, f):
+        owner = self.seq_owner.get((f["node"], f.get("seq")))
+        if owner is None:
+            return
+        key, index = owner
+        trace = self.open.get(key)
+        if trace is not None:
+            trace.frags[index].retransmits += 1
+        else:
+            self.closed[key][0]["retransmits"] += 1
+
+    # -- windows, and late records that reach back into closed rows -------
+    def _window(self, time, kind, f):
+        self.windows.feed(time, kind, f)
+
+    def _buffer_switch(self, time, kind, f):
+        self.windows.feed(time, kind, f)
+        start = time - f.get("duration", 0.0)
+        node = f["node"]
+        for closed in reversed(self.completions):
+            row = closed[0]
+            if row["chain"]["completed"] <= start:
+                break    # completion order: every earlier one ends sooner
+            if row["src"] == node and row["chain"]["first_tx"] > start:
+                self._recharge(closed)
+
+    def _late_tx(self, time, key, index, seq, closed):
+        if seq is None or self.seq_owner.get((key[0], seq)) != (key, index):
+            raise ValueError(f"pkt-tx record at t={time!r} for an unknown "
+                             f"fragment of message {key}, which already "
+                             "completed")
+        if index == closed[1] and time <= closed[0]["chain"]["delivered"]:
+            closed[2] = time    # the last copy out before the delivery
+            self._recharge(closed)
+
+    def _recharge(self, closed: list) -> None:
+        """Recharge a closed row's NIC causes against the windows and
+        delivering copy known now."""
+        row, _, tx = closed
+        chain = row["chain"]
+        was = _mismatched(row)
+        charge_nic(row["causes"], self.windows, row["src"], row["job"],
+                   chain["enqueued"], chain["first_tx"], tx,
+                   chain["delivered"])
+        self.mismatches += _mismatched(row) - was
+
+    def _realloc(self, time, kind, f):
+        self.realloc_records.append(TraceRecord(time, kind, f))
+
+    _HANDLERS = {
+        "msg-start": _msg_start, "pkt-enq": _pkt_enq, "pkt-tx": _pkt_tx,
+        "pkt-deliver": _pkt_deliver, "msg-recv": _msg_recv,
+        "msg-send": _msg_send, "stall": _stall,
+        "rto-retransmit": _rto_retransmit, "buffer-switch": _buffer_switch,
+        "realloc-plan": _realloc, "realloc-apply": _realloc,
+        **dict.fromkeys(("nic-halt", "nic-release", "ctx-remove",
+                         "ctx-install", "init-job", "job-stop", "job-go"),
+                        _window),
+    }
+
+    # -- the end of the stream --------------------------------------------
+    def reallocs(self) -> List[dict]:
+        """The policy reallocations of the stream so far."""
+        return _derive_reallocs(self.realloc_records)
+
+    def finish(self, truncated: bool = False,
+               end_time: Optional[float] = None) -> dict:
+        """The analysis of the whole stream, without ``lineage``.
+
+        ``end_time`` (default: the last record's time) clips windows
+        still open; it may not precede the last record.  This ends the
+        stream: the lineage state is released as the rows are numbered.
+        """
+        if end_time is not None and end_time < self.last_time:
+            raise ValueError(f"end_time {end_time!r} precedes the last "
+                             f"record at {self.last_time!r}")
+        windows = self.windows.windows(
+            end_time if end_time is not None else self.last_time)
+        order = [(row["chain"]["started"], *key, row)
+                 for key, (row, _, _) in self.closed.items()]
+        order += [(self.first_seen[key] if trace.started is None
+                   else trace.started, *key, trace)
+                  for key, trace in self.open.items()]
+        for state in (self.open, self.first_seen, self.closed,
+                      self.completions, self.seq_owner):
+            state.clear()
+        order.sort(key=lambda item: item[:4])
+        indexed = WindowIndex(windows)
+        per_message: List[dict] = []
+        incomplete = 0
+        mismatches = self.mismatches
+        for index, (*_, entry) in enumerate(order):
+            if isinstance(entry, dict):
+                entry["index"] = index
+                per_message.append(entry)
+                continue
+            att = attribute_message(entry, indexed)
+            if att is None:
+                incomplete += 1
+                continue
+            row = _row(index, entry, att, entry.completing_fragment())
+            mismatches += _mismatched(row)
+            per_message.append(row)
+        stalls = {cause: {"waits": cell[0], "seconds": cell[1]}
+                  for cause, cell in sorted(self.stalls.items())}
+        return _analysis(len(order), per_message, incomplete, mismatches,
+                         truncated, stalls, windows)
+
+
+def _fragment(trace: MessageTrace, index: int) -> FragmentTrace:
+    frag = trace.frags.get(index)
+    if frag is None:
+        frag = trace.frags[index] = FragmentTrace(frag=index)
+    return frag
 
 
 def _derive_reallocs(records: Iterable[TraceRecord]) -> List[dict]:
@@ -252,21 +551,20 @@ def _result(analysis: dict, config: dict, end_time: Optional[float],
 
 
 def _explain_worker(args: tuple) -> dict:
-    """Picklable sweep worker: run and analyze one point, and normalize
+    """Picklable sweep worker: run and attribute one point, and normalize
     its records when they are kept."""
     (jobs, message_bytes, messages, quantum, num_processors, policy, seed,
      keep_records) = args
-    raw, truncated, end_time = _run_point(
-        jobs, message_bytes, messages, quantum, num_processors, policy, seed)
-    analysis = analyze_records(raw, truncated=truncated, end_time=end_time)
+    analysis, reallocs, raw, end_time = _run_point(
+        jobs, message_bytes, messages, quantum, num_processors, policy, seed,
+        keep_records)
     kept = None
-    if keep_records:
-        kept = [[r.time, r.kind, r.fields]
-                for r in normalize_records(raw, analysis["lineage"])]
+    if raw is not None:
+        kept = [[r.time, r.kind, r.fields] for r in normalize_records(raw)]
     config = dict(jobs=jobs, message_bytes=message_bytes,
                   messages_per_job=messages, quantum=quantum,
                   policy=policy or None, seed=seed)
-    return _result(analysis, config, end_time, _derive_reallocs(raw), kept)
+    return _result(analysis, config, end_time, reallocs, kept)
 
 
 def run_explain(jobs: Sequence[int] = (1, 2, 4),

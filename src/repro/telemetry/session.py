@@ -59,7 +59,7 @@ class Telemetry:
     def all_spans(self):
         """Explicit spans plus packet/retransmit/causal derivations."""
         from repro.telemetry.causal import derive_causal_spans
-        records = self.tracer.records
+        records = self.tracer.kept_records()
         truncated = self.tracer.truncated
         spans = build_spans(records, truncated=truncated)
         base = (max((s.span_id for s in spans), default=-1) + 1)
@@ -209,12 +209,13 @@ def harvest_policy(registry: MetricsRegistry, engine) -> None:
     registry.counter("policy.reports").inc(1)
 
 
-def harvest_stalls(registry: MetricsRegistry, records) -> None:
-    """Fold per-cause stall totals (from raw ``stall`` records) into
-    ``stall.<cause>.waits`` counters and ``stall.<cause>.seconds`` gauges
-    (gauges sum across merged points, matching the counters)."""
+def harvest_stalls(registry: MetricsRegistry, tracer: Tracer) -> None:
+    """Fold per-cause stall totals (from the tracer's kept ``stall``
+    records) into ``stall.<cause>.waits`` counters and
+    ``stall.<cause>.seconds`` gauges (gauges sum across merged points,
+    matching the counters)."""
     from repro.telemetry.attribution import summarize_stalls
-    for cause, cell in summarize_stalls(records).items():
+    for cause, cell in summarize_stalls(tracer.kept_records()).items():
         registry.counter(f"stall.{cause}.waits").inc(cell["waits"])
         registry.gauge(f"stall.{cause}.seconds").add(cell["seconds"])
 
@@ -223,7 +224,7 @@ def harvest_cluster(telemetry: Telemetry, cluster) -> None:
     """Fold one ParParCluster's deterministic counters into the registry."""
     registry = telemetry.registry
     harvest_firmwares(registry, (g.firmware for g in cluster.glue))
-    harvest_stalls(registry, telemetry.tracer.records)
+    harvest_stalls(registry, telemetry.tracer)
     harvest_fabric(registry, cluster.fabric)
     harvest_switches(registry, cluster.recorder)
     if getattr(cluster, "policy_engine", None) is not None:
@@ -241,6 +242,6 @@ def harvest_network(telemetry: Telemetry, net) -> None:
     registry = telemetry.registry
     harvest_firmwares(registry, net.firmwares.values())
     harvest_fabric(registry, net.fabric)
-    harvest_stalls(registry, telemetry.tracer.records)
+    harvest_stalls(registry, telemetry.tracer)
     registry.counter("sim.events").inc(net.sim.processed_events)
     registry.gauge("sim.seconds").add(net.sim.now)

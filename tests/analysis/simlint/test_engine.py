@@ -187,3 +187,26 @@ def test_shipped_tree_lints_clean_within_budget():
     assert result.findings == []
     assert result.parse_errors == []
     assert elapsed < 5.0
+
+
+# ------------------------------------------------------------ report paths
+def test_same_named_files_outside_the_root_stay_apart(tmp_path, capsys):
+    """``repro lint a b`` over ``a/x.py`` and ``b/x.py``: two report
+    paths and two modules, not ``x.py`` twice."""
+    from repro.analysis.simlint import ProjectIndex, module_name_for
+    from repro.analysis.simlint.core import ModuleUnderLint
+
+    for name in ("a", "b"):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "x.py").write_text(BAD)
+    result = lint_paths([tmp_path / "a", tmp_path / "b"])
+    paths = [f.path for f in result.findings]
+    assert paths == ["a/x.py", "b/x.py"]
+    modules = [ModuleUnderLint(p, BAD) for p in paths]
+    index = ProjectIndex(modules)
+    assert [module_name_for(p) for p in paths] == ["a.x", "b.x"]
+    assert sorted(index.by_module_name) == ["a.x", "b.x"]
+
+    assert main(["lint", str(tmp_path / "a"), str(tmp_path / "b")]) == 1
+    out = capsys.readouterr().out
+    assert "a/x.py:4:11: SIM001" in out and "b/x.py:4:11: SIM001" in out

@@ -141,11 +141,13 @@ class TestRawEqualsNormalized:
         assert sum(f.extra_deliveries for f in frags) == 1
 
     def test_real_point_stream(self):
-        raw_records, truncated, end_time = _run_point(
+        streamed, _, raw_records, end_time = _run_point(
             jobs=2, message_bytes=1536, messages=20, quantum=0.004,
-            num_processors=16, policy="", seed=5)
+            num_processors=16, policy="", seed=5, keep_records=True)
+        truncated = streamed["truncated"]
         raw = analyze_records(raw_records, truncated=truncated,
                               end_time=end_time)
+        assert streamed == without_lineage(raw)
         normalized = analyze_records(
             normalize_records(raw_records, raw["lineage"]),
             truncated=truncated, end_time=end_time)

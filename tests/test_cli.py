@@ -123,3 +123,30 @@ class TestSmokeGatesCanFail:
                                 monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
         assert main(argv) == 0
+
+
+class TestExplainSmokeChecksTheReplay:
+    """``explain --smoke`` re-ingests its own saved trace through the
+    offline replay: a streamed attribution that drifts from it fails the
+    gate, even when serial and pool runs drift alike."""
+
+    def test_streamed_cause_perturbation_fails(self, monkeypatch, capsys):
+        from repro.telemetry.explain import ExplainStream
+
+        real = ExplainStream.finish
+
+        def perturbed(self, *args, **kwargs):
+            analysis = real(self, *args, **kwargs)
+            analysis["causes"]["wire"]["total"] += 1e-9
+            return analysis
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(ExplainStream, "finish", perturbed)
+        assert main(["explain", "--smoke"]) == 1
+        err = capsys.readouterr().err
+        assert "offline replay" in err and "diverged" not in err
+
+    def test_unperturbed_passes(self, monkeypatch, capsys):
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        assert main(["explain", "--smoke"]) == 0
+        assert "FAIL" not in capsys.readouterr().err
