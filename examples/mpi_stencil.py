@@ -16,6 +16,7 @@ import numpy as np
 from repro.mpi import Communicator
 from repro.parpar.cluster import ClusterConfig, ParParCluster
 from repro.parpar.job import JobSpec
+from repro.sim.rand import PCG64Stream
 
 CELLS_PER_RANK = 512
 ITERATIONS = 40
@@ -27,8 +28,8 @@ COMPUTE_TIME = 400e-6         # simulated host time per Jacobi sweep
 def stencil_workload(ep):
     """One rank of the Jacobi job."""
     comm = Communicator(ep)
-    rng = np.random.default_rng(ep.rank)
-    block = rng.random(CELLS_PER_RANK)
+    rng = PCG64Stream(ep.rank)  # the draws of np.random.default_rng(rank)
+    block = np.array([rng.random() for _ in range(CELLS_PER_RANK)])
     left = comm.rank - 1 if comm.rank > 0 else None
     right = comm.rank + 1 if comm.rank < comm.size - 1 else None
 

@@ -69,12 +69,6 @@ class WallClockRule(Rule):
 
 
 # ------------------------------------------------------------------ SIM002
-_RNG_CLASSES = frozenset({
-    "default_rng", "Generator", "SeedSequence", "BitGenerator",
-    "PCG64", "PCG64DXSM", "Philox", "MT19937", "SFC64", "RandomState",
-})
-
-
 @register
 class UnseededRandomRule(Rule):
     """All randomness must flow through the named-substream registry."""
@@ -82,9 +76,8 @@ class UnseededRandomRule(Rule):
     code = "SIM002"
     name = "unseeded-random"
     severity = "error"
-    description = ("ban stdlib random and numpy global-RNG calls outside "
-                   "sim/rand.py; np.random.default_rng() must get an "
-                   "explicit seed")
+    description = ("ban stdlib random and every numpy.random call, seeded "
+                   "generators included, outside sim/rand.py")
 
     def check(self, module: ModuleUnderLint) -> Iterator[Finding]:
         if module.path.endswith("sim/rand.py"):
@@ -113,20 +106,11 @@ class UnseededRandomRule(Rule):
                         f"unseeded stdlib {name}() — draw from a named "
                         f"RandomStreams substream instead")
                 elif name.startswith("numpy.random."):
-                    tail = name[len("numpy.random."):]
-                    if tail == "default_rng":
-                        if not node.args and not node.keywords:
-                            yield self.finding(
-                                module, node,
-                                "numpy.random.default_rng() without a seed "
-                                "— pass an explicit seed or use "
-                                "RandomStreams")
-                    elif tail not in _RNG_CLASSES:
-                        yield self.finding(
-                            module, node,
-                            f"numpy global-RNG call {name}() — global "
-                            f"numpy RNG state is shared and unseeded; use "
-                            f"RandomStreams")
+                    yield self.finding(
+                        module, node,
+                        f"numpy RNG call {name}() outside sim/rand.py — a "
+                        f"seeded generator too bypasses the named "
+                        f"substreams; use RandomStreams")
 
 
 # ------------------------------------------------------------------ SIM003

@@ -100,7 +100,7 @@ class ChaosPoint:
                                   replace=False))
         entries = []
         for idx in picks:
-            fail_at = float(rng.uniform(3 * self.quantum, 8 * self.quantum))
+            fail_at = rng.uniform(3 * self.quantum, 8 * self.quantum)
             rejoin_at = fail_at + 5 * self.quantum if self.rejoin else None
             entries.append(FailStop(pool[idx], fail_at, rejoin_at))
         return tuple(entries)

@@ -132,11 +132,11 @@ class FaultInjector:
             if not jobs:
                 continue
             ctx = firmware.installed_context(
-                jobs[int(rng.integers(len(jobs)))])
+                jobs[rng.integers(len(jobs))])
             queued = ctx.send_queue.snapshot()
             if not queued:
                 continue
-            packet = queued[int(rng.integers(len(queued)))]
+            packet = queued[rng.integers(len(queued))]
             if packet.corrupted:
                 continue  # already hit; one descriptor can't get worse
             nic.corrupt_descriptor(packet)

@@ -86,7 +86,7 @@ class ControlNetwork:
             if dst not in self._handlers:
                 raise RoutingError(f"control endpoint {dst} not registered")
             handler = self._handlers[dst]
-            skew = float(self._rng.uniform(0.0, self.spec.broadcast_skew))
+            skew = self._rng.uniform(0.0, self.spec.broadcast_skew)
             self.messages_sent += 1
             ev = self.sim.timeout(base + skew, value=message)
             ev.add_callback(lambda _ev, h=handler: h(src, message))

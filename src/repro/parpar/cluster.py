@@ -168,22 +168,26 @@ class ParParCluster:
     def __init__(self, config: ClusterConfig = ClusterConfig(),
                  sim: Optional[Simulator] = None):
         self.config = config
-        self.sim = sim if sim is not None else Simulator()
+        if sim is None:
+            sim = Simulator()
+        self.sim = sim
         self.fm_config = config.resolved_fm()
         self.policy = config.resolved_policy()
+        # The tracer clocks close over ``sim``, not ``self``: a closure
+        # over the cluster would keep it alive until a cyclic collection.
         # Telemetry first: the policy engine (below) threads the tracer
         # through its reallocation records.
         if config.telemetry:
             from repro.telemetry.session import Telemetry
             self.telemetry: Optional["Telemetry"] = Telemetry(
-                clock=lambda: self.sim.now)
+                clock=lambda: sim.now)
             self.tracer = self.telemetry.tracer
             self.spans = self.telemetry.spans
             self.sim.profiler = self.telemetry.profiler
         else:
             self.telemetry = None
             self.spans = None
-            self.tracer = (Tracer(clock=lambda: self.sim.now) if config.trace
+            self.tracer = (Tracer(clock=lambda: sim.now) if config.trace
                            else NullTracer())
         if getattr(self.policy, "dynamic", False):
             from repro.fm.policies.engine import PolicyEngine

@@ -29,9 +29,6 @@ Beyond the usual DES process semantics, this class supports
 and continues it after the buffer switch.  While suspended a process makes
 no progress; a wake-up event that fires during suspension is *deferred* and
 delivered when the process is resumed.
-
-Each process registers one pre-bound callback (``_step_cb``) instead of
-materialising a new bound method per yield.
 """
 
 from __future__ import annotations
@@ -65,7 +62,7 @@ class Process(Event):
     """
 
     __slots__ = ("name", "_gen", "_target", "_suspended", "_deferred",
-                 "_pending_interrupt", "_step_cb", "_sleep_token", "_event_seq",
+                 "_pending_interrupt", "_sleep_token", "_event_seq",
                  "_parked")
 
     def __init__(self, sim: Simulator, generator: Generator, name: str = ""):
@@ -78,7 +75,6 @@ class Process(Event):
         self._suspended = False
         self._deferred: Optional[Event] = None
         self._pending_interrupt: Optional[list] = None
-        self._step_cb = self._step  # one bound method, reused for every wait
         self._event_seq = -1   # seq of our termination entry in the calendar
         self._parked = False   # idle on ``yield PARK``, no calendar entry
         # Kick off at the current instant (but not synchronously), parked
@@ -201,7 +197,7 @@ class Process(Event):
             if target._waiter is self:
                 target._waiter = None
             else:
-                target.remove_callback(self._step_cb)
+                target.remove_callback(self._step)
             self._target = None
         self._advance(InterruptError(cause), throw=True)
 
@@ -282,7 +278,7 @@ class Process(Event):
         elif nxt._waiter is None and not callbacks:
             nxt._waiter = self
         else:
-            callbacks.append(self._step_cb)
+            callbacks.append(self._step)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "dead" if not self.is_alive else ("suspended" if self._suspended else "alive")

@@ -19,12 +19,9 @@ extraction site, not just in the final collection loop.
 
 from __future__ import annotations
 
-import hashlib
-
-import numpy as np
-
 from repro.errors import ConfigError
 from repro.fm.harness import Endpoint
+from repro.sim.rand import RandomStreams
 from repro.workloads.alltoall import (
     FENCE_BYTES,
     AllToAllStats,
@@ -89,11 +86,10 @@ def uniform_random_benchmark(rounds: int, message_bytes: int, seed: int = 0):
     _check(rounds, message_bytes)
 
     def workload(ep: Endpoint):
-        digest = hashlib.sha256(f"{seed}:{ep.rank}".encode()).digest()
-        rng = np.random.default_rng(int.from_bytes(digest[:8], "little"))
+        rng = RandomStreams(seed).stream(str(ep.rank))
 
         def destinations(_round, peers):
-            return [peers[int(rng.integers(len(peers)))]]
+            return [peers[rng.integers(len(peers))]]
 
         result = yield from _run_pattern(ep, rounds, destinations, message_bytes)
         return result

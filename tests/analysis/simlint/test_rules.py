@@ -30,10 +30,11 @@ RULE_FIXTURES = [
     ("SIM002",
      "import random\n\ndef draw():\n    return random.random()\n",
      "def draw(streams):\n    return streams.stream('x').random()\n"),
-    ("SIM002",  # unseeded numpy default_rng
-     "import numpy as np\n\ndef draw():\n    return np.random.default_rng()\n",
+    ("SIM002",  # a seeded numpy default_rng still bypasses RandomStreams
      "import numpy as np\n\ndef draw(seed):\n"
-     "    return np.random.default_rng(seed)\n"),
+     "    return np.random.default_rng(seed)\n",
+     "from repro.sim.rand import RandomStreams\n\ndef draw(seed):\n"
+     "    return RandomStreams(seed).stream('x')\n"),
     ("SIM002",  # numpy global-RNG function
      "import numpy as np\n\ndef draw():\n    return np.random.rand()\n",
      "import numpy as np\n\ndef draw(rng):\n    return rng.random()\n"),
@@ -136,6 +137,11 @@ RULE_FIXTURES = [
      "def run(self, spans):\n"
      "    h = spans.begin('drain')\n"
      "    self.pending.append(h)\n"),
+    ("SIM002",  # a hand-built numpy generator bypasses RandomStreams too
+     "from numpy.random import Generator, PCG64\n\ndef draw(seed):\n"
+     "    return Generator(PCG64(seed))\n",
+     "from repro.sim.rand import PCG64Stream\n\ndef draw(seed):\n"
+     "    return PCG64Stream(seed)\n"),
 ]
 
 

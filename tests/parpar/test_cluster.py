@@ -1,5 +1,8 @@
 """Integration tests: the full ParPar cluster with daemons and gang switching."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.fm.policies.static import FullBuffer, StaticPartition
@@ -151,3 +154,23 @@ class TestConfig:
     def test_with_overrides(self):
         cfg = ClusterConfig(num_nodes=4).with_overrides(quantum=0.5)
         assert cfg.quantum == 0.5 and cfg.num_nodes == 4
+
+
+class TestRunClusterIsFreedAtDel:
+    @pytest.mark.parametrize("telemetry", [False, True])
+    def test_cluster_goes_with_its_last_reference(self, telemetry):
+        """No clock closure or component holds the cluster itself, so a
+        run cluster is freed at ``del`` with the collector off.  Its
+        component graph (daemons, GlueFM, queues and the tracer they
+        share) still waits for a cyclic collection."""
+        cluster = small_cluster(telemetry=telemetry)
+        job = cluster.submit(JobSpec("bw", 2, bandwidth_benchmark(4, 1024)))
+        cluster.run_until_finished([job])
+        assert job.is_finished
+        ref = weakref.ref(cluster)
+        gc.disable()
+        try:
+            del cluster, job
+            assert ref() is None
+        finally:
+            gc.enable()

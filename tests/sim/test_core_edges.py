@@ -6,6 +6,9 @@ event budgets, callback removal and timeout reuse patterns, so a kernel
 change cannot silently change semantics.
 """
 
+import gc
+import weakref
+
 import pytest
 
 from repro.errors import SimulationError
@@ -185,7 +188,7 @@ class TestRemoveCallback:
         p = sim.process(waiter())
         sim.run(until=1.0)
         assert log == ["start"]
-        ev.remove_callback(p._step_cb)
+        ev.remove_callback(p._step)
         ev.succeed()
         sim.run()
         assert log == ["start"]
@@ -229,3 +232,29 @@ class TestTimeoutRecycling:
 
         sim.run_until_processed(sim.process(proc()))
         assert values == list(range(100))
+
+
+class TestFinishedProcessIsNotCyclic:
+    def test_finished_processes_free_without_a_collection(self, sim):
+        """A process keeps no reference to itself (such as a stored bound
+        method), so it goes at its last reference, not at the next
+        cyclic collection.  The generator stands in for the process:
+        Process has no ``__weakref__`` slot and owns its generator."""
+        ev = sim.event()
+
+        def waiter():
+            yield ev
+
+        # the first parks in the waiter slot, the second in callbacks
+        gens = [waiter(), waiter()]
+        procs = [sim.process(g) for g in gens]
+        sim.run(until=1.0)
+        ev.succeed()
+        sim.run()
+        refs = [weakref.ref(g) for g in gens]
+        gc.disable()
+        try:
+            del gens, procs
+            assert [r() for r in refs] == [None, None]
+        finally:
+            gc.enable()
