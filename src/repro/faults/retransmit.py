@@ -131,6 +131,10 @@ class ReliableFirmware(LanaiFirmware):
         #: reordering for exactly these (plus the injector's faulted set).
         self.retransmitted_seqs: set[int] = set()
 
+    def detach(self) -> None:
+        super().detach()
+        self.strategy.driver = None
+
     def _resolve_strategy(self, strategy):
         from repro.faults.strategies import make_strategy
 

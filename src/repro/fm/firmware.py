@@ -220,6 +220,16 @@ class LanaiFirmware:
                 outbox.append(Packet(ptype, me, dst))
         self.wake()
 
+    def detach(self) -> None:
+        """Run teardown: cut the links back to this firmware (the NIC's
+        ``firmware`` slot, glueFM's HALT/READY handlers, the wake kick on
+        each known context's send queue) that would keep a finished run
+        cyclic.  Counters stay readable."""
+        self.nic.firmware = None
+        self._halt_handler = self._ready_handler = None
+        for ctx in self._job_registry.values():
+            ctx.send_queue.off_nonempty(self.wake)
+
     # ------------------------------------------------------------------ main loop
     def wake(self) -> None:
         # Called on every queue append and packet arrival; the parked

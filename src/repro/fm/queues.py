@@ -106,6 +106,11 @@ class PacketQueue:
         if fn not in callbacks:
             callbacks.append(fn)
 
+    def off_nonempty(self, fn: Callable[[], None]) -> None:
+        """Drop a kick registered with :meth:`on_nonempty`, if present."""
+        if fn in self._nonempty_callbacks:
+            self._nonempty_callbacks.remove(fn)
+
     # -- mutation ------------------------------------------------------------
     def append(self, packet: Packet) -> None:
         """Enqueue; raises :class:`BufferOverflowError` when full.

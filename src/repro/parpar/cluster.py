@@ -20,6 +20,7 @@ Two operating modes reproduce the paper's comparison axis:
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
@@ -162,15 +163,38 @@ class ClusterConfig:
         return replace(self, **kwargs)
 
 
-class ParParCluster:
-    """A fully assembled, running cluster simulation."""
+def _teardown(sim: Simulator, fabric: MyrinetFabric,
+              control_net: ControlNetwork, glue: list) -> None:
+    """End a run that nothing can drive again, so that reference counting
+    frees its whole component graph.
 
-    def __init__(self, config: ClusterConfig = ClusterConfig(),
-                 sim: Optional[Simulator] = None):
+    Closing the simulator detaches and closes every unfinished process
+    (their ``finally`` clauses may still use the networks, so this comes
+    first) and clears the calendar; dropping the fabric and control
+    network registrations and the firmware back-edges cuts the cycles
+    that remain.  Only links are cut: every counter and result stays
+    readable.
+    """
+    sim.close()
+    for node_id in fabric.node_ids:
+        fabric.unregister(node_id)
+    for endpoint in control_net.endpoints:
+        control_net.unregister(endpoint)
+    for g in glue:
+        g.firmware.detach()
+
+
+class ParParCluster:
+    """A fully assembled, running cluster simulation.
+
+    The cluster owns its simulator.  When the cluster itself is freed
+    (it is acyclic, so that happens at its last reference), its
+    ``_finalizer`` tears the run down (:func:`_teardown`).
+    """
+
+    def __init__(self, config: ClusterConfig = ClusterConfig()):
         self.config = config
-        if sim is None:
-            sim = Simulator()
-        self.sim = sim
+        self.sim = sim = Simulator()
         self.fm_config = config.resolved_fm()
         self.policy = config.resolved_policy()
         # The tracer clocks close over ``sim``, not ``self``: a closure
@@ -203,6 +227,10 @@ class ParParCluster:
         self.nodes: list[HostNode] = []
         self.glue: list[GlueFM] = []
         self.nodeds: list[NodeDaemon] = []
+        # Holds the run's parts, never the cluster; not run at exit.
+        self._finalizer = weakref.finalize(
+            self, _teardown, sim, self.fabric, self.control_net, self.glue)
+        self._finalizer.atexit = False
 
         # Fault-injection & reliability wiring (chaos campaigns).
         retransmit = config.retransmit

@@ -28,6 +28,12 @@ equals registration order.
 
 The run loop is not re-entrant: a callback must not call
 :meth:`Simulator.run`/:meth:`Simulator.step` on the same simulator.
+
+:meth:`Simulator.close` ends a run for good.  A parked process, the
+event it waits on and the simulator reference one another, so an
+unfinished run is cyclic garbage; closing every unfinished process and
+clearing the calendar cuts those cycles, and reference counting frees
+the run when its last reference goes.
 """
 
 from __future__ import annotations
@@ -233,7 +239,8 @@ class AllOf(_Condition):
 class Simulator:
     """The event loop: a clock plus a ``(when, seq, entry)`` heap."""
 
-    __slots__ = ("_now", "_queue", "_seq", "_processed_count", "_profiler")
+    __slots__ = ("_now", "_queue", "_seq", "_processed_count", "_profiler",
+                 "_live")
 
     def __init__(self):
         self._now: float = 0.0
@@ -241,6 +248,9 @@ class Simulator:
         self._seq: int = 0
         self._processed_count: int = 0
         self._profiler = None
+        # Unfinished processes in start order (a dict, not a set, so
+        # close() visits them deterministically).
+        self._live: dict = {}
 
     # -- clock ------------------------------------------------------------
     @property
@@ -293,6 +303,25 @@ class Simulator:
 
     def all_of(self, events: Iterable[Event]) -> AllOf:
         return AllOf(self, events)
+
+    # -- teardown -----------------------------------------------------------
+    def close(self) -> None:
+        """End the run: close every unfinished process, then clear the calendar.
+
+        Each process is first detached from the event it waits on, then
+        its generator is closed, which runs its ``finally`` clauses.
+        Those may still trigger events or start processes, so the
+        calendar is cleared only after the last generator is closed.
+        The clock and :attr:`processed_events` keep their values.
+        Idempotent.
+        """
+        live = self._live
+        while live:
+            procs = list(live)
+            live.clear()
+            for proc in procs:
+                proc._close()
+        self._queue.clear()
 
     # -- scheduling ---------------------------------------------------------
     def _push(self, when: float, event: Event) -> int:

@@ -81,6 +81,7 @@ class Process(Event):
         # directly in the event calendar like a zero-second sleep: the run
         # loop resumes us with send(None), which starts the generator.
         self._sleep_token = sim._push(sim._now, self)
+        sim._live[self] = None
 
     # A Process is pushed into the calendar more than once (sleep entries
     # plus its own termination event), so the termination entry records its
@@ -92,12 +93,15 @@ class Process(Event):
         self._value = value
         sim = self.sim
         self._event_seq = sim._push(sim._now, self)
+        sim._live.pop(self, None)
         return self
 
     def fail(self, exc: BaseException) -> "Process":
-        seq = self.sim._seq
+        sim = self.sim
+        seq = sim._seq
         Event.fail(self, exc)
         self._event_seq = seq
+        sim._live.pop(self, None)
         return self
 
     # -- state --------------------------------------------------------------
@@ -187,9 +191,13 @@ class Process(Event):
     def _deliver_interrupt(self, cause: Any) -> None:
         if self._value is not _UNSET:
             return
-        # Detach from whatever we were waiting on; the old event may still
-        # fire later but must no longer wake us.  A pending bare-number
-        # sleep is invalidated by the token (its heap entry pops as stale).
+        self._detach()
+        self._advance(InterruptError(cause), throw=True)
+
+    def _detach(self) -> None:
+        """Stop waiting: the old event may still fire but must no longer
+        wake us.  A pending bare-number sleep is invalidated by the token
+        (its heap entry pops as stale)."""
         self._sleep_token = -1
         self._parked = False
         target = self._target
@@ -199,7 +207,17 @@ class Process(Event):
             else:
                 target.remove_callback(self._step)
             self._target = None
-        self._advance(InterruptError(cause), throw=True)
+
+    def _close(self) -> None:
+        """Run teardown (:meth:`Simulator.close`): detach, drop any
+        deferred wake or interrupt and the waiters on our termination
+        (which can no longer come), and close the generator."""
+        self._detach()
+        self._deferred = None
+        self._pending_interrupt = None
+        self.callbacks = []
+        self._waiter = None
+        self._gen.close()
 
     # -- generator driving ------------------------------------------------------
     def _step(self, event: Optional[Event], _unset=_UNSET) -> None:

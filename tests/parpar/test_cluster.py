@@ -5,6 +5,8 @@ import weakref
 
 import pytest
 
+from repro.faults.model import FaultSpec
+from repro.faults.strategies import STRATEGY_NAMES
 from repro.fm.policies.static import FullBuffer, StaticPartition
 from repro.gluefm.switch import FullCopy, ValidOnlyCopy
 from repro.parpar.cluster import ClusterConfig, ParParCluster
@@ -156,21 +158,142 @@ class TestConfig:
         assert cfg.quantum == 0.5 and cfg.num_nodes == 4
 
 
-class TestRunClusterIsFreedAtDel:
+@pytest.fixture
+def collector_off():
+    """Collect, then turn the collector off for the rest of the test."""
+    def off():
+        gc.collect()
+        gc.disable()
+    yield off
+    gc.enable()
+
+
+def _leaves_no_cyclic_garbage(run_point):
+    """Run a point twice, the second time with the collector off, and
+    check that nothing it built waits for a cyclic collection.  The
+    first run only imports what the point imports lazily."""
+    run_point()
+    gc.collect()
+    gc.disable()
+    try:
+        run_point()
+        return gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def _chaos(**overrides):
+    from repro.faults.chaos import ChaosPoint, run_chaos_point
+
+    params = dict(seed=3, nodes=4, drop=0.05, dup=0.02, jitter=0.05,
+                  rounds=10)
+    params.update(overrides)
+    return lambda: run_chaos_point(ChaosPoint(**params))
+
+
+class TestFinishedRunLeavesNoCyclicGarbage:
+    """A cluster is acyclic, so it goes at its last reference; its
+    finalizer then closes the simulator and cuts the network and
+    firmware back-edges, so reference counting frees the whole run."""
+
     @pytest.mark.parametrize("telemetry", [False, True])
-    def test_cluster_goes_with_its_last_reference(self, telemetry):
-        """No clock closure or component holds the cluster itself, so a
-        run cluster is freed at ``del`` with the collector off.  Its
-        component graph (daemons, GlueFM, queues and the tracer they
-        share) still waits for a cyclic collection."""
+    def test_cluster_goes_with_its_last_reference(self, telemetry,
+                                                  collector_off):
         cluster = small_cluster(telemetry=telemetry)
         job = cluster.submit(JobSpec("bw", 2, bandwidth_benchmark(4, 1024)))
         cluster.run_until_finished([job])
         assert job.is_finished
         ref = weakref.ref(cluster)
-        gc.disable()
-        try:
-            del cluster, job
-            assert ref() is None
-        finally:
-            gc.enable()
+        collector_off()
+        del cluster, job
+        assert ref() is None
+        assert gc.collect() == 0
+
+    def test_unfinished_run(self, collector_off):
+        """Jobs still loaded, contexts installed, processes parked."""
+        cluster = small_cluster()
+        cluster.submit(JobSpec("bw", 2, bandwidth_benchmark(400, 1024)))
+        cluster.run_for(0.002)
+        assert cluster.sim.peek() < float("inf")
+        collector_off()
+        del cluster
+        assert gc.collect() == 0
+
+    def test_figure6_cell(self):
+        from repro.experiments.figure6 import run_figure6
+
+        assert _leaves_no_cyclic_garbage(lambda: run_figure6(
+            jobs=(2,), message_sizes=(1024,), quanta_per_job=1.0))
+
+    def test_occamy_burst_cluster(self):
+        from repro.fm.config import FMConfig
+        from repro.workloads.synthetic import burst_benchmark
+
+        def run():
+            fm = FMConfig(max_contexts=4, num_processors=4,
+                          buffer_policy="occamy")
+            cluster = ParParCluster(ClusterConfig(
+                num_nodes=4, time_slots=4, quantum=0.002, fm=fm))
+            workload = burst_benchmark(10, 1, 256, quiet_time=400e-6)
+            jobs = [cluster.submit(JobSpec(f"storm{i}", 4, workload))
+                    for i in range(4)]
+            cluster.run_until_finished(jobs)
+            assert cluster.policy_engine is not None
+
+        assert _leaves_no_cyclic_garbage(run)
+
+    @pytest.mark.parametrize("strategy", STRATEGY_NAMES)
+    def test_chaos_point(self, strategy):
+        assert _leaves_no_cyclic_garbage(_chaos(strategy=strategy))
+
+    def test_chaos_point_with_sram_flips(self):
+        assert _leaves_no_cyclic_garbage(_chaos(sram=200.0))
+
+    def test_chaos_point_with_a_failstop(self):
+        assert _leaves_no_cyclic_garbage(_chaos(
+            drop=0.0, dup=0.0, jitter=0.0, failstops=1, rejoin=True,
+            requeue=True, rounds=200))
+
+    def test_explain_point(self):
+        from repro.telemetry.explain import run_explain
+
+        assert _leaves_no_cyclic_garbage(lambda: run_explain(
+            jobs=(2,), message_sizes=(1536,), messages=20))
+
+
+class TestTeardownOnlyCutsLinks:
+    @staticmethod
+    def _run():
+        cluster = small_cluster(
+            telemetry=True, faults=FaultSpec(drop_rate=0.05),
+            reliability_strategy="nack")
+        jobs = [cluster.submit(JobSpec(f"bw{i}", 2,
+                                       bandwidth_benchmark(20, 1024)))
+                for i in range(2)]
+        cluster.run_until_finished(jobs)
+        return cluster, jobs
+
+    @staticmethod
+    def _readings(cluster, jobs):
+        results = [{rank: repr(job.result_of(rank)) for rank in job.results}
+                   for job in jobs]
+        received = [noded.local_job(job_id).context.stats.packets_received
+                    for noded in cluster.nodeds
+                    for job_id in noded.hosted_jobs]
+        return results, received
+
+    def test_results_and_counters_read_the_same_after_teardown(self):
+        cluster, jobs = self._run()
+        before = self._readings(cluster, jobs)
+        assert sum(before[1]) > 0
+        cluster._finalizer()
+        assert not cluster._finalizer.alive
+        assert cluster.sim.peek() == float("inf")
+        assert self._readings(cluster, jobs) == before
+        torn_down = cluster.telemetry_snapshot()
+
+        twin, twin_jobs = self._run()
+        assert self._readings(twin, twin_jobs) == before
+        assert torn_down == twin.telemetry_snapshot()
+
+
