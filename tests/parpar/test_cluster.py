@@ -191,7 +191,7 @@ def _chaos(**overrides):
     return lambda: run_chaos_point(ChaosPoint(**params))
 
 
-class TestFinishedRunLeavesNoCyclicGarbage:
+class TestRunClusterIsFreedAtDel:
     """A cluster is acyclic, so it goes at its last reference; its
     finalizer then closes the simulator and cuts the network and
     firmware back-edges, so reference counting frees the whole run."""
