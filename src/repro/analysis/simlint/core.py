@@ -119,10 +119,6 @@ class Suppressions:
                 return True
         return False
 
-    @property
-    def pragma_lines(self) -> list[int]:
-        return sorted(self._by_line)
-
 
 class ModuleUnderLint:
     """One parsed source file plus the derived views rules share.
@@ -132,17 +128,11 @@ class ModuleUnderLint:
     once here instead of once per rule.
     """
 
-    def __init__(self, path: str, source: str, tree: Optional[ast.AST] = None):
+    def __init__(self, path: str, source: str):
         self.path = path            # repo-relative posix path
         self.source = source
-        self.tree = tree if tree is not None else ast.parse(source, filename=path)
+        self.tree = ast.parse(source, filename=path)
         self.suppressions = Suppressions(source)
-        #: set by ProjectIndex when this module is linted as part of a
-        #: whole-program run: the dotted module name and the shared index.
-        #: Standalone (per-module) linting leaves both None and the
-        #: interprocedural rules degrade to their local approximations.
-        self.module_name: Optional[str] = None
-        self.project = None         # ProjectIndex | None
         self._parents: Optional[dict] = None
         self._aliases: Optional[dict] = None
         self._generator_bodies: Optional[list] = None
@@ -330,21 +320,12 @@ def is_set_expr(node: ast.AST, known_attrs: Iterable[str] = (),
 
 # ---------------------------------------------------------------------- rules
 class Rule:
-    """Base class: subclasses set the metadata and implement check().
-
-    ``scope`` declares what a rule's findings depend on: ``"module"``
-    rules see one file at a time; ``"project"`` rules also read the
-    shared :class:`~repro.analysis.simlint.project.ProjectIndex`, so
-    their findings in one file can change when any other file in the
-    run changes.  :func:`lint_paths` builds the index only when a
-    project-scope rule is active.
-    """
+    """Base class: subclasses set the metadata and implement check()."""
 
     code: str = "SIM000"
     name: str = "abstract"
     severity: str = "error"
     description: str = ""
-    scope: str = "module"   # "module" | "project"
 
     def check(self, module: ModuleUnderLint) -> Iterator[Finding]:
         raise NotImplementedError
@@ -372,7 +353,6 @@ def register(cls):
 
 def all_rules() -> list[Rule]:
     """Registered rules in code order (imports the rule modules once)."""
-    from repro.analysis.simlint import interproc as _interproc  # noqa: F401
     from repro.analysis.simlint import rules as _rules  # noqa: F401
 
     return [_REGISTRY[code] for code in sorted(_REGISTRY)]
@@ -428,7 +408,7 @@ def relative_path(path: Path, root: Optional[Path] = None,
     A file outside ``root`` and outside any ``src`` tree is named
     relative to ``base``, the deepest directory holding every lint input
     (:func:`_inputs_base`): ``repro lint a b`` reports ``a/x.py`` and
-    ``b/x.py``, not ``x.py`` twice, and indexes them as two modules.
+    ``b/x.py``, not ``x.py`` twice.
     """
     resolved = path.resolve()
     if root is not None:
@@ -477,31 +457,21 @@ def lint_paths(paths: Iterable, root: Optional[Path] = None,
                rules: Optional[Iterable[Rule]] = None) -> LintResult:
     """Lint every ``*.py`` under ``paths``; findings in stable order.
 
-    This is the two-pass whole-program driver: pass one parses every
-    file and builds the shared
-    :class:`~repro.analysis.simlint.project.ProjectIndex` (symbol table
-    + call graph), pass two runs the rules with that cross-module
-    context attached to each module.  The index is built only when a
-    project-scope rule is active.
+    Each file is parsed and linted on its own, one pass per file: every
+    rule sees a single module, so no file's findings depend on another.
     """
-    from repro.analysis.simlint.project import ProjectIndex
-
     result = LintResult()
     active = list(rules) if rules is not None else all_rules()
-    modules: list = []
     paths = [Path(p) for p in paths]
     base = _inputs_base(paths)
     for path in _iter_py_files(paths):
         rel = relative_path(path, root, base)
         try:
-            modules.append(ModuleUnderLint(rel, path.read_bytes().decode()))
+            module = ModuleUnderLint(rel, path.read_bytes().decode())
         except (OSError, SyntaxError, UnicodeDecodeError, ValueError) as exc:
             result.parse_errors.append((rel, str(exc)))
-    result.files = len(modules)
-
-    if any(r.scope == "project" for r in active):
-        ProjectIndex(modules).attach()
-    for module in modules:
+            continue
+        result.files += 1
         result.findings.extend(lint_module(module, rules=active))
     result.findings.sort()
     return result

@@ -175,7 +175,7 @@ class ReliableFirmware(LanaiFirmware):
         self._timers.pop(tag, None)
 
     def _timer_proc(self, tag, epoch: int, delay: float):
-        yield self.sim.timeout(delay)
+        yield delay
         if self._dead or self._timers.get(tag) != epoch:
             return  # cancelled, re-armed, or the card died
         del self._timers[tag]

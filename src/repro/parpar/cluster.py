@@ -22,13 +22,9 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field, replace
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.errors import ConfigError, SimulationError
-from repro.faults.injector import FaultInjector
-from repro.faults.model import FaultSpec
-from repro.faults.retransmit import ReliableFirmware, RetransmitPolicy
-from repro.faults.strategies import DEFAULT_STRATEGY, STRATEGY_NAMES
 from repro.fm.config import FMConfig
 from repro.fm.policies.base import BufferPolicy
 from repro.fm.policies.static import FullBuffer, StaticPartition
@@ -47,6 +43,11 @@ from repro.parpar.recovery import RecoveryConfig, RecoveryStats, failstop_proces
 from repro.sim.core import Simulator
 from repro.sim.rand import RandomStreams
 from repro.sim.trace import NullTracer, Tracer
+
+if TYPE_CHECKING:
+    from repro.faults.injector import FaultInjector
+    from repro.faults.model import FaultSpec
+    from repro.faults.retransmit import RetransmitPolicy
 
 
 @dataclass(frozen=True)
@@ -138,6 +139,7 @@ class ClusterConfig:
 
     def resolved_strategy(self) -> str:
         """Reliability strategy resolution: cluster > fm > default name."""
+        from repro.faults.strategies import DEFAULT_STRATEGY, STRATEGY_NAMES
         name = self.reliability_strategy or self.resolved_fm().reliability_strategy
         if not name:
             return DEFAULT_STRATEGY
@@ -232,22 +234,27 @@ class ParParCluster:
             self, _teardown, sim, self.fabric, self.control_net, self.glue)
         self._finalizer.atexit = False
 
-        # Fault-injection & reliability wiring (chaos campaigns).
+        # Fault-injection & reliability wiring (chaos campaigns).  The
+        # faults layer is imported only by runs that use it.
+        faults_enabled = config.faults is not None and config.faults.enabled
         retransmit = config.retransmit
-        if (retransmit is None and config.faults is not None
-                and config.faults.enabled):
+        if retransmit is None and faults_enabled:
+            from repro.faults.retransmit import RetransmitPolicy
             retransmit = RetransmitPolicy()
         self.fault_injector: Optional[FaultInjector] = None
-        if config.faults is not None and config.faults.enabled:
+        if faults_enabled:
+            from repro.faults.injector import FaultInjector
             self.fault_injector = FaultInjector(
                 config.faults, self.rng.fork("faults"),
                 tracer=self.tracer, link=config.link)
             if config.faults.link_faults:
                 self.fabric.fault_injector = self.fault_injector
-        firmware_class = ReliableFirmware if retransmit is not None else None
-        firmware_kwargs = ({"retransmit": retransmit,
-                            "strategy": config.resolved_strategy()}
-                           if retransmit is not None else None)
+        firmware_class = firmware_kwargs = None
+        if retransmit is not None:
+            from repro.faults.retransmit import ReliableFirmware
+            firmware_class = ReliableFirmware
+            firmware_kwargs = {"retransmit": retransmit,
+                               "strategy": config.resolved_strategy()}
 
         self.recovery = config.resolved_recovery()
         self.recovery_stats: Optional[RecoveryStats] = (

@@ -170,8 +170,7 @@ def build_lineage(records: Iterable[TraceRecord]) -> List[MessageTrace]:
         elif kind == "pkt-enq":
             key = (f["node"], f["job"], f["msg"])
             trace = trace_of(key, rec.time)
-            frag = trace.frags.setdefault(f["frag"],
-                                          FragmentTrace(frag=f["frag"]))
+            frag = _fragment(trace, f["frag"])
             frag.seq = f.get("seq")
             frag.enqueued = rec.time
             if frag.seq is not None:
@@ -184,7 +183,7 @@ def build_lineage(records: Iterable[TraceRecord]) -> List[MessageTrace]:
             key = (f["node"], f["job"], msg)
             trace = trace_of(key, rec.time)
             index = f.get("frag", 0)
-            frag = trace.frags.setdefault(index, FragmentTrace(frag=index))
+            frag = _fragment(trace, index)
             if frag.seq is None and f.get("seq") is not None:
                 frag.seq = f["seq"]
                 seq_owner[(key[0], frag.seq)] = (key, index)
@@ -245,14 +244,22 @@ def build_lineage(records: Iterable[TraceRecord]) -> List[MessageTrace]:
     return ordered
 
 
+def _fragment(trace: MessageTrace, index: int) -> FragmentTrace:
+    """``trace``'s fragment ``index``, created only when it is missing."""
+    frag = trace.frags.get(index)
+    if frag is None:
+        frag = trace.frags[index] = FragmentTrace(frag=index)
+    return frag
+
+
 def _frag_by_seq(trace: MessageTrace, seq_owner: dict, key: tuple,
                  f: dict) -> FragmentTrace:
     seq = f.get("seq")
     owner = seq_owner.get((key[0], seq)) if seq is not None else None
     if owner is not None and owner[0] == key:
-        return trace.frags.setdefault(owner[1], FragmentTrace(frag=owner[1]))
+        return _fragment(trace, owner[1])
     # Fallback: single-fragment message or seq map incomplete.
-    frag = trace.frags.setdefault(0, FragmentTrace(frag=0))
+    frag = _fragment(trace, 0)
     if frag.seq is None and seq is not None:
         frag.seq = seq
     return frag

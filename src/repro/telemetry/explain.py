@@ -54,7 +54,7 @@ from repro.telemetry.attribution import (CAUSES, WindowIndex,
                                          summarize_attribution,
                                          summarize_stalls)
 from repro.telemetry.causal import (FragmentTrace, MessageTrace,
-                                    WindowBuilder, _frag_by_seq,
+                                    WindowBuilder, _frag_by_seq, _fragment,
                                     build_lineage, build_windows)
 from repro.telemetry.spans import Span
 from repro.workloads.bandwidth import bandwidth_benchmark
@@ -496,13 +496,6 @@ class ExplainStream:
                   for cause, cell in sorted(self.stalls.items())}
         return _analysis(len(order), per_message, incomplete, mismatches,
                          truncated, stalls, windows)
-
-
-def _fragment(trace: MessageTrace, index: int) -> FragmentTrace:
-    frag = trace.frags.get(index)
-    if frag is None:
-        frag = trace.frags[index] = FragmentTrace(frag=index)
-    return frag
 
 
 def _derive_reallocs(records: Iterable[TraceRecord]) -> List[dict]:

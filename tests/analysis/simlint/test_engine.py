@@ -1,9 +1,8 @@
-"""Engine-level tests: pragmas, reporters, registry, CLI."""
+"""Engine-level tests: pragmas, reporters, CLI."""
 
 import json
 
 from repro.analysis.simlint import (
-    all_rules,
     lint_module,
     lint_paths,
     render_json,
@@ -98,15 +97,6 @@ def lint_paths_for(source, tmp_name="module.py"):
     return lint_paths([tmp], root=tmp)
 
 
-# ----------------------------------------------------------------- registry
-def test_registry_has_the_fourteen_rules_in_order():
-    codes = [r.code for r in all_rules()]
-    assert codes == [f"SIM{n:03d}" for n in range(1, 15)]
-    assert all(r.severity in ("error", "warning") for r in all_rules())
-    assert all(r.description for r in all_rules())
-    assert all(r.scope in ("module", "project") for r in all_rules())
-
-
 # ------------------------------------------------------------- deduplication
 def test_overlapping_paths_count_each_file_once(tmp_path):
     sub = tmp_path / "pkg"
@@ -192,20 +182,13 @@ def test_shipped_tree_lints_clean_within_budget():
 # ------------------------------------------------------------ report paths
 def test_same_named_files_outside_the_root_stay_apart(tmp_path, capsys):
     """``repro lint a b`` over ``a/x.py`` and ``b/x.py``: two report
-    paths and two modules, not ``x.py`` twice."""
-    from repro.analysis.simlint import ProjectIndex, module_name_for
-    from repro.analysis.simlint.core import ModuleUnderLint
-
+    paths, not ``x.py`` twice."""
     for name in ("a", "b"):
         (tmp_path / name).mkdir()
         (tmp_path / name / "x.py").write_text(BAD)
     result = lint_paths([tmp_path / "a", tmp_path / "b"])
     paths = [f.path for f in result.findings]
     assert paths == ["a/x.py", "b/x.py"]
-    modules = [ModuleUnderLint(p, BAD) for p in paths]
-    index = ProjectIndex(modules)
-    assert [module_name_for(p) for p in paths] == ["a.x", "b.x"]
-    assert sorted(index.by_module_name) == ["a.x", "b.x"]
 
     assert main(["lint", str(tmp_path / "a"), str(tmp_path / "b")]) == 1
     out = capsys.readouterr().out

@@ -3,7 +3,7 @@ stays silent on a near-miss that a sloppier matcher would flag."""
 
 import pytest
 
-from repro.analysis.simlint import lint_module
+from repro.analysis.simlint import all_rules, lint_module
 from repro.analysis.simlint.core import ModuleUnderLint
 
 
@@ -99,44 +99,6 @@ RULE_FIXTURES = [
      "def bucket(name):\n    return hash(name) % 8\n",
      "import hashlib\n\ndef bucket(name):\n"
      "    return int(hashlib.sha256(name.encode()).hexdigest(), 16) % 8\n"),
-    ("SIM013",  # early return leaks the open span
-     "def run(self, spans):\n"
-     "    h = spans.begin('halt')\n"
-     "    if self.cond:\n"
-     "        return\n"
-     "    spans.end(h)\n",
-     # try/finally closes on every non-exception path
-     "def run(self, spans):\n"
-     "    h = spans.begin('halt')\n"
-     "    try:\n"
-     "        self.step()\n"
-     "    finally:\n"
-     "        spans.end(h)\n"),
-    ("SIM013",  # re-bind while the first span is still open
-     "def run(self, spans):\n"
-     "    h = spans.begin('a')\n"
-     "    h = spans.begin('b')\n"
-     "    spans.end(h)\n",
-     # the guarded begin/end idiom: both sites correlate on `if spans`
-     # and the close self-checks the handle, so no path leaks
-     "def run(self, spans):\n"
-     "    h = None\n"
-     "    if spans:\n"
-     "        h = spans.begin('halt')\n"
-     "    self.step()\n"
-     "    if spans and h is not None:\n"
-     "        spans.end(h)\n"),
-    ("SIM013",  # loop break path skips the close
-     "def run(self, spans, items):\n"
-     "    h = spans.begin('drain')\n"
-     "    for it in items:\n"
-     "        if it.bad:\n"
-     "            return None\n"
-     "    spans.end(h)\n",
-     # handing the handle off transfers ownership — not a leak
-     "def run(self, spans):\n"
-     "    h = spans.begin('drain')\n"
-     "    self.pending.append(h)\n"),
     ("SIM002",  # a hand-built numpy generator bypasses RandomStreams too
      "from numpy.random import Generator, PCG64\n\ndef draw(seed):\n"
      "    return Generator(PCG64(seed))\n",
@@ -176,123 +138,18 @@ def test_sim009_exempts_the_cli_layer():
 
 
 def test_finding_severities_match_catalogue():
-    severity = {f.rule: f.severity for fixture in RULE_FIXTURES
-                for f in findings_for(fixture[1])}
-    assert severity["SIM001"] == "error"
-    assert severity["SIM002"] == "error"
-    assert severity["SIM003"] == "warning"
-    assert severity["SIM006"] == "error"
-    assert severity["SIM008"] == "warning"
-    assert severity["SIM013"] == "warning"
-
-
-# ------------------------------------------------- project-scope fixtures
-def project_findings(sources, rule=None):
-    """Lint a multi-module fixture with full cross-module context.
-
-    ``sources`` maps repo-relative paths to source text; returns
-    ``{path: [findings]}`` (filtered to ``rule`` when given).
-    """
-    from repro.analysis.simlint import ProjectIndex
-
-    modules = {path: ModuleUnderLint(path, src)
-               for path, src in sources.items()}
-    ProjectIndex(modules.values()).attach()
-    return {path: [f for f in lint_module(m)
-                   if rule is None or f.rule == rule]
-            for path, m in modules.items()}
-
-
-# One (rule, positive tree, near-miss tree) triple per project rule; the
-# positive must flag exactly the file marked here, the near-miss none.
-# Unsuppressed source reads: these taint their callers.  (A pragma on
-# the source read would discharge downstream propagation by design.)
-_HELPER_CLOCK = "import time\n\ndef now():\n    return time.time()\n"
-_HELPER_SLEEP = "import time\n\ndef settle():\n    time.sleep(0.01)\n"
-
-PROJECT_FIXTURES = [
-    ("SIM011",  # consumer of a laundered wall-clock value
-     {"lib/helper.py": _HELPER_CLOCK,
-      "lib/model.py": ("from helper import now\n\n"
-                       "def step(self):\n    self.deadline = now() + 5\n")},
-     # pragma at the consuming call site discharges the finding
-     {"lib/helper.py": _HELPER_CLOCK,
-      "lib/model.py": ("from helper import now\n\n"
-                       "def step(self):\n"
-                       "    self.deadline = now() + 5"
-                       "  # simlint: ignore[SIM011] -- report-only path\n")}),
-    ("SIM011",  # a propagator is not a consumer: only real uses flag
-     {"lib/helper.py": _HELPER_CLOCK,
-      "lib/model.py": ("from helper import now\n\n"
-                       "def stamp():\n    return now()\n\n"
-                       "def act(self):\n    self.t0 = stamp()\n")},
-     {"lib/helper.py": _HELPER_CLOCK,
-      "lib/model.py": ("from helper import now\n\n"
-                       "def stamp():\n    return now()\n")}),
-    ("SIM012",  # generator reaches a blocking call one frame down
-     {"lib/helper.py": _HELPER_SLEEP,
-      "lib/model.py": ("from helper import settle\n\n"
-                       "def proc(sim):\n    settle()\n    yield 1.0\n")},
-     # the same callee from a plain function is not a sim-process stall
-     {"lib/helper.py": _HELPER_SLEEP,
-      "lib/model.py": ("from helper import settle\n\n"
-                       "def setup():\n    settle()\n")}),
-    ("SIM014",  # timer armed with no cancel and no stale guard
-     {"lib/strat.py": (
-         "class Probe(ReliabilityStrategy):\n"
-         "    def on_data_sent(self, driver, seq):\n"
-         "        driver.start_timer(('rto', seq), 0.5)\n")},
-     # cancel_timer reachable from a teardown hook clears the family
-     {"lib/strat.py": (
-         "class Probe(ReliabilityStrategy):\n"
-         "    def on_data_sent(self, driver, seq):\n"
-         "        driver.start_timer(('rto', seq), 0.5)\n"
-         "    def on_job_forgotten(self, driver, job):\n"
-         "        for seq in driver.live():\n"
-         "            driver.cancel_timer(('rto', seq))\n")}),
-    ("SIM014",  # stale-entry guard in on_timer also discharges the arm
-     {"lib/strat.py": (
-         "class Probe(ReliabilityStrategy):\n"
-         "    def on_data_sent(self, driver, seq):\n"
-         "        driver.start_timer(('rto', seq), 0.5)\n"
-         "    def on_timer(self, driver, tag):\n"
-         "        driver.retransmit(tag[1])\n")},
-     {"lib/strat.py": (
-         "class Probe(ReliabilityStrategy):\n"
-         "    def on_data_sent(self, driver, seq):\n"
-         "        driver.start_timer(('rto', seq), 0.5)\n"
-         "    def on_timer(self, driver, tag):\n"
-         "        entry = driver.outstanding_entry(tag[1])\n"
-         "        if entry is None:\n"
-         "            return\n"
-         "        driver.retransmit(tag[1])\n")}),
-]
-
-
-@pytest.mark.parametrize("rule,positive,near_miss", PROJECT_FIXTURES,
-                         ids=[f"{r}-{i}" for i, (r, _, _)
-                              in enumerate(PROJECT_FIXTURES)])
-def test_project_rule_fires_on_positive(rule, positive, near_miss):
-    by_file = project_findings(positive, rule=rule)
-    hits = [f for found in by_file.values() for f in found]
-    assert hits, f"{rule} missed its positive project fixture"
-
-
-@pytest.mark.parametrize("rule,positive,near_miss", PROJECT_FIXTURES,
-                         ids=[f"{r}-{i}" for i, (r, _, _)
-                              in enumerate(PROJECT_FIXTURES)])
-def test_project_rule_silent_on_near_miss(rule, positive, near_miss):
-    by_file = project_findings(near_miss, rule=rule)
-    hits = [f for found in by_file.values() for f in found]
-    assert not hits, \
-        f"{rule} false-positived: {[f.render() for f in hits]}"
-
-
-def test_project_rules_stay_silent_without_an_index():
-    # scope="project" rules must under-approximate to nothing when the
-    # module is linted standalone.
-    standalone = ("from helper import now\n\n"
-                  "def step(self):\n    self.deadline = now() + 5\n")
-    assert findings_for(standalone, rule="SIM011") == []
-    assert findings_for(standalone, rule="SIM012") == []
-    assert findings_for(standalone, rule="SIM014") == []
+    # The registry holds exactly the ten per-file rules, in code order.
+    assert [r.code for r in all_rules()] == \
+        [f"SIM{n:03d}" for n in range(1, 11)]
+    assert all(r.description for r in all_rules())
+    severity = {r.code: r.severity for r in all_rules()}
+    assert severity == {
+        "SIM001": "error", "SIM002": "error", "SIM003": "warning",
+        "SIM004": "warning", "SIM005": "warning", "SIM006": "error",
+        "SIM007": "error", "SIM008": "warning", "SIM009": "warning",
+        "SIM010": "error",
+    }
+    # Findings carry their rule's catalogue severity.
+    for fixture in RULE_FIXTURES:
+        for f in findings_for(fixture[1]):
+            assert f.severity == severity[f.rule]
