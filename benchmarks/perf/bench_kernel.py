@@ -29,8 +29,8 @@ warnings for >``--tolerance`` events/s regressions without failing.
 from __future__ import annotations
 
 import argparse
-import gc
 import json
+import os
 import platform
 import subprocess
 import sys
@@ -44,7 +44,6 @@ sys.path.insert(0, str(SRC))
 SEED_COMMIT = "369a02e"
 N = 300_000
 REPS = 3
-PROFILE_STRIDE = 32
 
 #: Recorded same-box seed constants (fallback when the seed commit is
 #: unreachable), interleaved best-of on the same shapes.
@@ -83,7 +82,7 @@ def _bare_sleep_ok():
 gc.disable()
 name = sys.argv[3]
 n = int(sys.argv[4])
-fn = mod.KERNEL_BENCHMARKS[name]
+fn = getattr(mod, "bench_" + name)
 if name == "sleep" and not _bare_sleep_ok():
     fn = mod.bench_timeout
 fn(max(n // 8, 2000))  # warm-up: allocator arenas, code paths
@@ -162,22 +161,21 @@ def main(argv: list[str] | None = None) -> int:
         print(f"  {name:<18} {best:>12,.0f} events/s   "
               f"seed {baseline:>9,.0f}   x{best / baseline:.2f}")
 
-    # Telemetry overhead: the sleep pattern with the sampling profiler
-    # attached at the stride the sweeps use.  The telemetry-off number
-    # must be unaffected (zero-cost-when-off).
-    from repro.sim.bench import bench_sleep_profiled
-    gc.disable()
-    profiled = max(bench_sleep_profiled(n, stride=PROFILE_STRIDE)
-                   for _ in range(reps))
-    gc.enable()
-    overhead = best_cur["sleep"] / profiled
+    # Telemetry overhead: the sleep pattern with the kernel profiler
+    # attached, observing every event as telemetry runs do.  Each
+    # profiled child runs right after a plain sleep child, so both sides
+    # of the ratio are measured the same way in one window.
+    off = profiled = 0.0
+    for _ in range(reps):
+        off = max(off, _measure_pattern(SRC, "sleep", n))
+        profiled = max(profiled, _measure_pattern(SRC, "sleep_profiled", n))
+    overhead = off / profiled
     results["sleep_profiled"] = {
         "events_per_sec": round(profiled),
-        "stride": PROFILE_STRIDE,
         "overhead_ratio_vs_off": round(overhead, 2),
     }
     print(f"  {'profiled':<18} {profiled:>12,.0f} events/s   "
-          f"telemetry overhead x{overhead:.2f} (stride={PROFILE_STRIDE})")
+          f"telemetry overhead x{overhead:.2f}")
 
     payload = {
         "benchmark": "des-kernel-microbench",
@@ -185,6 +183,7 @@ def main(argv: list[str] | None = None) -> int:
         "reps": reps,
         "statistic": "best-of",
         "python": platform.python_version(),
+        "host_cpus": os.cpu_count(),
         "seed_commit": SEED_COMMIT,
         "seed_source": seed_source,
         "same_instant_width": 4096,

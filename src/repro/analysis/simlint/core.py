@@ -123,9 +123,12 @@ class Suppressions:
 class ModuleUnderLint:
     """One parsed source file plus the derived views rules share.
 
-    The expensive derivations (import alias map, the set of generator
-    function bodies, self-attributes known to hold sets) are computed
-    once here instead of once per rule.
+    The module is walked once: :attr:`nodes` holds every node in
+    :func:`ast.walk` order and :attr:`parents` maps each child to its
+    parent.  Rules and the derived views (import alias map, generator
+    function bodies, names and self-attributes known to hold sets)
+    iterate :attr:`nodes` instead of walking the tree again, and each
+    view is computed once, on first use.
     """
 
     def __init__(self, path: str, source: str):
@@ -133,24 +136,23 @@ class ModuleUnderLint:
         self.source = source
         self.tree = ast.parse(source, filename=path)
         self.suppressions = Suppressions(source)
-        self._parents: Optional[dict] = None
+        # One breadth-first walk, in ast.walk order.
+        nodes = [self.tree]
+        parents: dict = {}
+        for node in nodes:
+            for child in ast.iter_child_nodes(node):
+                parents[child] = node
+                nodes.append(child)
+        #: every node of the module, in :func:`ast.walk` order
+        self.nodes: list = nodes
+        #: child node -> parent node, for upward walks
+        self.parents: dict = parents
         self._aliases: Optional[dict] = None
         self._generator_bodies: Optional[list] = None
         self._set_attrs: Optional[set] = None
         self._set_names: Optional[set] = None
 
     # -- shared derived views ------------------------------------------------
-    @property
-    def parents(self) -> dict:
-        """child node -> parent node, for upward walks."""
-        if self._parents is None:
-            parents: dict = {}
-            for node in ast.walk(self.tree):
-                for child in ast.iter_child_nodes(node):
-                    parents[child] = node
-            self._parents = parents
-        return self._parents
-
     @property
     def aliases(self) -> dict:
         """local name -> canonical dotted module path.
@@ -162,7 +164,7 @@ class ModuleUnderLint:
         """
         if self._aliases is None:
             aliases: dict = {}
-            for node in ast.walk(self.tree):
+            for node in self.nodes:
                 if isinstance(node, ast.Import):
                     for item in node.names:
                         local = item.asname or item.name.split(".")[0]
@@ -182,20 +184,14 @@ class ModuleUnderLint:
         firmware / workload process is a generator driven by the kernel.
         """
         if self._generator_bodies is None:
-            out = []
-            for node in ast.walk(self.tree):
-                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    for sub in ast.walk(node):
-                        if sub is node:
-                            continue
-                        if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef,
-                                            ast.Lambda)):
-                            continue  # don't descend into nested scopes here
-                        if isinstance(sub, (ast.Yield, ast.YieldFrom)) \
-                                and self.enclosing_function(sub) is node:
-                            out.append(node)
-                            break
-            self._generator_bodies = out
+            found = set()
+            for node in self.nodes:
+                if isinstance(node, (ast.Yield, ast.YieldFrom)):
+                    fn = self.enclosing_function(node)
+                    if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        found.add(fn)
+            self._generator_bodies = [node for node in self.nodes
+                                      if node in found]
         return self._generator_bodies
 
     @property
@@ -208,7 +204,7 @@ class ModuleUnderLint:
         """
         if self._set_names is None:
             names: set = set()
-            for node in ast.walk(self.tree):
+            for node in self.nodes:
                 target = value = annotation = None
                 if isinstance(node, ast.Assign) and len(node.targets) == 1:
                     target, value = node.targets[0], node.value
@@ -234,7 +230,7 @@ class ModuleUnderLint:
         """
         if self._set_attrs is None:
             attrs: set = set()
-            for node in ast.walk(self.tree):
+            for node in self.nodes:
                 target = value = annotation = None
                 if isinstance(node, ast.Assign) and len(node.targets) == 1:
                     target, value = node.targets[0], node.value

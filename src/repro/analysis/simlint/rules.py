@@ -57,7 +57,7 @@ class WallClockRule(Rule):
                    "Simulator clock, never the host")
 
     def check(self, module: ModuleUnderLint) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if not isinstance(node, ast.Call):
                 continue
             name = module.resolve(node.func)
@@ -82,7 +82,7 @@ class UnseededRandomRule(Rule):
     def check(self, module: ModuleUnderLint) -> Iterator[Finding]:
         if module.path.endswith("sim/rand.py"):
             return
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if isinstance(node, ast.Import):
                 for item in node.names:
                     if item.name == "random":
@@ -153,7 +153,7 @@ class SetIterationRule(Rule):
     def check(self, module: ModuleUnderLint) -> Iterator[Finding]:
         attrs = module.set_typed_attrs
         names = module.set_typed_names
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if isinstance(node, ast.For):
                 if is_set_expr(node.iter, attrs, names):
                     yield self.finding(
@@ -199,7 +199,7 @@ class IdOrderRule(Rule):
                    "field instead")
 
     def check(self, module: ModuleUnderLint) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if not (isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Name)
                     and node.func.id == "id"
@@ -247,7 +247,7 @@ class FloatSetAccumulationRule(Rule):
     def check(self, module: ModuleUnderLint) -> Iterator[Finding]:
         attrs = module.set_typed_attrs
         names = module.set_typed_names
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if not (isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Name)
                     and node.func.id == "sum" and node.args):
@@ -298,7 +298,7 @@ class RawDelayRule(Rule):
 
     def check(self, module: ModuleUnderLint) -> Iterator[Finding]:
         gen_ids = set(map(id, module.generator_bodies))
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if not isinstance(node, ast.Yield) or node.value is None:
                 continue
             fn = module.enclosing_function(node)
@@ -340,22 +340,21 @@ class BlockingHostCallRule(Rule):
         if not generators:
             return
         gen_ids = set(map(id, generators))
-        for fn in generators:
-            for node in ast.walk(fn):
-                if not isinstance(node, ast.Call):
-                    continue
-                owner = module.enclosing_function(node)
-                if owner is None or id(owner) not in gen_ids:
-                    continue
-                name = module.resolve(node.func)
-                if name is None:
-                    continue
-                if name in _BLOCKING_EXACT or \
-                        name.startswith(_BLOCKING_PREFIXES):
-                    yield self.finding(
-                        module, node,
-                        f"blocking host call {name}() inside a sim-process "
-                        f"body — yield a simulated delay instead")
+        for node in module.nodes:
+            if not isinstance(node, ast.Call):
+                continue
+            owner = module.enclosing_function(node)
+            if owner is None or id(owner) not in gen_ids:
+                continue
+            name = module.resolve(node.func)
+            if name is None:
+                continue
+            if name in _BLOCKING_EXACT or \
+                    name.startswith(_BLOCKING_PREFIXES):
+                yield self.finding(
+                    module, node,
+                    f"blocking host call {name}() inside a sim-process "
+                    f"body — yield a simulated delay instead")
 
 
 # ------------------------------------------------------------------ SIM008
@@ -393,7 +392,7 @@ class TraceSideEffectRule(Rule):
                    "effects there break on==off bit-identity")
 
     def check(self, module: ModuleUnderLint) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if not (isinstance(node, ast.Call)
                     and isinstance(node.func, ast.Attribute)
                     and node.func.attr in _TRACE_METHODS
@@ -435,7 +434,7 @@ class EnvAccessRule(Rule):
     def check(self, module: ModuleUnderLint) -> Iterator[Finding]:
         if module.path.endswith(_CLI_BASENAMES):
             return
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if isinstance(node, ast.Attribute):
                 name = module.resolve(node)
                 if name in ("os.environ", "sys.argv"):
@@ -471,7 +470,7 @@ class ProcessEntropyRule(Rule):
                    "hashlib.sha256")
 
     def check(self, module: ModuleUnderLint) -> Iterator[Finding]:
-        for node in ast.walk(module.tree):
+        for node in module.nodes:
             if not isinstance(node, ast.Call):
                 continue
             name = module.resolve(node.func)

@@ -67,8 +67,10 @@ def _measure_point(send_kib: int, recv_kib: int, message_bytes: int,
     sim = Simulator()
     telem = None
     if telemetry:
+        from repro.sim.trace import DEFAULT_TRACE_LIMIT, Tracer
         from repro.telemetry.session import Telemetry
-        telem = Telemetry(clock=lambda: sim.now)
+        telem = Telemetry(Tracer(clock=lambda: sim.now,
+                                 limit=DEFAULT_TRACE_LIMIT))
         sim.profiler = telem.profiler
     net = FMNetwork(sim, num_nodes=2, config=config, strict_no_loss=True,
                     tracer=telem.tracer if telem is not None else None)

@@ -483,7 +483,7 @@ class ReliableFirmware(LanaiFirmware):
         stats.packets_received += 1
         stats.bytes_received += packet.payload_bytes
         tracer = self.tracer
-        if tracer.enabled and tracer.wants("pkt-deliver"):
+        if tracer.enabled:
             tracer.record("pkt-deliver", node=self.nic.node_id,
                           src=packet.src_node, seq=seq, job=packet.job_id,
                           msg=packet.msg_id)

@@ -1,7 +1,7 @@
 """Pluggable ACK/NACK reliability strategies for the FM firmware.
 
 The registry maps stable names (the ``--strategy`` CLI vocabulary, the
-``FMConfig.reliability_strategy`` field) to strategy classes:
+``ClusterConfig.reliability_strategy`` field) to strategy classes:
 
 - ``per-packet`` — positive ack per packet, fixed exponential backoff
   (the original hardwired behaviour; the regression anchor);

@@ -108,20 +108,15 @@ class FMLibrary:
         sim = self.sim
         src_node, job_id, src_rank = ctx.node_id, ctx.job_id, ctx.rank
         tracer = self.tracer
-        # Causal-tracing gates, resolved once per message: off-run cost is
-        # one attribute test; a kinds-filtered tracer pays three set lookups.
-        if tracer.enabled:
-            want_start = tracer.wants("msg-start")
-            want_enq = tracer.wants("pkt-enq")
-            want_stall = tracer.wants("stall")
-        else:
-            want_start = want_enq = want_stall = False
+        # Causal-tracing gate, resolved once per message: off-run cost is
+        # one attribute test.
+        traced = tracer.enabled
         # == cfg.packets_for(nbytes): a zero-byte message is one packet.
         nfrags = -(-nbytes // payload_cap) or 1
         pio_rate = cfg.pio_rate
         packet_overhead = cfg.host_packet_overhead
         last = nfrags - 1
-        if want_start:
+        if traced:
             tracer.record("msg-start", node=src_node, job=job_id,
                           msg=msg_id, dst=dst_node, dst_rank=dst_rank,
                           nbytes=nbytes, frags=nfrags)
@@ -140,7 +135,7 @@ class FMLibrary:
             overhead = 0.0
             stall_start = -1.0
             while len(queued) >= send_queue.capacity:
-                if want_stall and stall_start < 0.0:
+                if traced and stall_start < 0.0:
                     stall_start = sim._now
                 yield send_queue.wait_space()
             if stall_start >= 0.0:
@@ -152,7 +147,7 @@ class FMLibrary:
             # packet (the credit-conservation audits check exactly that).
             stall_start = -1.0
             while not credits.try_acquire_send(dst_node):
-                if want_stall and stall_start < 0.0:
+                if traced and stall_start < 0.0:
                     stall_start = sim._now
                 yield credits.wait_send(dst_node)
             if stall_start >= 0.0:
@@ -168,7 +163,7 @@ class FMLibrary:
                             credits.take_piggyback(dst_node), 0, -1, -1, tag,
                             payload_obj if index == last else None)
             send_queue.append(packet)
-            if want_enq:
+            if traced:
                 tracer.record("pkt-enq", node=src_node, job=job_id,
                               msg=msg_id, frag=index, seq=packet.seq,
                               dst=dst_node)
@@ -217,10 +212,10 @@ class FMLibrary:
         if consumed[src_node] >= credits.refill_threshold:
             yield self.host.cpu.busy(cfg.refill_send_overhead)
             tracer = self.tracer
-            want_stall = tracer.enabled and tracer.wants("stall")
+            traced = tracer.enabled
             stall_start = -1.0
             while ctx.send_queue.is_full:
-                if want_stall and stall_start < 0.0:
+                if traced and stall_start < 0.0:
                     stall_start = self.sim.now
                 yield ctx.send_queue.wait_space()
             if stall_start >= 0.0:

@@ -52,19 +52,9 @@ class FMConfig:
     #: string keeps the caller-supplied / mode-derived default
     buffer_policy: str = ""
 
-    # -- reliability ---------------------------------------------------------
-    #: registered ACK/NACK strategy name (see
-    #: ``repro.faults.strategies.STRATEGIES``); empty string keeps the
-    #: default (``per-packet``).  Only honoured when the reliability
-    #: firmware is loaded (faults enabled or an explicit RetransmitPolicy).
-    reliability_strategy: str = ""
-
     def __post_init__(self):
         if not isinstance(self.buffer_policy, str):
             raise ConfigError("buffer_policy must be a policy name string")
-        if not isinstance(self.reliability_strategy, str):
-            raise ConfigError(
-                "reliability_strategy must be a strategy name string")
         if self.packet_bytes <= self.header_bytes:
             raise ConfigError("packet_bytes must exceed header_bytes")
         if self.header_bytes < 0:

@@ -319,7 +319,7 @@ class LanaiFirmware:
             # The injection time has passed: put the packet on the fabric.
             fabric.transmit(node_id, packet.dst_node, packet)
             self.packets_sent += 1
-            if tracer.enabled and tracer.wants("pkt-tx"):
+            if tracer.enabled:
                 tracer.record("pkt-tx", node=node_id,
                               ptype=packet.ptype.value,
                               dst=packet.dst_node, job=packet.job_id,
@@ -424,7 +424,7 @@ class LanaiFirmware:
         stats.packets_received += 1
         stats.bytes_received += packet.payload_bytes
         tracer = self.tracer
-        if tracer.enabled and tracer.wants("pkt-deliver"):
+        if tracer.enabled:
             tracer.record("pkt-deliver", node=self.nic.node_id,
                           src=packet.src_node, seq=packet.seq,
                           job=packet.job_id, msg=packet.msg_id)

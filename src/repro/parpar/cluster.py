@@ -42,12 +42,14 @@ from repro.parpar.noded import NodeDaemon
 from repro.parpar.recovery import RecoveryConfig, RecoveryStats, failstop_process
 from repro.sim.core import Simulator
 from repro.sim.rand import RandomStreams
-from repro.sim.trace import NullTracer, Tracer
+from repro.sim.trace import DEFAULT_TRACE_LIMIT, NullTracer, Tracer
 
 if TYPE_CHECKING:
     from repro.faults.injector import FaultInjector
     from repro.faults.model import FaultSpec
     from repro.faults.retransmit import RetransmitPolicy
+    from repro.telemetry.session import Telemetry
+    from repro.telemetry.spans import SpanEmitter
 
 
 @dataclass(frozen=True)
@@ -68,11 +70,13 @@ class ClusterConfig:
     ethernet: EthernetSpec = field(default_factory=EthernetSpec)
     strict_no_loss: bool = True
     seed: int = 0
+    #: Record the run's trace (packet, switch-span and scheduling
+    #: records) into the cluster's one tracer.
     trace: bool = False
-    #: Unified telemetry (metrics registry + kernel profiler + span
-    #: tracing).  Implies tracing; off by default because observability
-    #: must never tax the measured runs — see the determinism contract in
-    #: :mod:`repro.telemetry.session`.
+    #: Unified telemetry: the metrics registry and the kernel profiler on
+    #: top of the trace.  Implies tracing; off by default because
+    #: observability must never tax the measured runs — see the
+    #: determinism contract in :mod:`repro.telemetry.session`.
     telemetry: bool = False
     #: Alternative node-daemon class (ablations, e.g. SHARE-style
     #: unflushed switching); must subclass NodeDaemon.
@@ -85,9 +89,8 @@ class ClusterConfig:
     #: :class:`~repro.faults.retransmit.ReliableFirmware` on every NIC.
     retransmit: Optional[RetransmitPolicy] = None
     #: ACK/NACK strategy name (see ``repro.faults.strategies``).  Empty
-    #: string defers to ``fm.reliability_strategy``, then the default
-    #: (``per-packet``).  Only takes effect when the reliability
-    #: firmware is loaded.
+    #: string keeps the default (``per-packet``).  Only takes effect when
+    #: the reliability firmware is loaded.
     reliability_strategy: str = ""
     #: Failure detection / eviction / reintegration knobs.  Defaulted
     #: automatically whenever ``faults`` schedules a fail-stop — a node
@@ -138,9 +141,9 @@ class ClusterConfig:
         return resolved
 
     def resolved_strategy(self) -> str:
-        """Reliability strategy resolution: cluster > fm > default name."""
+        """The reliability strategy name, defaulted and checked."""
         from repro.faults.strategies import DEFAULT_STRATEGY, STRATEGY_NAMES
-        name = self.reliability_strategy or self.resolved_fm().reliability_strategy
+        name = self.reliability_strategy
         if not name:
             return DEFAULT_STRATEGY
         if name not in STRATEGY_NAMES:
@@ -199,22 +202,24 @@ class ParParCluster:
         self.sim = sim = Simulator()
         self.fm_config = config.resolved_fm()
         self.policy = config.resolved_policy()
-        # The tracer clocks close over ``sim``, not ``self``: a closure
-        # over the cluster would keep it alive until a cyclic collection.
-        # Telemetry first: the policy engine (below) threads the tracer
+        # One tracer per traced run, shared by every component; telemetry
+        # adds the registry and the kernel profiler on top of it.  The
+        # tracer clock closes over ``sim``, not ``self``: a closure over
+        # the cluster would keep it alive until a cyclic collection.  The
+        # tracer comes first: the policy engine (below) threads it
         # through its reallocation records.
+        traced = config.trace or config.telemetry
+        self.tracer = (Tracer(clock=lambda: sim.now, limit=DEFAULT_TRACE_LIMIT)
+                       if traced else NullTracer())
+        self.spans: Optional["SpanEmitter"] = None
+        if traced:
+            from repro.telemetry.spans import SpanEmitter
+            self.spans = SpanEmitter(self.tracer)
+        self.telemetry: Optional["Telemetry"] = None
         if config.telemetry:
             from repro.telemetry.session import Telemetry
-            self.telemetry: Optional["Telemetry"] = Telemetry(
-                clock=lambda: sim.now)
-            self.tracer = self.telemetry.tracer
-            self.spans = self.telemetry.spans
-            self.sim.profiler = self.telemetry.profiler
-        else:
-            self.telemetry = None
-            self.spans = None
-            self.tracer = (Tracer(clock=lambda: sim.now) if config.trace
-                           else NullTracer())
+            self.telemetry = Telemetry(self.tracer)
+            sim.profiler = self.telemetry.profiler
         if getattr(self.policy, "dynamic", False):
             from repro.fm.policies.engine import PolicyEngine
             self.policy_engine: Optional[PolicyEngine] = PolicyEngine(

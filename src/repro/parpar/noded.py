@@ -82,8 +82,8 @@ class NodeDaemon:
         #: Chaos-campaign hook: consulted once per switch for daemon
         #: stall/crash disruptions (see repro.faults.injector).
         self.fault_injector = fault_injector
-        #: Telemetry hook: a SpanEmitter (truthy when recording) that
-        #: `_switch` uses to trace the three-stage protocol.
+        #: The run's SpanEmitter on traced runs (None otherwise): `_switch`
+        #: traces the three-stage protocol through it.
         self.spans = spans
         self.node = node
         self.glue = glue
@@ -183,7 +183,7 @@ class NodeDaemon:
         is tolerated there, so this stays an unconditional record.
         """
         spans = self.spans
-        if spans:
+        if spans is not None:
             spans.tracer.record(kind, node=self.node.node_id, job=job_id)
 
     # ------------------------------------------------------------------ job loading
@@ -287,7 +287,7 @@ class NodeDaemon:
         started = self.sim.now
         spans = self.spans
         switch_span = None
-        if spans:
+        if spans is not None:
             switch_span = spans.begin(
                 "gang-switch", category="switch", node=self.node.node_id,
                 sequence=sequence, out_job=out_job, in_job=in_job)
@@ -304,12 +304,12 @@ class NodeDaemon:
             halt_s = switch_s = release_s = 0.0
             out_send = out_recv = 0
         else:
-            if spans:
+            if spans is not None:
                 stage = spans.begin("halt", category="switch",
                                     parent=switch_span,
                                     node=self.node.node_id)
             halt_s = yield from self.glue.COMM_halt_network()
-            if spans:
+            if spans is not None:
                 spans.end(stage)
                 stage = spans.begin("swap", category="switch",
                                     parent=switch_span,
@@ -318,14 +318,14 @@ class NodeDaemon:
                 out_job, in_job, sequence=sequence)
             switch_s = report.duration
             out_send, out_recv = report.out_send_valid, report.out_recv_valid
-            if spans:
+            if spans is not None:
                 spans.end(stage, out_send_valid=out_send,
                           out_recv_valid=out_recv)
                 stage = spans.begin("release", category="switch",
                                     parent=switch_span,
                                     node=self.node.node_id)
             release_s = yield from self.glue.COMM_release_network()
-            if spans:
+            if spans is not None:
                 spans.end(stage)
 
         if in_local is not None and in_local.process is not None:
@@ -333,7 +333,7 @@ class NodeDaemon:
             in_local.process.resume()  # SIGCONT
             self._record_sched("job-go", in_job)
 
-        if spans and switch_span is not None:
+        if switch_span is not None:
             spans.end(switch_span)
         self.current_slot = new_slot
         self.recorder.add(SwitchRecord(

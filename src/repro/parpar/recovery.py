@@ -117,12 +117,12 @@ class RecoveryStats:
 
     # -- spans ---------------------------------------------------------------
     def _begin(self, table: dict, name: str, node: int) -> None:
-        if self.spans:
+        if self.spans is not None:
             table[node] = self.spans.begin(name, category="recovery", node=node)
 
     def _end(self, table: dict, node: int, **args) -> None:
         span = table.pop(node, None)
-        if self.spans and span is not None:
+        if span is not None:
             self.spans.end(span, **args)
 
     def begin_detect(self, node: int) -> None:

@@ -189,20 +189,17 @@ def bench_far_horizon(n: int) -> float:
     return sim.processed_events / (time.perf_counter() - t0)  # simlint: ignore[SIM001] -- microbenchmark measures host wall time by design
 
 
-def bench_sleep_profiled(n: int, stride: int = 32) -> float:
-    """The ``sleep`` pattern with the sampling kernel profiler attached.
+def bench_sleep_profiled(n: int) -> float:
+    """The ``sleep`` pattern with the kernel profiler attached.
 
     Measures what telemetry *costs*: with a profiler attached the run
-    loop observes every ``stride``-th event (exact event
-    totals, scaled attribution — see :mod:`repro.telemetry.profiler`),
-    so the ratio against :func:`bench_sleep` is the price of
-    ``--telemetry`` at the stride the sweeps use.  Pass ``stride=1`` to
-    measure exhaustive (every-event) attribution instead.
+    loop observes every event, so the ratio against :func:`bench_sleep`
+    is the price of ``--telemetry`` on the cheapest event.
     """
     from repro.telemetry.profiler import KernelProfiler
 
     sim = Simulator()
-    sim.profiler = KernelProfiler(stride=stride)
+    sim.profiler = KernelProfiler()
 
     def proc():
         for _ in range(n):

@@ -239,7 +239,7 @@ class AllOf(_Condition):
 class Simulator:
     """The event loop: a clock plus a ``(when, seq, entry)`` heap."""
 
-    __slots__ = ("_now", "_queue", "_seq", "_processed_count", "_profiler",
+    __slots__ = ("_now", "_queue", "_seq", "_processed_count", "profiler",
                  "_live")
 
     def __init__(self):
@@ -247,7 +247,11 @@ class Simulator:
         self._queue: list = []
         self._seq: int = 0
         self._processed_count: int = 0
-        self._profiler = None
+        #: The attached :class:`~repro.telemetry.profiler.KernelProfiler`,
+        #: or None.  The run loop reads it once per ``run()`` call and,
+        #: with one attached, observes every entry, which changes nothing
+        #: observable (the telemetry determinism tests pin this).
+        self.profiler = None
         # Unfinished processes in start order (a dict, not a set, so
         # close() visits them deterministically).
         self._live: dict = {}
@@ -257,22 +261,6 @@ class Simulator:
     def now(self) -> float:
         """Current simulated time in seconds."""
         return self._now
-
-    # -- profiling --------------------------------------------------------
-    @property
-    def profiler(self):
-        """The attached :class:`~repro.telemetry.profiler.KernelProfiler`.
-
-        A falsy (disabled) profiler is stored as None.  The run loop reads
-        it once per ``run()`` call; with one attached it samples every
-        ``stride``-th entry, which changes nothing observable (the
-        telemetry determinism tests pin this).
-        """
-        return self._profiler
-
-    @profiler.setter
-    def profiler(self, profiler) -> None:
-        self._profiler = profiler if profiler else None
 
     @property
     def processed_events(self) -> int:
@@ -409,11 +397,9 @@ class Simulator:
         horizon = _INF if until is None else until
         budget = _INF if max_events is None else max_events
         count = 0
-        prof = self._profiler
+        prof = self.profiler
         if prof is not None:
             observe = prof.observe
-            stride = prof.stride
-            k = prof._phase
             prev_now = self._now
             t0 = perf_counter()  # simlint: ignore[SIM001] -- profiler accounts host wall time; never feeds sim state
         try:
@@ -428,13 +414,8 @@ class Simulator:
                 self._now = when
                 count += 1
                 if prof is not None:
-                    # Sample every stride-th entry, charging it the
-                    # simulated time since the previous sample.
-                    k -= 1
-                    if k <= 0:
-                        k = stride
-                        observe(prev_now, when, ev)
-                        prev_now = when
+                    observe(prev_now, when, ev)
+                    prev_now = when
                 if ev.__class__ is proc_cls:
                     # Sleep wake-up, termination, or stale entry: see step().
                     if ev._sleep_token == seq:
@@ -457,6 +438,5 @@ class Simulator:
         finally:
             self._processed_count += count
             if prof is not None:
-                prof._phase = k
                 prof.account_events(count)
                 prof.account_wall(perf_counter() - t0)  # simlint: ignore[SIM001] -- profiler accounts host wall time; never feeds sim state

@@ -10,6 +10,11 @@ from __future__ import annotations
 
 from typing import Any, Callable, Iterator, Optional
 
+#: Record cap of every traced run: roomy for experiment runs, finite for
+#: streaming workloads (the tracer self-disables and flags ``truncated``
+#: at the cap).
+DEFAULT_TRACE_LIMIT = 2_000_000
+
 
 class TraceRecord:
     """One trace entry: a timestamped, typed, tagged observation.
@@ -49,26 +54,18 @@ class TraceRecord:
 
 
 class Tracer:
-    """Collects :class:`TraceRecord` objects; can be disabled for speed.
+    """Collects :class:`TraceRecord` objects; off costs one attribute test.
 
-    ``kinds`` restricts recording to an allow-list, which keeps hot-path
-    tracing (per-packet events) out of long experiment runs.
-
-    Truthiness is the O(1) hot-path guard: models write
-    ``if tracer: tracer.record(...)`` so that when no recorder is attached
-    (the :class:`NullTracer` default, which is always falsy) a per-packet
-    trace point costs a single boolean check — no call, no kwargs dict.
-    When the tracer *is* on but a ``kinds`` filter is active, the kwargs
-    dict for ``record(kind, **fields)`` is still built by the interpreter
-    at the call site; per-packet sites therefore guard with
-    ``if tracer and tracer.wants("pkt-tx"):`` so a filtered-out kind costs
-    one membership test instead of a dict build plus a discarded call.
+    ``enabled`` is the O(1) hot-path guard: models write
+    ``if tracer.enabled: tracer.record(...)`` (or ``if tracer:``) so that
+    when no recorder is attached (the :class:`NullTracer` default, which
+    is always off) a per-packet trace point costs a single attribute
+    test: no call, no kwargs dict.
 
     ``limit`` caps the record stream so an unbounded run cannot silently
     exhaust memory: once ``limit`` records have been made the tracer
-    disables itself (all ``if tracer:`` guards go cold) and sets
-    ``truncated`` so consumers can tell a complete stream from a clipped
-    one.
+    disables itself (all guards go cold) and sets ``truncated`` so
+    consumers can tell a complete stream from a clipped one.
 
     :meth:`stream` hands each record to a sink as it is made, and may
     stop the tracer keeping them: an online consumer then never holds the
@@ -77,12 +74,10 @@ class Tracer:
     reporting an empty stream.
     """
 
-    def __init__(self, clock: Callable[[], float], enabled: bool = True,
-                 kinds: Optional[set[str]] = None,
+    def __init__(self, clock: Callable[[], float],
                  limit: Optional[int] = None):
         self._clock = clock
-        self.enabled = enabled
-        self.kinds = kinds
+        self.enabled = True
         self.limit = limit
         self.truncated = False
         self.records: list[TraceRecord] = []
@@ -93,21 +88,8 @@ class Tracer:
     def __bool__(self) -> bool:
         return self.enabled
 
-    def wants(self, kind: str) -> bool:
-        """Would a record of ``kind`` be kept?  (Hot-path pre-check: lets
-        callers skip building the kwargs dict for filtered-out kinds.)"""
-        if not self.enabled:
-            return False
-        kinds = self.kinds
-        return kinds is None or kind in kinds
-
     def record(self, kind: str, **fields: Any) -> None:
         if not self.enabled:
-            return
-        kinds = self.kinds
-        if kinds is not None and kind not in kinds:
-            # Filtered out: return before constructing the TraceRecord
-            # (and before touching the clock or the record list).
             return
         limit = self.limit
         if limit is not None and self.count >= limit:
@@ -174,14 +156,10 @@ class Tracer:
 class NullTracer(Tracer):
     """A tracer that drops everything (used as a default).
 
-    Always falsy, so ``if tracer:`` guards skip record() calls entirely.
+    Always off, so ``if tracer.enabled:`` guards skip record() calls
+    entirely.
     """
 
     def __init__(self):
-        super().__init__(clock=lambda: 0.0, enabled=False)
-
-    def __bool__(self) -> bool:
-        return False
-
-    def record(self, kind: str, **fields: Any) -> None:  # pragma: no cover
-        return
+        super().__init__(clock=lambda: 0.0)
+        self.enabled = False

@@ -2,8 +2,8 @@
 
 Everything observability-related lives here so the simulation layers stay
 clean: they either expose deterministic counters that get *harvested*
-post-run, or carry a truthiness-guarded tracer/span emitter whose cost is
-one boolean check when telemetry is off.
+post-run, or record into the run's one tracer, whose cost is one
+attribute test when tracing is off.
 
 Layout:
 
@@ -44,9 +44,9 @@ from repro.telemetry.registry import (Counter, Gauge, Histogram,
                                       merge_snapshots)
 from repro.telemetry.schema import (load_snapshot_schema, validate,
                                     validate_snapshot)
-from repro.telemetry.session import (DEFAULT_TRACE_LIMIT, SNAPSHOT_SCHEMA,
-                                     Telemetry, harvest_cluster,
-                                     harvest_network,
+from repro.sim.trace import DEFAULT_TRACE_LIMIT
+from repro.telemetry.session import (SNAPSHOT_SCHEMA, Telemetry,
+                                     harvest_cluster, harvest_network,
                                      merge_unified_snapshots)
 from repro.telemetry.spans import (Span, SpanEmitter, build_spans,
                                    derive_packet_spans,

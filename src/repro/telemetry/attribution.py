@@ -141,9 +141,9 @@ def attribute_message(trace: MessageTrace,
 
     Returns ``{"latency": s, "causes": {cause: seconds}}`` (every cause
     key present, zero-filled) or ``None`` when the trace is incomplete —
-    a truncated stream, a kinds-filtered tracer, or a message still in
-    flight when the run ended.  Pass a :class:`WindowIndex` when
-    attributing many messages against the same windows, or the live
+    a truncated stream or a message still in flight when the run ended.
+    Pass a :class:`WindowIndex` when attributing many messages against
+    the same windows, or the live
     :class:`~repro.telemetry.causal.WindowBuilder` of a stream that has
     just completed ``trace``.
     """

@@ -37,8 +37,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 from repro.sim.trace import TraceRecord
 from repro.telemetry.spans import Span
 
-#: record kinds the lineage builder consumes (a tracer restricted to
-#: these kinds yields full causal traces at minimum cost)
+#: record kinds the lineage builder consumes
 CAUSAL_KINDS = frozenset((
     "msg-start", "pkt-enq", "pkt-tx", "pkt-deliver", "pkt-drop",
     "msg-recv", "stall", "rto-retransmit", "rto-give-up",
@@ -138,10 +137,10 @@ def build_lineage(records: Iterable[TraceRecord]) -> List[MessageTrace]:
     """Replay a record stream into per-message causal traces.
 
     Returns messages ordered by ``(started, src_node, job, msg_id)``
-    (unstarted messages — possible only under a kinds filter or
-    truncation — sort first by the earliest record that mentioned them).
-    Records are consumed in stream order; the builder never reorders, so
-    the same stream always yields the same lineage.
+    (unstarted messages — possible only in a clipped stream — sort
+    first by the earliest record that mentioned them).  Records are
+    consumed in stream order; the builder never reorders, so the same
+    stream always yields the same lineage.
     """
     messages: Dict[tuple, MessageTrace] = {}
     seq_owner: Dict[tuple, tuple] = {}     # (src, seq) -> (key, frag)

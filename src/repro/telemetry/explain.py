@@ -81,14 +81,10 @@ def _run_point(jobs: int, message_bytes: int, messages: int, quantum: float,
     cluster = ParParCluster(ClusterConfig(
         num_nodes=2, time_slots=max(jobs, 1), quantum=quantum,
         buffer_switching=True, switch_algorithm=ValidOnlyCopy(), fm=fm,
-        seed=seed, telemetry=True,
+        seed=seed, trace=True,
     ))
-    # Explain reads only the trace stream: detach the bundle's every-event
-    # kernel profiler, whose profile nobody reads (results are identical
-    # with or without it).
-    cluster.sim.profiler = None
     stream = ExplainStream()
-    tracer = cluster.telemetry.tracer
+    tracer = cluster.tracer
     tracer.stream(stream.feed, keep_records=keep_records)
     workload = bandwidth_benchmark(messages, message_bytes)
     submitted = [cluster.submit(JobSpec(f"bw{i}", 2, workload))

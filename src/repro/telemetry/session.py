@@ -1,11 +1,12 @@
-"""The Telemetry bundle: one object wiring registry, profiler, and spans.
+"""The Telemetry bundle: a registry and a profiler over the run's tracer.
 
 A :class:`Telemetry` is what a simulation carries when observability is
 on: a :class:`~repro.telemetry.registry.MetricsRegistry` (the metric
-sink), a :class:`~repro.telemetry.profiler.KernelProfiler` (attached to
-the Simulator), a :class:`~repro.sim.trace.Tracer` (bounded by default so
-long runs cannot exhaust memory silently), and a
-:class:`~repro.telemetry.spans.SpanEmitter` over that tracer.
+sink) and a :class:`~repro.telemetry.profiler.KernelProfiler` (attached
+to the Simulator), on top of the run's one
+:class:`~repro.sim.trace.Tracer`.  The run builds that tracer (capped at
+:data:`~repro.sim.trace.DEFAULT_TRACE_LIMIT` records so long runs cannot
+exhaust memory silently) and hands it in.
 
 Component counters are *harvested* at snapshot time rather than double-
 written on hot paths: the firmwares, fabric, switch recorder, fault
@@ -23,37 +24,24 @@ deterministic by construction: no wall-clock value enters it unless
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional
+from typing import Iterable
 
 from repro.sim.trace import Tracer
 from repro.telemetry.profiler import KernelProfiler, merge_profiles
 from repro.telemetry.registry import MetricsRegistry, merge_snapshots
-from repro.telemetry.spans import (SpanEmitter, build_spans,
-                                   derive_packet_spans,
+from repro.telemetry.spans import (build_spans, derive_packet_spans,
                                    derive_retransmit_spans, summarize_spans)
 
 SNAPSHOT_SCHEMA = "repro-telemetry/1"
 
-#: Default record cap — roomy for experiment runs, finite for streaming
-#: workloads (the tracer self-disables and flags ``truncated`` at the cap).
-DEFAULT_TRACE_LIMIT = 2_000_000
-
 
 class Telemetry:
-    """Everything one simulation needs to be observable."""
+    """Everything one traced simulation adds to be observable."""
 
-    def __init__(self, clock: Callable[[], float], enabled: bool = True,
-                 trace_kinds: Optional[set] = None,
-                 trace_limit: Optional[int] = DEFAULT_TRACE_LIMIT):
-        self.enabled = enabled
+    def __init__(self, tracer: Tracer):
+        self.tracer = tracer
         self.registry = MetricsRegistry()
-        self.profiler = KernelProfiler(enabled=enabled)
-        self.tracer = Tracer(clock=clock, enabled=enabled, kinds=trace_kinds,
-                             limit=trace_limit)
-        self.spans = SpanEmitter(self.tracer)
-
-    def __bool__(self) -> bool:
-        return self.enabled
+        self.profiler = KernelProfiler()
 
     # ------------------------------------------------------------------ spans
     def all_spans(self):

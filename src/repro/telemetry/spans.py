@@ -51,18 +51,14 @@ class Span:
 class SpanEmitter:
     """Emits span-begin/span-end records onto a tracer.
 
-    Truthy exactly when the underlying tracer records (so call sites
-    guard with ``if spans:`` and pay one boolean check when tracing is
-    off).  Ids increase monotonically in emission order, which is
-    simulation event order — deterministic.
+    Only traced runs build one, so call sites guard with
+    ``if spans is not None:``.  Ids increase monotonically in emission
+    order, which is simulation event order — deterministic.
     """
 
     def __init__(self, tracer: Tracer):
         self.tracer = tracer
         self._next_id = 0
-
-    def __bool__(self) -> bool:
-        return bool(self.tracer)
 
     def begin(self, name: str, category: str = "",
               parent: Optional[int] = None, **args) -> int:
@@ -101,7 +97,7 @@ def build_spans(records: Iterable[TraceRecord],
         elif kind == SPAN_END:
             begin = open_spans.pop(rec.fields["span"], None)
             if begin is None:
-                continue    # end without begin: kinds filter ate the begin
+                continue    # end without begin: the begin is not in this stream
             closed.append(_make_span(begin, rec.time, rec.fields))
     clip_fields = {"truncated": True} if truncated else {}
     for span_id in sorted(open_spans):

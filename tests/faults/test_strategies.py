@@ -88,17 +88,10 @@ class TestRegistry:
 
 # ================================================================ config wiring
 class TestConfigWiring:
-    def test_fm_config_rejects_non_string(self):
-        with pytest.raises(ConfigError, match="strategy name string"):
-            FMConfig(reliability_strategy=7)
-
     def test_cluster_resolution_order(self):
         from repro.parpar.cluster import ClusterConfig
         assert ClusterConfig().resolved_strategy() == DEFAULT_STRATEGY
-        fm = FMConfig(reliability_strategy="cumulative")
-        assert ClusterConfig(fm=fm).resolved_strategy() == "cumulative"
-        # The cluster-level name wins over the FM-level one.
-        assert ClusterConfig(fm=fm, reliability_strategy="nack") \
+        assert ClusterConfig(reliability_strategy="nack") \
             .resolved_strategy() == "nack"
 
     def test_cluster_rejects_unknown_name(self):

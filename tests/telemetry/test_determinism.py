@@ -54,6 +54,24 @@ class TestTelemetryIsInvisible:
         assert snapshot["metrics"]["audit.ok"]["value"] == 1
         assert snapshot["metrics"]["reliability.retransmits"]["value"] > 0
 
+    def test_figure_reliability_point_unchanged(self):
+        from repro.experiments.figure_reliability import (
+            _measure_point as measure_reliability)
+
+        base = dict(strategy="nack", drop=0.05, rounds=6,
+                    message_bytes=1024, seed=2)
+        off = measure_reliability(telemetry=False, **base)
+        on = measure_reliability(telemetry=True, **base)
+        assert off.telemetry is None
+        assert on.telemetry is not None
+        assert on.retransmit_epochs > 0
+        for field in dataclasses.fields(off):
+            if field.name == "telemetry":
+                continue
+            assert getattr(off, field.name) == getattr(on, field.name), \
+                field.name
+        assert validate_snapshot(on.telemetry) == []
+
     def test_snapshot_itself_is_reproducible(self):
         from repro.experiments.figure6 import ValidOnlyCopy
 
@@ -86,3 +104,31 @@ class TestSerialVersusParallel:
         total = sum(p.telemetry["metrics"]["fm.packets_sent"]["value"]
                     for p in serial)
         assert merged_serial["metrics"]["fm.packets_sent"]["value"] == total
+
+
+class TestOneTracer:
+    """A trace-only run records exactly what a telemetry run records:
+    both go through the cluster's one tracer.  Message ids and wire seqs
+    are process-global counters, so both streams are normalized first."""
+
+    @staticmethod
+    def _burst_records(**observe):
+        from repro.parpar.cluster import ClusterConfig, ParParCluster
+        from repro.parpar.job import JobSpec
+        from repro.telemetry.explain import normalize_records
+        from repro.workloads.synthetic import burst_benchmark
+
+        cluster = ParParCluster(ClusterConfig(
+            num_nodes=2, time_slots=2, quantum=0.002, seed=1, **observe))
+        workload = burst_benchmark(40, 1, 256, quiet_time=400e-6)
+        jobs = [cluster.submit(JobSpec(f"burst{i}", 2, workload))
+                for i in range(2)]
+        cluster.run_until_finished(jobs)
+        return [(r.time, r.kind, r.fields)
+                for r in normalize_records(cluster.tracer.records)]
+
+    def test_trace_only_run_records_the_telemetry_stream(self):
+        traced = self._burst_records(trace=True)
+        assert traced == self._burst_records(telemetry=True)
+        kinds = {kind for _, kind, _ in traced}
+        assert {"job-stop", "job-go", "span-begin", "span-end"} <= kinds

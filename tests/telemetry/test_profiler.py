@@ -44,11 +44,6 @@ class TestProfilerHook:
     def test_simulator_has_no_profiler_by_default(self):
         assert Simulator().profiler is None
 
-    def test_disabled_profiler_not_attached(self):
-        sim = Simulator()
-        sim.profiler = KernelProfiler(enabled=False)
-        assert sim.profiler is None
-
     def test_profiled_run_counts_every_event(self):
         prof = KernelProfiler()
         sim = _drive(prof)
@@ -118,115 +113,3 @@ class TestSnapshotAndMerge:
         prof.publish(reg)
         assert reg.counter("kernel.events").value == prof.events
         assert "kernel.ticker.events" in reg
-
-
-class TestSampling:
-    def test_stride_must_be_positive(self):
-        import pytest
-
-        with pytest.raises(ValueError, match="stride"):
-            KernelProfiler(stride=0)
-
-    def test_event_totals_exact_at_any_stride(self):
-        for stride in (1, 3, 7, 64):
-            prof = KernelProfiler(stride=stride)
-            sim = _drive(prof)
-            assert prof.events == sim.processed_events
-
-    def test_sampled_results_identical_to_unprofiled(self):
-        baseline = _drive(None)
-        sampled = _drive(KernelProfiler(stride=5))
-        assert sampled.now == baseline.now
-        assert sampled.processed_events == baseline.processed_events
-
-    def test_component_events_scaled_by_stride(self):
-        stride = 4
-        prof = KernelProfiler(stride=stride)
-        sim = _drive(prof)
-        snap = prof.snapshot()
-        scaled_total = sum(c["events"] for c in snap["components"].values())
-        # samples * stride brackets the exact total to within one stride
-        # per component (the last partial stride is unobserved).
-        assert scaled_total == prof.samples * stride
-        assert abs(scaled_total - sim.processed_events) <= stride * (
-            len(snap["components"]) + 1)
-
-    def test_sampled_sim_seconds_cover_the_run(self):
-        prof = KernelProfiler(stride=3)
-        sim = _drive(prof)
-        snap = prof.snapshot()
-        total = sum(c["sim_seconds"] for c in snap["components"].values())
-        # Inter-sample deltas charge the full span between samples, so
-        # the sum covers the run up to the final partial stride.
-        assert 0 < total <= sim.now
-
-    def test_stride_one_snapshot_has_no_sampling_section(self):
-        prof = KernelProfiler()
-        _drive(prof)
-        assert "sampling" not in prof.snapshot()
-
-    def test_sampled_snapshot_reports_stride_and_samples(self):
-        prof = KernelProfiler(stride=6)
-        sim = _drive(prof)
-        snap = prof.snapshot()
-        assert snap["sampling"]["stride"] == 6
-        assert snap["sampling"]["samples"] == prof.samples
-        assert prof.samples == sim.processed_events // 6
-
-    def test_phase_persists_across_runs(self):
-        # Two runs through one profiler sample the same grid as one run
-        # of the combined stream: the phase carries over.
-        prof = KernelProfiler(stride=7)
-        sim = Simulator()
-        sim.profiler = prof
-
-        def ticker(n):
-            for _ in range(n):
-                yield 1.0
-
-        p1 = sim.process(ticker(10), name="a-1")
-        sim.run()
-        p2 = sim.process(ticker(10), name="a-2")
-        sim.run()
-        assert prof.samples == prof.events // 7
-
-    def test_merge_keeps_stride_when_uniform(self):
-        snaps = []
-        for _ in range(2):
-            prof = KernelProfiler(stride=5)
-            _drive(prof)
-            snaps.append(prof.snapshot())
-        merged = merge_profiles(snaps)
-        assert merged["sampling"]["stride"] == 5
-        assert merged["sampling"]["samples"] == sum(
-            s["sampling"]["samples"] for s in snaps)
-
-    def test_merge_drops_stride_when_mixed(self):
-        snaps = []
-        for stride in (2, 8):
-            prof = KernelProfiler(stride=stride)
-            _drive(prof)
-            snaps.append(prof.snapshot())
-        merged = merge_profiles(snaps)
-        assert "stride" not in merged["sampling"]
-        assert merged["events"] == sum(s["events"] for s in snaps)
-
-    def test_merge_of_unsampled_profiles_stays_unsampled(self):
-        snaps = []
-        for _ in range(2):
-            prof = KernelProfiler()
-            _drive(prof)
-            snaps.append(prof.snapshot())
-        assert "sampling" not in merge_profiles(snaps)
-
-    def test_publish_scales_component_events(self):
-        stride = 4
-        prof = KernelProfiler(stride=stride)
-        _drive(prof)
-        registry = MetricsRegistry()
-        prof.publish(registry)
-        snap = prof.snapshot()
-        metrics = registry.snapshot()
-        assert metrics["kernel.events"]["value"] == prof.events
-        for name, entry in snap["components"].items():
-            assert metrics[f"kernel.{name}.events"]["value"] == entry["events"]

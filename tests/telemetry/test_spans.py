@@ -1,6 +1,6 @@
 """Span emission, reconstruction, and derived packet/retransmit spans."""
 
-from repro.sim.trace import NullTracer, TraceRecord, Tracer
+from repro.sim.trace import TraceRecord, Tracer
 from repro.telemetry.spans import (SpanEmitter, build_spans,
                                    derive_packet_spans,
                                    derive_retransmit_spans, summarize_spans)
@@ -15,10 +15,6 @@ class _Clock:
 
 
 class TestSpanEmitter:
-    def test_truthiness_follows_tracer(self):
-        assert not SpanEmitter(NullTracer())
-        assert SpanEmitter(Tracer(clock=lambda: 0.0))
-
     def test_ids_monotonic(self):
         spans = SpanEmitter(Tracer(clock=lambda: 0.0))
         assert spans.begin("a") == 0
