@@ -69,8 +69,7 @@ def _measure_point(send_kib: int, recv_kib: int, message_bytes: int,
     if telemetry:
         from repro.sim.trace import DEFAULT_TRACE_LIMIT, Tracer
         from repro.telemetry.session import Telemetry
-        telem = Telemetry(Tracer(clock=lambda: sim.now,
-                                 limit=DEFAULT_TRACE_LIMIT))
+        telem = Telemetry(Tracer(clock=sim.clock, limit=DEFAULT_TRACE_LIMIT))
         sim.profiler = telem.profiler
     net = FMNetwork(sim, num_nodes=2, config=config, strict_no_loss=True,
                     tracer=telem.tracer if telem is not None else None)

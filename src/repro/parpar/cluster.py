@@ -204,12 +204,12 @@ class ParParCluster:
         self.policy = config.resolved_policy()
         # One tracer per traced run, shared by every component; telemetry
         # adds the registry and the kernel profiler on top of it.  The
-        # tracer clock closes over ``sim``, not ``self``: a closure over
+        # tracer clock is bound to ``sim``, not ``self``: a reference to
         # the cluster would keep it alive until a cyclic collection.  The
         # tracer comes first: the policy engine (below) threads it
         # through its reallocation records.
         traced = config.trace or config.telemetry
-        self.tracer = (Tracer(clock=lambda: sim.now, limit=DEFAULT_TRACE_LIMIT)
+        self.tracer = (Tracer(clock=sim.clock, limit=DEFAULT_TRACE_LIMIT)
                        if traced else NullTracer())
         self.spans: Optional["SpanEmitter"] = None
         if traced:

@@ -257,10 +257,12 @@ class Simulator:
         self._live: dict = {}
 
     # -- clock ------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current simulated time in seconds."""
+    def clock(self) -> float:
+        """Current simulated time in seconds (:attr:`now` as a method: a
+        tracer clock that costs one call)."""
         return self._now
+
+    now = property(clock, doc="Current simulated time in seconds.")
 
     @property
     def processed_events(self) -> int:

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.sim.trace import TraceRecord
 from repro.telemetry.spans import Span
@@ -71,10 +71,13 @@ class FragmentTrace:
         """The wire copy that plausibly delivered: last tx at or before
         the delivery (a spurious retransmit after a lost ack can fire
         *later* than the delivery and must not be mistaken for it)."""
-        if self.delivered is None or not self.tx_times:
+        delivered = self.delivered
+        if delivered is None or not self.tx_times:
             return None
-        before = [t for t in self.tx_times if t <= self.delivered]
-        return before[-1] if before else self.tx_times[0]
+        for t in reversed(self.tx_times):
+            if t <= delivered:
+                return t
+        return self.tx_times[0]
 
 
 @dataclass(slots=True)
@@ -89,7 +92,6 @@ class MessageTrace:
     nbytes: Optional[int] = None
     frag_count: Optional[int] = None
     started: Optional[float] = None        # msg-start: FM_send entry
-    sent: Optional[float] = None           # msg-send: last fragment PIOed
     completed: Optional[float] = None      # msg-recv: reassembly finished
     frags: Dict[int, FragmentTrace] = field(default_factory=dict)
     stalls: List[Tuple[str, float, float]] = field(default_factory=list)
@@ -111,22 +113,29 @@ class MessageTrace:
             return False
         if self.frag_count is None or len(self.frags) < self.frag_count:
             return False
-        return all(f.enqueued is not None and f.tx_times
-                   and f.delivered is not None
-                   for f in self.frags.values())
+        for f in self.frags.values():
+            if f.enqueued is None or not f.tx_times or f.delivered is None:
+                return False
+        return True
 
     def completing_fragment(self) -> Optional[FragmentTrace]:
         """The fragment whose delivery finished the message (latest
-        delivery; per-pair FIFO makes it the last one extracted)."""
-        delivered = [f for f in self.frags.values()
-                     if f.delivered is not None]
-        if not delivered:
-            return None
-        return max(delivered, key=lambda f: (f.delivered, f.frag))
+        delivery, then highest index; per-pair FIFO makes it the last one
+        extracted)."""
+        last = None
+        for f in self.frags.values():
+            if f.delivered is not None and (
+                    last is None
+                    or (f.delivered, f.frag) > (last.delivered, last.frag)):
+                last = f
+        return last
 
     @property
     def retransmits(self) -> int:
-        return sum(f.retransmits for f in self.frags.values())
+        total = 0
+        for f in self.frags.values():
+            total += f.retransmits
+        return total
 
     @property
     def drops(self) -> int:
@@ -211,7 +220,7 @@ def build_lineage(records: Iterable[TraceRecord]) -> List[MessageTrace]:
         elif kind == "msg-send":
             key = (f["node"], f["job"], f.get("msg_id", f.get("msg")))
             if key[2] is not None:
-                trace_of(key, rec.time).sent = rec.time
+                trace_of(key, rec.time)
         elif kind == "stall":
             msg = f.get("msg", -1)
             if msg is None or msg < 0:
@@ -285,11 +294,17 @@ def _dup_owner(seq_owner: dict, seq_first: dict,
 Interval = Tuple[float, float]
 
 
-def _clip(intervals: Iterable[Interval], lo: float,
-          hi: float) -> List[Interval]:
+def _clip(intervals: Sequence[Interval], lo: float, hi: float,
+          first: int = 0, stop: Optional[int] = None) -> List[Interval]:
+    """The non-empty pieces of ``intervals[first:stop]`` inside
+    ``[lo, hi]``, in order, without copying the slice.  A piece is
+    ``(max(start, lo), min(end, hi))``; the conditional expressions pick
+    the same operand those builtins pick, ties included."""
     out = []
-    for start, end in intervals:
-        s, e = max(start, lo), min(end, hi)
+    for i in range(first, len(intervals) if stop is None else stop):
+        start, end = intervals[i]
+        s = lo if lo > start else start
+        e = hi if hi < end else end
         if e > s:
             out.append((s, e))
     return out
@@ -325,12 +340,20 @@ class LiveIntervals:
         """The pieces inside ``[lo, hi]``, for ``hi`` no later than the
         last record fed.  An open window closes at or after that record,
         so it clips exactly as its final interval will."""
-        pieces = _clip(self.closed[bisect_right(self.ends, lo):], lo, hi)
+        pieces = _clip(self.closed, lo, hi, bisect_right(self.ends, lo))
         if self.open is not None:
             start = max(self.open, lo)
             if hi > start:
                 pieces.append((start, hi))
         return pieces
+
+    def misses(self, lo: float, hi: float) -> bool:
+        """O(1): is :meth:`clip` sure to return no piece?  True when every
+        closed interval ends at or before ``lo`` (``ends[-1]`` is the
+        latest end) and no window is open before ``hi``."""
+        ends = self.ends
+        return ((not ends or ends[-1] <= lo)
+                and (self.open is None or self.open >= hi))
 
 
 class WindowBuilder:

@@ -40,6 +40,7 @@ analysis must match byte for byte); a point keeps its records only for
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.experiments.common import point_seed, run_points
@@ -176,12 +177,12 @@ def analyze_records(records: Sequence[TraceRecord], truncated: bool = False,
     per_message: List[dict] = []
     incomplete = 0
     for index, trace in enumerate(traces):
-        att = attribute_message(trace, indexed)
+        frag = trace.completing_fragment()
+        att = attribute_message(trace, indexed, frag)
         if att is None:
             incomplete += 1
             continue
-        per_message.append(_row(index, trace, att,
-                                trace.completing_fragment()))
+        per_message.append(_row(index, trace, att, frag))
     mismatches = sum(map(_mismatched, per_message))
     return _analysis(len(traces), per_message, incomplete, mismatches,
                      truncated, summarize_stalls(records), windows,
@@ -283,23 +284,24 @@ class ExplainStream:
 
     def feed(self, time: float, kind: str, fields: dict) -> None:
         self.last_time = time
-        handler = self._HANDLERS.get(kind)
-        if handler is not None:
-            handler(self, time, kind, fields)
+        if kind in self._HANDLERS:
+            self._HANDLERS[kind](self, time, kind, fields)
 
     # -- lineage of open messages (build_lineage, one record at a time) --
-    def _trace(self, key: tuple, time: float, kind: str) -> MessageTrace:
-        trace = self.open.get(key)
-        if trace is None:
-            if key in self.closed:
-                raise ValueError(f"{kind} record at t={time!r} for message "
-                                 f"{key}, which already completed")
-            trace = self.open[key] = MessageTrace(*key)
-            self.first_seen[key] = time
+    # A handler finds an open message with ``self.open.get(key) or
+    # self._new_trace(...)`` (a MessageTrace is always true), so only a
+    # record that opens one pays the call.
+    def _new_trace(self, key: tuple, time: float, kind: str) -> MessageTrace:
+        if key in self.closed:
+            raise ValueError(f"{kind} record at t={time!r} for message "
+                             f"{key}, which already completed")
+        trace = self.open[key] = MessageTrace(*key)
+        self.first_seen[key] = time
         return trace
 
     def _msg_start(self, time, kind, f):
-        trace = self._trace((f["node"], f["job"], f["msg"]), time, kind)
+        key = (f["node"], f["job"], f["msg"])
+        trace = self.open.get(key) or self._new_trace(key, time, kind)
         trace.started = time
         trace.dst_node = f.get("dst")
         trace.dst_rank = f.get("dst_rank")
@@ -308,7 +310,8 @@ class ExplainStream:
 
     def _pkt_enq(self, time, kind, f):
         key = (f["node"], f["job"], f["msg"])
-        frag = _fragment(self._trace(key, time, kind), f["frag"])
+        trace = self.open.get(key) or self._new_trace(key, time, kind)
+        frag = _fragment(trace, f["frag"])
         frag.seq = f.get("seq")
         frag.enqueued = time
         if frag.seq is not None:
@@ -324,7 +327,8 @@ class ExplainStream:
         if closed is not None:
             self._late_tx(time, key, index, f.get("seq"), closed)
             return
-        frag = _fragment(self._trace(key, time, kind), index)
+        trace = self.open.get(key) or self._new_trace(key, time, kind)
+        frag = trace.frags.get(index) or _fragment(trace, index)
         if frag.seq is None and f.get("seq") is not None:
             frag.seq = f["seq"]
             self.seq_owner[(key[0], frag.seq)] = (key, index)
@@ -344,7 +348,7 @@ class ExplainStream:
                                  f"unknown fragment of message {key}, "
                                  "which already completed")
             return    # a duplicate of a delivered fragment
-        trace = self._trace(key, time, kind)
+        trace = self.open.get(key) or self._new_trace(key, time, kind)
         frag = _frag_by_seq(trace, self.seq_owner, key, f)
         if frag.delivered is None:
             frag.delivered = time
@@ -357,12 +361,12 @@ class ExplainStream:
         if msg is None or src is None:
             return    # pre-causal record shape
         key = (src, f["job"], msg)
-        trace = self._trace(key, time, kind)
+        trace = self.open.get(key) or self._new_trace(key, time, kind)
         trace.completed = time
-        att = attribute_message(trace, self.windows)
+        frag = trace.completing_fragment()
+        att = attribute_message(trace, self.windows, frag)
         if att is None:
             return    # not complete (yet): finish() tries again
-        frag = trace.completing_fragment()
         row = _row(None, trace, att, frag)
         self.mismatches += _mismatched(row)
         closed = self.closed[key] = [row, frag.frag, frag.delivering_tx]
@@ -372,8 +376,9 @@ class ExplainStream:
 
     def _msg_send(self, time, kind, f):
         key = (f["node"], f["job"], f.get("msg_id", f.get("msg")))
-        if key[2] is not None and key not in self.closed:
-            self._trace(key, time, kind).sent = time
+        if (key[2] is not None and key not in self.open
+                and key not in self.closed):
+            self._new_trace(key, time, kind)
 
     def _stall(self, time, kind, f):
         cell = self.stalls.setdefault(f["cause"], [0, 0.0])
@@ -382,7 +387,8 @@ class ExplainStream:
         msg = f.get("msg", -1)
         if msg is None or msg < 0:
             return    # anonymous stall (refill path)
-        trace = self._trace((f["node"], f["job"], msg), time, kind)
+        key = (f["node"], f["job"], msg)
+        trace = self.open.get(key) or self._new_trace(key, time, kind)
         trace.stalls.append((f["cause"], time - f["dur"], time))
 
     def _rto_retransmit(self, time, kind, f):
@@ -471,7 +477,7 @@ class ExplainStream:
         for state in (self.open, self.first_seen, self.closed,
                       self.completions, self.seq_owner):
             state.clear()
-        order.sort(key=lambda item: item[:4])
+        order.sort(key=itemgetter(0, 1, 2, 3))
         indexed = WindowIndex(windows)
         per_message: List[dict] = []
         incomplete = 0
@@ -481,11 +487,12 @@ class ExplainStream:
                 entry["index"] = index
                 per_message.append(entry)
                 continue
-            att = attribute_message(entry, indexed)
+            frag = entry.completing_fragment()
+            att = attribute_message(entry, indexed, frag)
             if att is None:
                 incomplete += 1
                 continue
-            row = _row(index, entry, att, entry.completing_fragment())
+            row = _row(index, entry, att, frag)
             mismatches += _mismatched(row)
             per_message.append(row)
         stalls = {cause: {"waits": cell[0], "seconds": cell[1]}

@@ -29,6 +29,8 @@ from __future__ import annotations
 
 import re
 
+from repro.sim.process import Process
+
 _DIGITS = re.compile(r"\d+")
 _DASHES = re.compile(r"-{2,}")
 
@@ -51,7 +53,8 @@ class KernelProfiler:
         self.wall_seconds = 0.0
         # component -> [event_count, sim_seconds]
         self._components: dict[str, list] = {}
-        self._name_cache: dict[str, str] = {}
+        # process name or entry class -> its component's cell
+        self._cells: dict = {}
 
     # ------------------------------------------------------------------ kernel hooks
     def observe(self, prev_now: float, when: float, event) -> None:
@@ -62,27 +65,36 @@ class KernelProfiler:
         Attribution: a Process entry (sleep wake-up or
         termination) belongs to that process; an event with a parked
         process waiter belongs to the waiter; anything else is generic
-        kernel callback dispatch.
+        kernel callback dispatch, by the entry's class.  Each process
+        name and entry class maps straight to its component's cell, so
+        an entry costs one dict lookup.
         """
-        name = getattr(event, "name", None)        # Process entries
-        if name is None:
-            waiter = event._waiter
-            if waiter is not None:
-                name = waiter.name
-        if name is None:
-            key = ("kernel.timeout" if type(event).__name__ == "Timeout"
-                   else "kernel.event")
+        if event.__class__ is Process:
+            key = event.name
         else:
-            key = self._name_cache.get(name)
-            if key is None:
-                key = component_of(name)
-                self._name_cache[name] = key
-        cell = self._components.get(key)
+            waiter = event._waiter
+            key = event.__class__ if waiter is None else waiter.name
+        cell = self._cells.get(key)
         if cell is None:
-            self._components[key] = [1, when - prev_now]
+            self._first(key, when - prev_now)
         else:
             cell[0] += 1
             cell[1] += when - prev_now
+
+    def _first(self, key, elapsed: float) -> None:
+        """Observe the first entry of a process name or entry class."""
+        if isinstance(key, str):
+            component = component_of(key)
+        else:
+            component = ("kernel.timeout" if key.__name__ == "Timeout"
+                         else "kernel.event")
+        cell = self._components.get(component)
+        if cell is None:
+            cell = self._components[component] = [1, elapsed]
+        else:
+            cell[0] += 1
+            cell[1] += elapsed
+        self._cells[key] = cell
 
     def account_events(self, n: int) -> None:
         """Add the exact number of entries a profiled run loop dispatched."""

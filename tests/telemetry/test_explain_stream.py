@@ -18,10 +18,16 @@ from hypothesis import strategies as st
 
 from repro.experiments.common import point_seed
 from repro.experiments.figure6 import _messages_for_quanta
+from repro.faults.model import FaultSpec
+from repro.faults.retransmit import RetransmitPolicy
+from repro.faults.strategies import STRATEGY_NAMES
 from repro.fm.config import FMConfig
+from repro.parpar.cluster import ClusterConfig, ParParCluster
+from repro.parpar.job import JobSpec
 from repro.sim.trace import Tracer
 from repro.telemetry.explain import (ExplainStream, _derive_reallocs,
                                      _run_point, analyze_records)
+from repro.workloads.alltoall import alltoall_benchmark
 
 STEP = 0.25e-3
 #: small steps on a coarse grid, so equal timestamps are common (a late
@@ -279,3 +285,29 @@ def test_streaming_equals_offline_on_explain_points(point):
     assert reallocs == _derive_reallocs(raw)
     if point[5]:
         assert reallocs
+
+
+@pytest.mark.parametrize("strategy", STRATEGY_NAMES)
+def test_streaming_equals_offline_on_a_lossy_run(strategy):
+    """A real run with drops, duplicates and jitter under each
+    reliability strategy: retransmits, duplicate deliveries and copies
+    sent after a message completed reach the stream as the simulator
+    orders them, which the ``explain_trace`` points (no faults) never
+    do."""
+    cluster = ParParCluster(ClusterConfig(
+        num_nodes=4, time_slots=2, quantum=0.004, seed=3,
+        faults=FaultSpec(drop_rate=0.05, dup_rate=0.02, jitter_rate=0.05),
+        retransmit=RetransmitPolicy(), reliability_strategy=strategy,
+        trace=True))
+    stream = ExplainStream()
+    tracer = cluster.tracer
+    tracer.stream(stream.feed, keep_records=True)
+    jobs = [cluster.submit(JobSpec(f"a2a{i}", 4, alltoall_benchmark(8, 1024)))
+            for i in range(2)]
+    cluster.run_until_finished(jobs)
+    end_time = cluster.sim.now
+    streamed = stream.finish(tracer.truncated, end_time)
+    assert streamed["complete"] and not streamed["incomplete"]
+    assert sum(row["retransmits"] for row in streamed["per_message"]) > 0
+    assert_same(streamed, analyze_records(tracer.records, tracer.truncated,
+                                          end_time))

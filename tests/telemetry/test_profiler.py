@@ -58,6 +58,27 @@ class TestProfilerHook:
         assert snap["components"]["ticker"]["events"] >= 20
         assert "kernel.timeout" in snap["components"]
 
+    def test_waiters_and_entry_classes(self):
+        """An event with a parked process waiter belongs to the waiter;
+        a timeout and an event nobody waits on go by their class."""
+        prof = KernelProfiler()
+        sim = Simulator()
+        sim.profiler = prof
+        gate, lone = sim.event(), sim.event()
+
+        def waiter():
+            yield gate
+
+        sim.process(waiter(), name="waiter-7")
+        sim.timeout(2.0).add_callback(lambda ev: gate.succeed())
+        sim.timeout(1.0).add_callback(lambda ev: lone.succeed())
+        sim.run()
+        assert prof.snapshot()["components"] == {
+            "kernel.event": {"events": 1, "sim_seconds": 0.0},
+            "kernel.timeout": {"events": 2, "sim_seconds": 2.0},
+            "waiter": {"events": 3, "sim_seconds": 0.0},   # start, gate, end
+        }
+
     def test_sim_seconds_total_matches_clock(self):
         prof = KernelProfiler()
         sim = _drive(prof, n=25)
