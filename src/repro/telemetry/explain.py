@@ -238,6 +238,12 @@ def _analysis(messages: int, per_message: List[dict], incomplete: int,
     }
 
 
+#: the record kinds that grow the scheduling windows
+_WINDOW_KINDS = frozenset((
+    "nic-halt", "nic-release", "buffer-switch", "ctx-remove", "ctx-install",
+    "init-job", "job-stop", "job-go"))
+
+
 class ExplainStream:
     """:func:`analyze_records` run online, one record at a time.
 
@@ -282,15 +288,117 @@ class ExplainStream:
         self.mismatches = 0
         self.last_time = 0.0
 
-    def feed(self, time: float, kind: str, fields: dict) -> None:
+    def feed(self, time: float, kind: str, f: dict) -> None:
+        """Take one record, as :func:`build_lineage` and
+        :func:`~repro.telemetry.causal.build_windows` would.  One chain
+        of kinds, most frequent first, so a record costs this one call.
+        A record finds its open message with ``self.open.get(key) or
+        self._new_trace(...)`` (a MessageTrace is always true), so only
+        a record that opens one pays a second."""
         self.last_time = time
-        if kind in self._HANDLERS:
-            self._HANDLERS[kind](self, time, kind, fields)
+        if kind == "pkt-tx":
+            msg = f.get("msg", -1)
+            if msg is None or msg < 0:
+                return    # control packet (refill/halt/ready/ack)
+            key = (f["node"], f["job"], msg)
+            index = f.get("frag", 0)
+            closed = self.closed.get(key)
+            if closed is not None:
+                self._late_tx(time, key, index, f.get("seq"), closed)
+                return
+            trace = self.open.get(key) or self._new_trace(key, time, kind)
+            frag = trace.frags.get(index) or _fragment(trace, index)
+            if frag.seq is None and f.get("seq") is not None:
+                frag.seq = f["seq"]
+                self.seq_owner[(key[0], frag.seq)] = (key, index)
+            frag.tx_times.append(time)
+        elif kind == "msg-start":
+            key = (f["node"], f["job"], f["msg"])
+            trace = self.open.get(key) or self._new_trace(key, time, kind)
+            trace.started = time
+            trace.dst_node = f.get("dst")
+            trace.dst_rank = f.get("dst_rank")
+            trace.nbytes = f.get("nbytes")
+            trace.frag_count = f.get("frags")
+        elif kind == "pkt-enq":
+            key = (f["node"], f["job"], f["msg"])
+            trace = self.open.get(key) or self._new_trace(key, time, kind)
+            frag = _fragment(trace, f["frag"])
+            frag.seq = f.get("seq")
+            frag.enqueued = time
+            if frag.seq is not None:
+                self.seq_owner[(key[0], frag.seq)] = (key, f["frag"])
+        elif kind == "msg-send":
+            key = (f["node"], f["job"], f.get("msg_id", f.get("msg")))
+            if (key[2] is not None and key not in self.open
+                    and key not in self.closed):
+                self._new_trace(key, time, kind)
+        elif kind == "pkt-deliver":
+            msg = f.get("msg", -1)
+            if msg is None or msg < 0:
+                return
+            key = (f["src"], f["job"], msg)
+            if key in self.closed:
+                seq = f.get("seq")
+                owner = (None if seq is None
+                         else self.seq_owner.get((key[0], seq)))
+                if owner is None or owner[0] != key:
+                    raise ValueError(f"pkt-deliver record at t={time!r} for "
+                                     f"an unknown fragment of message {key}, "
+                                     "which already completed")
+                return    # a duplicate of a delivered fragment
+            trace = self.open.get(key) or self._new_trace(key, time, kind)
+            frag = _frag_by_seq(trace, self.seq_owner, key, f)
+            if frag.delivered is None:
+                frag.delivered = time
+            else:
+                frag.extra_deliveries += 1
+        elif kind == "msg-recv":
+            msg = f.get("msg")
+            src = f.get("src")
+            if msg is None or src is None:
+                return    # pre-causal record shape
+            key = (src, f["job"], msg)
+            trace = self.open.get(key) or self._new_trace(key, time, kind)
+            trace.completed = time
+            frag = trace.completing_fragment()
+            att = attribute_message(trace, self.windows, frag)
+            if att is None:
+                return    # not complete (yet): finish() tries again
+            row = _row(None, trace, att, frag)
+            self.mismatches += _mismatched(row)
+            closed = self.closed[key] = [row, frag.frag, frag.delivering_tx]
+            self.completions.append(closed)
+            del self.open[key]
+            del self.first_seen[key]
+        elif kind in _WINDOW_KINDS:
+            self.windows.feed(time, kind, f)
+            if kind == "buffer-switch":
+                self._swapped(f["node"], time - f.get("duration", 0.0))
+        elif kind == "stall":
+            cell = self.stalls.setdefault(f["cause"], [0, 0.0])
+            cell[0] += 1
+            cell[1] += f["dur"]
+            msg = f.get("msg", -1)
+            if msg is None or msg < 0:
+                return    # anonymous stall (refill path)
+            key = (f["node"], f["job"], msg)
+            trace = self.open.get(key) or self._new_trace(key, time, kind)
+            trace.stalls.append((f["cause"], time - f["dur"], time))
+        elif kind == "rto-retransmit":
+            owner = self.seq_owner.get((f["node"], f.get("seq")))
+            if owner is None:
+                return
+            key, index = owner
+            trace = self.open.get(key)
+            if trace is not None:
+                trace.frags[index].retransmits += 1
+            else:
+                self.closed[key][0]["retransmits"] += 1
+        elif kind == "realloc-plan" or kind == "realloc-apply":
+            self.realloc_records.append(TraceRecord(time, kind, f))
 
-    # -- lineage of open messages (build_lineage, one record at a time) --
-    # A handler finds an open message with ``self.open.get(key) or
-    # self._new_trace(...)`` (a MessageTrace is always true), so only a
-    # record that opens one pays the call.
+    # -- lineage of open messages, and late records about closed ones -----
     def _new_trace(self, key: tuple, time: float, kind: str) -> MessageTrace:
         if key in self.closed:
             raise ValueError(f"{kind} record at t={time!r} for message "
@@ -299,117 +407,9 @@ class ExplainStream:
         self.first_seen[key] = time
         return trace
 
-    def _msg_start(self, time, kind, f):
-        key = (f["node"], f["job"], f["msg"])
-        trace = self.open.get(key) or self._new_trace(key, time, kind)
-        trace.started = time
-        trace.dst_node = f.get("dst")
-        trace.dst_rank = f.get("dst_rank")
-        trace.nbytes = f.get("nbytes")
-        trace.frag_count = f.get("frags")
-
-    def _pkt_enq(self, time, kind, f):
-        key = (f["node"], f["job"], f["msg"])
-        trace = self.open.get(key) or self._new_trace(key, time, kind)
-        frag = _fragment(trace, f["frag"])
-        frag.seq = f.get("seq")
-        frag.enqueued = time
-        if frag.seq is not None:
-            self.seq_owner[(key[0], frag.seq)] = (key, f["frag"])
-
-    def _pkt_tx(self, time, kind, f):
-        msg = f.get("msg", -1)
-        if msg is None or msg < 0:
-            return    # control packet (refill/halt/ready/ack)
-        key = (f["node"], f["job"], msg)
-        index = f.get("frag", 0)
-        closed = self.closed.get(key)
-        if closed is not None:
-            self._late_tx(time, key, index, f.get("seq"), closed)
-            return
-        trace = self.open.get(key) or self._new_trace(key, time, kind)
-        frag = trace.frags.get(index) or _fragment(trace, index)
-        if frag.seq is None and f.get("seq") is not None:
-            frag.seq = f["seq"]
-            self.seq_owner[(key[0], frag.seq)] = (key, index)
-        frag.tx_times.append(time)
-
-    def _pkt_deliver(self, time, kind, f):
-        msg = f.get("msg", -1)
-        if msg is None or msg < 0:
-            return
-        key = (f["src"], f["job"], msg)
-        if key in self.closed:
-            seq = f.get("seq")
-            owner = (None if seq is None
-                     else self.seq_owner.get((key[0], seq)))
-            if owner is None or owner[0] != key:
-                raise ValueError(f"pkt-deliver record at t={time!r} for an "
-                                 f"unknown fragment of message {key}, "
-                                 "which already completed")
-            return    # a duplicate of a delivered fragment
-        trace = self.open.get(key) or self._new_trace(key, time, kind)
-        frag = _frag_by_seq(trace, self.seq_owner, key, f)
-        if frag.delivered is None:
-            frag.delivered = time
-        else:
-            frag.extra_deliveries += 1
-
-    def _msg_recv(self, time, kind, f):
-        msg = f.get("msg")
-        src = f.get("src")
-        if msg is None or src is None:
-            return    # pre-causal record shape
-        key = (src, f["job"], msg)
-        trace = self.open.get(key) or self._new_trace(key, time, kind)
-        trace.completed = time
-        frag = trace.completing_fragment()
-        att = attribute_message(trace, self.windows, frag)
-        if att is None:
-            return    # not complete (yet): finish() tries again
-        row = _row(None, trace, att, frag)
-        self.mismatches += _mismatched(row)
-        closed = self.closed[key] = [row, frag.frag, frag.delivering_tx]
-        self.completions.append(closed)
-        del self.open[key]
-        del self.first_seen[key]
-
-    def _msg_send(self, time, kind, f):
-        key = (f["node"], f["job"], f.get("msg_id", f.get("msg")))
-        if (key[2] is not None and key not in self.open
-                and key not in self.closed):
-            self._new_trace(key, time, kind)
-
-    def _stall(self, time, kind, f):
-        cell = self.stalls.setdefault(f["cause"], [0, 0.0])
-        cell[0] += 1
-        cell[1] += f["dur"]
-        msg = f.get("msg", -1)
-        if msg is None or msg < 0:
-            return    # anonymous stall (refill path)
-        key = (f["node"], f["job"], msg)
-        trace = self.open.get(key) or self._new_trace(key, time, kind)
-        trace.stalls.append((f["cause"], time - f["dur"], time))
-
-    def _rto_retransmit(self, time, kind, f):
-        owner = self.seq_owner.get((f["node"], f.get("seq")))
-        if owner is None:
-            return
-        key, index = owner
-        trace = self.open.get(key)
-        if trace is not None:
-            trace.frags[index].retransmits += 1
-        else:
-            self.closed[key][0]["retransmits"] += 1
-
-    # -- windows, and late records that reach back into closed rows -------
-    def _window(self, time, kind, f):
-        self.windows.feed(time, kind, f)
-
-    def _buffer_switch(self, time, kind, f):
-        self.windows.feed(time, kind, f)
-        start = time - f.get("duration", 0.0)
-        node = f["node"]
+    def _swapped(self, node: int, start: float) -> None:
+        """Recharge the closed messages of ``node`` whose NIC-queue
+        segment a swap starting at ``start`` reaches back into."""
         for closed in reversed(self.completions):
             row = closed[0]
             if row["chain"]["completed"] <= start:
@@ -436,20 +436,6 @@ class ExplainStream:
                    chain["enqueued"], chain["first_tx"], tx,
                    chain["delivered"])
         self.mismatches += _mismatched(row) - was
-
-    def _realloc(self, time, kind, f):
-        self.realloc_records.append(TraceRecord(time, kind, f))
-
-    _HANDLERS = {
-        "msg-start": _msg_start, "pkt-enq": _pkt_enq, "pkt-tx": _pkt_tx,
-        "pkt-deliver": _pkt_deliver, "msg-recv": _msg_recv,
-        "msg-send": _msg_send, "stall": _stall,
-        "rto-retransmit": _rto_retransmit, "buffer-switch": _buffer_switch,
-        "realloc-plan": _realloc, "realloc-apply": _realloc,
-        **dict.fromkeys(("nic-halt", "nic-release", "ctx-remove",
-                         "ctx-install", "init-job", "job-stop", "job-go"),
-                        _window),
-    }
 
     # -- the end of the stream --------------------------------------------
     def reallocs(self) -> List[dict]:

@@ -20,7 +20,7 @@ from repro.telemetry.explain import ExplainStream, _run_point
 
 JOBS, SIZE, QUANTUM = 4, 1536, 0.008
 #: calls per attributed message measured on CPython 3.11
-MEASURED_CALLS_PER_MESSAGE = 74.9
+MEASURED_CALLS_PER_MESSAGE = 68.8
 CEILING = MEASURED_CALLS_PER_MESSAGE * 1.05
 
 
