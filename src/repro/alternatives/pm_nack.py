@@ -142,7 +142,8 @@ class PMFirmware(LanaiFirmware):
     def _reply(self, packet: Packet, ptype: PacketType) -> None:
         self._control_outbox.append(Packet(
             ptype, src_node=self.nic.node_id, dst_node=packet.src_node,
-            job_id=packet.job_id, ack_seq=packet.seq,
+            seq=self.sim.next_seq(), job_id=packet.job_id,
+            ack_seq=packet.seq,
         ))
         self.wake()
 
@@ -154,10 +155,10 @@ class PMFirmware(LanaiFirmware):
             raise ProtocolError(f"resend for unknown job {packet.job_id}")
         clone = Packet(
             PacketType.DATA, src_node=packet.src_node, dst_node=packet.dst_node,
-            job_id=packet.job_id, src_rank=packet.src_rank,
-            dst_rank=packet.dst_rank, payload_bytes=packet.payload_bytes,
-            msg_id=packet.msg_id, frag_index=packet.frag_index,
-            frag_count=packet.frag_count,
+            seq=self.sim.next_seq(), job_id=packet.job_id,
+            src_rank=packet.src_rank, dst_rank=packet.dst_rank,
+            payload_bytes=packet.payload_bytes, msg_id=packet.msg_id,
+            frag_index=packet.frag_index, frag_count=packet.frag_count,
         )
         self.resends += 1
         while ctx.send_queue.is_full:
@@ -178,7 +179,7 @@ class PMLibrary(FMLibrary):
         dst_node = ctx.node_of_rank(dst_rank)
         cfg = self.config
         nfrags = cfg.packets_for(nbytes)
-        msg_id = next(self._msg_ids)
+        msg_id = self.sim.next_msg_id()
 
         yield self.host.cpu.busy(cfg.host_msg_overhead)
         remaining = nbytes
@@ -189,7 +190,8 @@ class PMLibrary(FMLibrary):
                 yield ctx.send_queue.wait_space()
             ctx.send_queue.append(Packet(
                 PacketType.DATA, src_node=ctx.node_id, dst_node=dst_node,
-                job_id=ctx.job_id, src_rank=ctx.rank, dst_rank=dst_rank,
+                seq=self.sim.next_seq(), job_id=ctx.job_id, src_rank=ctx.rank,
+                dst_rank=dst_rank,
                 payload_bytes=payload, msg_id=msg_id,
                 frag_index=index, frag_count=nfrags,
             ))

@@ -368,7 +368,8 @@ class BufferOwnershipMonitor:
         queue = ctx.send_queue
         with self._FrozenSignalling(queue):
             packet = Packet(ptype=PacketType.DATA, src_node=ctx.node_id,
-                            dst_node=ctx.node_id, job_id=ctx.job_id)
+                            dst_node=ctx.node_id, seq=ctx.sim.next_seq(),
+                            job_id=ctx.job_id)
             queue.append(packet)   # <-- the monitored out-of-window access
             self.planted += 1
             queue._items.pop()
@@ -386,7 +387,8 @@ class BufferOwnershipMonitor:
             or self._nics[min(self._nics)]
         queue = ctx.send_queue
         packet = Packet(ptype=PacketType.DATA, src_node=ctx.node_id,
-                        dst_node=ctx.node_id, job_id=ctx.job_id)
+                        dst_node=ctx.node_id, seq=ctx.sim.next_seq(),
+                        job_id=ctx.job_id)
         queue._items.append(packet)
         try:
             nic.corrupt_descriptor(packet)   # <-- the monitored flip

@@ -148,7 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
                          "of running the simulation")
     px.add_argument("--save-trace", dest="save_trace", metavar="OUT.json",
                     default=None,
-                    help="write the normalized record streams here "
+                    help="write each point's raw record stream here "
                          "(re-ingestable with --trace)")
     px.add_argument("--json", dest="json_out", metavar="OUT.json",
                     default=None,

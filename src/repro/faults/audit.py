@@ -20,10 +20,9 @@ plus two cluster-wide ledgers:
 - **backing-store integrity**: any residual saved image still matches
   the stored context's actual queue contents.
 
-The report contains **counts only, never raw sequence numbers**: seqs
-come from a process-global counter, so their absolute values differ
-between a serial sweep and a process-pool sweep — counts are what make
-``-j1`` vs ``-jN`` reports bit-identical.
+The report contains **counts only, never raw sequence numbers**: the
+counts are the verdict, and they merge across the runs of a campaign by
+addition (:meth:`AuditReport.publish`).
 """
 
 from __future__ import annotations

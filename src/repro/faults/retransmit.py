@@ -32,8 +32,8 @@ protocol stack depends on it):
   ordinary send queue and therefore honour the halt bit.
 - **Channel sequencing**: the driver stamps each first transmission with
   a contiguous per-channel ``rel_seq`` so cumulative/selective
-  strategies can reason about prefixes and gaps without trusting the
-  process-global ``seq`` counter.
+  strategies can reason about prefixes and gaps, which the run-wide
+  ``seq`` (interleaved across every channel of the run) has nowhere.
 - **Teardown**: ``power_off`` and ``forget_job`` clear reliability and
   strategy state (timers included) so dead peers and finished jobs
   never leak timers or phantom outstanding counts.
@@ -186,8 +186,8 @@ class ReliableFirmware(LanaiFirmware):
     def emit_ack(self, dst_node: int, job_id: int, ack_seq: int) -> None:
         """Queue an ACK through the halt-exempt control outbox."""
         self._control_outbox.append(Packet(
-            PacketType.ACK, src_node=self.nic.node_id,
-            dst_node=dst_node, job_id=job_id, ack_seq=ack_seq,
+            PacketType.ACK, src_node=self.nic.node_id, dst_node=dst_node,
+            seq=self.sim.next_seq(), job_id=job_id, ack_seq=ack_seq,
         ))
         self.acks_sent += 1
         self.wake()
@@ -195,8 +195,8 @@ class ReliableFirmware(LanaiFirmware):
     def emit_nack(self, dst_node: int, job_id: int, rel_seq: int) -> None:
         """Queue a NACK naming a missing ``rel_seq`` (halt-exempt)."""
         self._control_outbox.append(Packet(
-            PacketType.NACK, src_node=self.nic.node_id,
-            dst_node=dst_node, job_id=job_id, ack_seq=rel_seq,
+            PacketType.NACK, src_node=self.nic.node_id, dst_node=dst_node,
+            seq=self.sim.next_seq(), job_id=job_id, ack_seq=rel_seq,
         ))
         self.nacks_sent += 1
         self.wake()

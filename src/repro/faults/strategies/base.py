@@ -46,7 +46,7 @@ over unordered sets.  All timing decisions derive from ``driver.now()``
 and the :class:`~repro.faults.retransmit.RetransmitPolicy` schedule.
 
 **Sequence-number vocabulary.**  Every packet carries two numbers: the
-process-global ``seq`` (unique per wire packet, the dedup key) and the
+run-wide ``seq`` (unique per wire packet, the dedup key) and the
 driver-stamped ``rel_seq`` (contiguous 0, 1, 2, ... per directed channel
 ``(job_id, src_node -> dst_node)``).  Per-packet strategies acknowledge
 ``seq``; cumulative/selective strategies reason about channel prefixes

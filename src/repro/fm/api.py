@@ -11,7 +11,6 @@ bandwidth) and interact with the context's queues and credits.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -45,8 +44,6 @@ class Message:
 
 class FMLibrary:
     """One process's view of FM: FM_send / FM_extract over its context."""
-
-    _msg_ids = itertools.count(1)
 
     def __init__(self, host: HostNode, firmware: LanaiFirmware, context: FMContext,
                  tracer: Optional[Tracer] = None):
@@ -94,7 +91,9 @@ class FMLibrary:
         dst_node = ctx.node_of_rank(dst_rank)
         cfg = self.config
         payload_cap = self._payload_cap
-        msg_id = next(self._msg_ids)
+        sim = self.sim
+        msg_id = sim.next_msg_id()
+        next_seq = sim.next_seq
         payload_obj = payload  # the loop variable below shadows the name
 
         # Hot path: the loop body runs once per packet in every bandwidth
@@ -105,7 +104,6 @@ class FMLibrary:
         queued = send_queue._items
         credits = ctx.credits
         cpu = self.host.cpu
-        sim = self.sim
         src_node, job_id, src_rank = ctx.node_id, ctx.job_id, ctx.rank
         tracer = self.tracer
         # Causal-tracing gate, resolved once per message: off-run cost is
@@ -154,12 +152,12 @@ class FMLibrary:
                 tracer.record("stall", node=src_node, job=job_id, msg=msg_id,
                               cause="credit", dur=sim._now - stall_start)
             # Positional: a keyword call costs as much again as the
-            # construction itself.  (ptype, src_node, dst_node, job_id,
-            # src_rank, dst_rank, payload_bytes, msg_id, frag_index,
-            # frag_count, piggyback_refill, refill_credits, ack_seq,
-            # rel_seq, tag, payload_obj)
-            packet = Packet(_DATA, src_node, dst_node, job_id, src_rank,
-                            dst_rank, payload, msg_id, index, nfrags,
+            # construction itself.  (ptype, src_node, dst_node, seq,
+            # job_id, src_rank, dst_rank, payload_bytes, msg_id,
+            # frag_index, frag_count, piggyback_refill, refill_credits,
+            # ack_seq, rel_seq, tag, payload_obj)
+            packet = Packet(_DATA, src_node, dst_node, next_seq(), job_id,
+                            src_rank, dst_rank, payload, msg_id, index, nfrags,
                             credits.take_piggyback(dst_node), 0, -1, -1, tag,
                             payload_obj if index == last else None)
             send_queue.append(packet)
@@ -227,7 +225,8 @@ class FMLibrary:
                 ctx.send_queue.append(Packet(
                     PacketType.REFILL,
                     src_node=ctx.node_id, dst_node=src_node,
-                    job_id=ctx.job_id, refill_credits=refill,
+                    seq=self.sim.next_seq(), job_id=ctx.job_id,
+                    refill_credits=refill,
                 ))
 
         frag_count = packet.frag_count

@@ -215,9 +215,10 @@ class LanaiFirmware:
         """
         me = self.nic.node_id
         outbox = self._control_outbox
+        next_seq = self.sim.next_seq
         for dst in peers:
             if dst != me:
-                outbox.append(Packet(ptype, me, dst))
+                outbox.append(Packet(ptype, me, dst, next_seq()))
         self.wake()
 
     def detach(self) -> None:

@@ -11,9 +11,7 @@ consume flow-control credits.
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass, field
-from typing import Optional
 
 from repro.errors import ConfigError
 
@@ -32,9 +30,6 @@ _DATA = PacketType.DATA
 #: Types that are NIC-to-NIC control traffic: never buffered in receive
 #: queues, never credited, allowed through while the network is halted.
 NIC_CONTROL_TYPES = frozenset({PacketType.HALT, PacketType.READY})
-
-_seq_counter = itertools.count()
-_next_seq = _seq_counter.__next__
 
 
 @dataclass(slots=True, init=False)
@@ -56,6 +51,9 @@ class Packet:
     ptype: PacketType
     src_node: int
     dst_node: int
+    #: The run's construction order (:attr:`Simulator.next_seq
+    #: <repro.sim.core.Simulator.next_seq>`); a copy keeps its original's.
+    seq: int
     job_id: int
     src_rank: int
     dst_rank: int
@@ -69,8 +67,8 @@ class Packet:
     #: Contiguous per-channel (job, src->dst) sequence number, stamped by
     #: the reliability driver at first transmission; retransmit clones
     #: keep the original's.  Cumulative-ack and NACK strategies reason
-    #: about prefixes/gaps in this space (the global ``seq`` counter is
-    #: interleaved across channels and therefore gap-free nowhere).
+    #: about prefixes/gaps in this space (``seq`` numbers every packet of
+    #: the run, so it is interleaved across channels and gap-free nowhere).
     rel_seq: int
     tag: int                         # application message tag (MPI layer)
     payload_obj: object              # opaque app payload (last fragment)
@@ -79,9 +77,6 @@ class Packet:
     #: discarded without acknowledgement; the reliability layer recovers
     #: it from the sender's pristine host-side copy.
     corrupted: bool
-    #: Global construction order, drawn from ``_seq_counter`` unless a
-    #: copy passes its original's.
-    seq: int
     #: Bytes occupied on the wire (and in a buffer slot).  Derived from
     #: the payload once at construction — the send/receive/transmit paths
     #: each read it per packet, so it must be a plain attribute.
@@ -91,16 +86,16 @@ class Packet:
     CONTROL_BYTES = 16
 
     def __init__(self, ptype: PacketType, src_node: int, dst_node: int,
-                 job_id: int = -1, src_rank: int = -1, dst_rank: int = -1,
-                 payload_bytes: int = 0, msg_id: int = -1,
+                 seq: int, job_id: int = -1, src_rank: int = -1,
+                 dst_rank: int = -1, payload_bytes: int = 0, msg_id: int = -1,
                  frag_index: int = 0, frag_count: int = 1,
                  piggyback_refill: int = 0, refill_credits: int = 0,
                  ack_seq: int = -1, rel_seq: int = -1, tag: int = 0,
-                 payload_obj: object = None, corrupted: bool = False,
-                 seq: Optional[int] = None):
+                 payload_obj: object = None, corrupted: bool = False):
         self.ptype = ptype
         self.src_node = src_node
         self.dst_node = dst_node
+        self.seq = seq
         self.job_id = job_id
         self.src_rank = src_rank
         self.dst_rank = dst_rank
@@ -115,7 +110,6 @@ class Packet:
         self.tag = tag
         self.payload_obj = payload_obj
         self.corrupted = corrupted
-        self.seq = _next_seq() if seq is None else seq
         # One type test picks the size; the checks ride along.
         if payload_bytes < 0:
             raise ConfigError(f"negative payload {payload_bytes}")

@@ -39,6 +39,7 @@ the run when its last reference goes.
 from __future__ import annotations
 
 from heapq import heappop, heappush
+from itertools import count
 from time import perf_counter  # simlint: ignore[SIM001] -- profiler accounts host wall time; never feeds sim state
 from typing import Any, Callable, Generator, Iterable, Optional
 
@@ -240,7 +241,7 @@ class Simulator:
     """The event loop: a clock plus a ``(when, seq, entry)`` heap."""
 
     __slots__ = ("_now", "_queue", "_seq", "_processed_count", "profiler",
-                 "_live")
+                 "_live", "next_msg_id", "next_seq")
 
     def __init__(self):
         self._now: float = 0.0
@@ -255,6 +256,11 @@ class Simulator:
         # Unfinished processes in start order (a dict, not a set, so
         # close() visits them deterministically).
         self._live: dict = {}
+        #: The run's FM message ids and wire packet seqs, each drawn by a
+        #: call and counted from 0, so the same run numbers its messages
+        #: and packets the same whatever the process simulated before.
+        self.next_msg_id: Callable[[], int] = count().__next__
+        self.next_seq: Callable[[], int] = count().__next__
 
     # -- clock ------------------------------------------------------------
     def clock(self) -> float:

@@ -137,7 +137,7 @@ def _clip_in(table: Dict[Any, Union[IntervalIndex, LiveIntervals]], key,
 
 
 def _total(intervals: Iterable[Interval]) -> float:
-    return sum(e - s for s, e in intervals)
+    return sum((e - s for s, e in intervals), 0.0)
 
 
 def _subtract(base: List[Interval],

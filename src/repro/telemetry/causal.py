@@ -8,7 +8,7 @@ is the offline half of the bargain — it replays a record stream and
 reconstructs the *causal DAG* the records imply:
 
 - a :class:`MessageTrace` per application message, keyed by
-  ``(src_node, job, msg_id)`` (msg ids are process-global counters, so
+  ``(src_node, job, msg_id)`` (the run numbers its messages from 0, so
   the triple is unique within one simulation), holding one
   :class:`FragmentTrace` per wire fragment with its enqueue / first-tx /
   last-tx / delivery timestamps, retransmit history, and drop counts —
@@ -278,8 +278,8 @@ def _dup_owner(seq_owner: dict, seq_first: dict,
     """Drops/dup-discards happen at the *receiver*; the seq map is keyed
     by sender node.  Try the record's explicit src first, then the first
     sender that owned the seq (``seq_first``, filled alongside
-    ``seq_owner``) — seqs are globally unique per sim, so at most one
-    sender matches."""
+    ``seq_owner``) — the run numbers every wire packet once, so at most
+    one sender matches."""
     seq = f.get("seq")
     if seq is None:
         return None

@@ -15,18 +15,15 @@ microsecond of every message's latency to a named cause
   the wire hop, against scheduling-window and policy-reallocation
   context rows.
 
-Determinism discipline: message ids and wire sequence numbers are
-process-global counters in the simulator (cheap and collision-free),
-so their raw values depend on how many simulations the worker process
-ran before this one.  The analysis never lets them out: ids are only
-compared for identity, raw ids grow monotonically within a simulation
-(so lineage order does not depend on their offset), and every output
-names a message by its lineage index.  That makes a ``-j2`` sweep
-byte-identical to a serial one.  A saved trace (schema
-``repro-trace/1``) does carry ids, so :func:`normalize_records`
-rewrites them to dense per-stream indices — lineage order and first
-appearance respectively — before the stream is kept, which makes
-saved traces stable enough to diff.
+Determinism discipline: each run numbers its messages and wire packets
+from 0 (:attr:`~repro.sim.core.Simulator.next_msg_id`,
+:attr:`~repro.sim.core.Simulator.next_seq`), so a point's raw record
+stream is a function of its config and seed alone — the same in a
+fresh process, after other points, and in a pool worker.  A saved trace
+(schema ``repro-trace/1``) keeps those raw ids.  The analysis still
+compares ids only for identity and names every message in its outputs
+by lineage index, so a saved trace whose ids were renumbered or offset
+(as older ones were) re-ingests to the same result.
 
 A live point keeps no trace.  The tracer hands every record to an
 :class:`ExplainStream` as it is made: it holds the lineage of open
@@ -35,7 +32,7 @@ each message the moment its ``msg-recv`` completes it, keeping just the
 message's output row.  :func:`analyze_records` is the offline replay of
 a kept stream (``--trace`` re-ingest, and the oracle the streamed
 analysis must match byte for byte); a point keeps its records only for
-``--save-trace`` or ``--smoke``, and only then pays for normalization.
+``--save-trace`` or ``--smoke``.
 """
 
 from __future__ import annotations
@@ -98,59 +95,15 @@ def _run_point(jobs: int, message_bytes: int, messages: int, quantum: float,
 
 
 # ---------------------------------------------------------------- normalize
-_MSG_BY_NODE = frozenset(("msg-start", "pkt-enq", "pkt-tx", "stall"))
-_MSG_BY_SRC = frozenset(("pkt-deliver", "msg-recv"))
-
-
-def normalize_records(records: Iterable[TraceRecord],
-                      lineage: Optional[Sequence[MessageTrace]] = None
-                      ) -> List[TraceRecord]:
-    """Rewrite process-global ids to dense, stream-local indices.
-
-    Message ids become the message's index in lineage order (the order
-    :func:`~repro.telemetry.causal.build_lineage` returns, which is
-    start-time order); wire seqs become first-appearance indices.
-    Control-packet sentinels (``msg < 0``) pass through untouched.  The
-    rewritten stream replays to the *same* lineage — ids are only ever
-    compared for identity — but no longer leaks how many simulations
-    the hosting process ran before this one.  ``lineage`` is the
-    stream's :func:`build_lineage` result, if the caller already has it.
-    """
-    records = list(records)
-    if lineage is None:
-        lineage = build_lineage(records)
-    msg_map = {trace.key: index for index, trace in enumerate(lineage)}
-    seq_map: Dict[int, int] = {}
-    out: List[TraceRecord] = []
-    for rec in records:
-        f = rec.fields
-        kind = rec.kind
-        new = dict(f)
-        msg = f.get("msg")
-        if msg is not None and msg >= 0:
-            if kind in _MSG_BY_NODE:
-                key = (f["node"], f["job"], msg)
-            elif kind in _MSG_BY_SRC and f.get("src") is not None:
-                key = (f["src"], f["job"], msg)
-            else:
-                key = None
-            if key is not None and key in msg_map:
-                new["msg"] = msg_map[key]
-        if kind == "msg-send":
-            msg_id = f.get("msg_id", f.get("msg"))
-            key = (f["node"], f["job"], msg_id)
-            if msg_id is not None and key in msg_map:
-                new["msg_id" if "msg_id" in f else "msg"] = msg_map[key]
-        seq = f.get("seq")
-        if seq is not None:
-            new["seq"] = seq_map.setdefault(seq, len(seq_map))
-        out.append(TraceRecord(rec.time, kind, new))
-    return out
+def normalize_records(records: Iterable[TraceRecord]) -> List[list]:
+    """Kept records as the ``[time, kind, fields]`` rows of a saved trace
+    (schema ``repro-trace/1``), raw ids and all."""
+    return [[r.time, r.kind, r.fields] for r in records]
 
 
 # ---------------------------------------------------------------- analysis
 #: :func:`analyze_records` keys that are not per-point statistics
-DETAIL_KEYS = ("per_message", "windows", "lineage")
+DETAIL_KEYS = ("per_message", "windows")
 
 
 def analyze_records(records: Sequence[TraceRecord], truncated: bool = False,
@@ -160,16 +113,16 @@ def analyze_records(records: Sequence[TraceRecord], truncated: bool = False,
     The returned dict carries the aggregate statistics plus, under
     :data:`DETAIL_KEYS`, a ``per_message`` list (index, endpoints, chain
     timestamps, latency, causes) for exemplar selection and chrome
-    rendering, the serialized scheduling ``windows``, and the
-    ``lineage`` itself, so callers need not replay the stream again.
+    rendering, and the serialized scheduling ``windows``.
     ``mismatches`` counts messages whose cause partition failed to sum
     to the measured latency within float tolerance — always 0 unless
     the attribution logic regresses.
 
     Ids are compared only for identity and outputs name messages by
-    lineage index, so a raw stream and its :func:`normalize_records`
-    rewrite give the same result (``lineage`` aside, which keeps ids).
-    This offline replay is the oracle :class:`ExplainStream` matches.
+    lineage index, so renumbering or offsetting a stream's message ids
+    and seqs changes nothing here.  This offline replay is the oracle
+    :class:`ExplainStream` matches: its :meth:`~ExplainStream.finish`
+    returns this same dict.
     """
     traces = build_lineage(records)
     windows = build_windows(records, end_time=end_time)
@@ -185,8 +138,7 @@ def analyze_records(records: Sequence[TraceRecord], truncated: bool = False,
         per_message.append(_row(index, trace, att, frag))
     mismatches = sum(map(_mismatched, per_message))
     return _analysis(len(traces), per_message, incomplete, mismatches,
-                     truncated, summarize_stalls(records), windows,
-                     lineage=traces)
+                     truncated, summarize_stalls(records), windows)
 
 
 def _row(index: Optional[int], trace: MessageTrace, att: dict,
@@ -220,8 +172,8 @@ def _mismatched(row: dict) -> bool:
 
 
 def _analysis(messages: int, per_message: List[dict], incomplete: int,
-              mismatches: int, truncated: bool, stalls: dict, windows,
-              **extra) -> dict:
+              mismatches: int, truncated: bool, stalls: dict,
+              windows) -> dict:
     summary = summarize_attribution(per_message)
     return {
         "messages": messages,
@@ -234,7 +186,6 @@ def _analysis(messages: int, per_message: List[dict], incomplete: int,
         "stalls": stalls,
         "per_message": per_message,
         "windows": _serialize_windows(windows),
-        **extra,
     }
 
 
@@ -272,7 +223,7 @@ class ExplainStream:
     were dropped, and raises ``ValueError``; the simulator emits none.
     :meth:`finish` attributes what is still open against the final
     windows, numbers every message in lineage order, and returns the
-    analysis :func:`analyze_records` would return, minus ``lineage``.
+    analysis :func:`analyze_records` would return.
     """
 
     def __init__(self):
@@ -444,7 +395,7 @@ class ExplainStream:
 
     def finish(self, truncated: bool = False,
                end_time: Optional[float] = None) -> dict:
-        """The analysis of the whole stream, without ``lineage``.
+        """The analysis of the whole stream.
 
         ``end_time`` (default: the last record's time) clips windows
         still open; it may not precede the last record.  This ends the
@@ -533,16 +484,14 @@ def _result(analysis: dict, config: dict, end_time: Optional[float],
 
 
 def _explain_worker(args: tuple) -> dict:
-    """Picklable sweep worker: run and attribute one point, and normalize
-    its records when they are kept."""
+    """Picklable sweep worker: run and attribute one point, and turn its
+    records into saved-trace rows when they are kept."""
     (jobs, message_bytes, messages, quantum, num_processors, policy, seed,
      keep_records) = args
     analysis, reallocs, raw, end_time = _run_point(
         jobs, message_bytes, messages, quantum, num_processors, policy, seed,
         keep_records)
-    kept = None
-    if raw is not None:
-        kept = [[r.time, r.kind, r.fields] for r in normalize_records(raw)]
+    kept = None if raw is None else normalize_records(raw)
     config = dict(jobs=jobs, message_bytes=message_bytes,
                   messages_per_job=messages, quantum=quantum,
                   policy=policy or None, seed=seed)

@@ -43,7 +43,8 @@ def test_unmonitored_queues_are_ignored():
 
     with BufferOwnershipMonitor() as mon:
         queue = PacketQueue(Simulator(), 8, name="scratch")
-        queue.append(Packet(ptype=PacketType.DATA, src_node=0, dst_node=1))
+        queue.append(Packet(ptype=PacketType.DATA, src_node=0, dst_node=1,
+                            seq=0))
         queue.try_pop()
     assert mon.races == []
     assert mon.checked_ops == 2

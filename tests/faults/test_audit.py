@@ -5,6 +5,8 @@ is exercised synthetically: packets are pushed through its send/delivery
 taps by hand and the verdict is compared against the known ground truth.
 """
 
+import itertools
+
 import pytest
 
 from repro.faults.audit import AuditReport, InvariantAuditor, credit_leaks
@@ -15,10 +17,12 @@ from repro.fm.policies.static import FullBuffer
 from repro.gluefm.backing import BackingStore
 from repro.sim import Simulator
 
+_seqs = itertools.count()
+
 
 def pkt(src=0, dst=1, job=1):
-    return Packet(PacketType.DATA, src_node=src, dst_node=dst, job_id=job,
-                  payload_bytes=100)
+    return Packet(PacketType.DATA, src_node=src, dst_node=dst,
+                  seq=next(_seqs), job_id=job, payload_bytes=100)
 
 
 def make_ctx(sim, job_id=1, node_id=0, num_nodes=2):

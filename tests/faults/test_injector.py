@@ -1,5 +1,7 @@
 """Unit tests for the fault model and the deterministic injector."""
 
+import itertools
+
 import pytest
 
 from repro.errors import ConfigError
@@ -11,10 +13,12 @@ from repro.hardware.network import MyrinetFabric
 from repro.sim import Simulator
 from repro.sim.rand import RandomStreams
 
+_seqs = itertools.count()
+
 
 def data_packet(src=0, dst=1, payload=1024):
     return Packet(PacketType.DATA, src_node=src, dst_node=dst,
-                  job_id=1, payload_bytes=payload)
+                  seq=next(_seqs), job_id=1, payload_bytes=payload)
 
 
 class TestFaultSpec:
@@ -73,14 +77,15 @@ class TestLinkDecisions:
     def test_control_packets_are_exempt(self):
         inj = self.make(FaultSpec(drop_rate=0.999))
         for ptype in (PacketType.HALT, PacketType.READY, PacketType.REFILL):
-            pkt = Packet(ptype, src_node=0, dst_node=1)
+            pkt = Packet(ptype, src_node=0, dst_node=1, seq=0)
             copies, _, _ = inj.on_transmit(pkt, 0, 1)
             assert copies == 1
         assert inj.drops == 0
 
     def test_acks_are_faultable(self):
         inj = self.make(FaultSpec(drop_rate=0.999))
-        ack = Packet(PacketType.ACK, src_node=0, dst_node=1, ack_seq=7)
+        ack = Packet(PacketType.ACK, src_node=0, dst_node=1, seq=0,
+                     ack_seq=7)
         copies, _, _ = inj.on_transmit(ack, 0, 1)
         assert copies == 0
 

@@ -392,7 +392,7 @@ class TestZombiePurge:
         from repro.fm.packet import Packet
         # rel_seq >= 0 marks a clone (stamped at first transmission);
         # its seq is not outstanding, i.e. the original was acked.
-        return Packet(PacketType.DATA, src_node=0, dst_node=1,
+        return Packet(PacketType.DATA, src_node=0, dst_node=1, seq=9000,
                       job_id=job_id, src_rank=0, dst_rank=1,
                       payload_bytes=64, msg_id=9000, frag_index=0,
                       frag_count=1, rel_seq=0, piggyback_refill=1)
@@ -433,14 +433,6 @@ class TestPMReconciliation:
     provably idle while PM acks every single packet."""
 
     SIZES = (200, 5000, 1536, 3000, 1, 2048)
-
-    @staticmethod
-    def _normalize(seq):
-        """msg_id is a process-global counter, so absolute ids differ
-        between the two rigs: rebase them to dense per-run indices."""
-        ids = {}
-        return [(src, nbytes, ids.setdefault(mid, len(ids)))
-                for src, nbytes, mid in seq]
 
     def _pm_sequence(self):
         from repro.alternatives.pm_nack import PMNetwork
@@ -495,8 +487,7 @@ class TestPMReconciliation:
         return [(m.src_rank, m.nbytes, m.msg_id) for m in messages["got"]]
 
     def test_lossless_link_identical_payload_sequences(self):
-        assert self._normalize(self._pm_sequence()) \
-            == self._normalize(self._fm_nack_sequence())
+        assert self._pm_sequence() == self._fm_nack_sequence()
 
 
 # ============================================================ fail-stop chaos

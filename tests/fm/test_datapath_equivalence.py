@@ -2,9 +2,7 @@
 
 Each test runs a small fixed two-node job and digests what a change to
 the per-packet data path must not move: ``sim.processed_events``, the
-final ``sim.now`` and the per-delivery ``(now, seq, node)`` stream, with
-packet seqs taken relative to a probe packet built before the run (the
-global seq counter is shared by every test in the process).
+final ``sim.now`` and the per-delivery ``(now, seq, node)`` stream.
 
 The expected digests were recorded before the DATA receive path lost
 its per-packet sub-generator; a refactor that keeps every simulated
@@ -20,7 +18,6 @@ from repro.faults.model import FaultSpec
 from repro.faults.retransmit import ReliableFirmware
 from repro.fm.config import FMConfig
 from repro.fm.harness import FMNetwork
-from repro.fm.packet import Packet, PacketType
 from repro.fm.policies.static import FullBuffer, StaticPartition
 from repro.sim import Simulator
 from repro.sim.rand import RandomStreams
@@ -35,15 +32,16 @@ class Recorder:
 
     def __init__(self, sim, firmwares):
         self.sim = sim
-        self.base = Packet(PacketType.REFILL, 0, 1).seq
         self.deliveries = []
         for fw in firmwares:
             fw.data_delivery_hooks.append(self._make_hook(fw.nic.node_id))
 
     def _make_hook(self, node):
         def hook(ctx, packet):
+            # Seqs counted from 1: the digests were recorded when seqs
+            # were taken relative to a probe packet built before the run.
             self.deliveries.append(
-                (self.sim.now.hex(), packet.seq - self.base, node))
+                (self.sim.now.hex(), packet.seq + 1, node))
         return hook
 
     def digest(self):

@@ -87,7 +87,8 @@ class TestContextManagement:
 class TestDropBehaviour:
     def _inject_data(self, net, job_id=42):
         packet = Packet(PacketType.DATA, src_node=1, dst_node=0,
-                        job_id=job_id, payload_bytes=100)
+                        seq=net.sim.next_seq(), job_id=job_id,
+                        payload_bytes=100)
         net.fabric.transmit(1, 0, packet)
         return packet
 
@@ -115,7 +116,8 @@ class TestDropBehaviour:
 
     def test_unhandled_nic_control_raises(self, sim):
         net = make_net(sim)
-        net.fabric.transmit(1, 0, Packet(PacketType.HALT, 1, 0))
+        net.fabric.transmit(1, 0, Packet(PacketType.HALT, 1, 0,
+                                         sim.next_seq()))
         with pytest.raises(ProtocolError, match="no flush protocol"):
             sim.run()
 
@@ -191,8 +193,8 @@ class TestSendQueueKick:
         fw.install_context(new)
         sim.run()            # nothing to send: the card idles
         assert fw.packets_sent == 0
-        new.send_queue.append(Packet(PacketType.DATA, 0, 1, job_id=1,
-                                     payload_bytes=100))
+        new.send_queue.append(Packet(PacketType.DATA, 0, 1, sim.next_seq(),
+                                     job_id=1, payload_bytes=100))
         sim.run()
         assert fw.packets_sent == 1
 

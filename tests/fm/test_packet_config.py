@@ -7,39 +7,46 @@ from repro.fm.config import FMConfig
 from repro.fm.packet import Packet, PacketType
 from repro.fm.policies.base import ContextGeometry
 from repro.fm.policies.static import FullBuffer, StaticPartition
+from repro.sim import Simulator
 
 
 class TestPacket:
     def test_data_size_includes_header(self):
-        pkt = Packet(PacketType.DATA, 0, 1, payload_bytes=100)
+        pkt = Packet(PacketType.DATA, 0, 1, 0, payload_bytes=100)
         assert pkt.size_bytes == Packet.HEADER_BYTES + 100
 
     def test_control_packets_are_small(self):
         for ptype in (PacketType.REFILL, PacketType.HALT, PacketType.READY):
-            assert Packet(ptype, 0, 1).size_bytes == Packet.CONTROL_BYTES
+            assert Packet(ptype, 0, 1, 0).size_bytes == Packet.CONTROL_BYTES
 
     def test_control_packets_reject_payload(self):
         with pytest.raises(ConfigError):
-            Packet(PacketType.HALT, 0, 1, payload_bytes=10)
+            Packet(PacketType.HALT, 0, 1, 0, payload_bytes=10)
 
     def test_nic_control_classification(self):
-        assert Packet(PacketType.HALT, 0, 1).is_nic_control
-        assert Packet(PacketType.READY, 0, 1).is_nic_control
-        assert not Packet(PacketType.REFILL, 0, 1).is_nic_control
-        assert not Packet(PacketType.DATA, 0, 1).is_nic_control
+        assert Packet(PacketType.HALT, 0, 1, 0).is_nic_control
+        assert Packet(PacketType.READY, 0, 1, 0).is_nic_control
+        assert not Packet(PacketType.REFILL, 0, 1, 0).is_nic_control
+        assert not Packet(PacketType.DATA, 0, 1, 0).is_nic_control
 
     def test_fragment_validation(self):
         with pytest.raises(ConfigError):
-            Packet(PacketType.DATA, 0, 1, frag_index=2, frag_count=2)
+            Packet(PacketType.DATA, 0, 1, 0, frag_index=2, frag_count=2)
 
     def test_last_fragment_flag(self):
-        assert Packet(PacketType.DATA, 0, 1, frag_index=1, frag_count=2).is_last_fragment
-        assert not Packet(PacketType.DATA, 0, 1, frag_index=0, frag_count=2).is_last_fragment
+        assert Packet(PacketType.DATA, 0, 1, 0, frag_index=1,
+                      frag_count=2).is_last_fragment
+        assert not Packet(PacketType.DATA, 0, 1, 0, frag_index=0,
+                          frag_count=2).is_last_fragment
 
     def test_sequence_numbers_increase(self):
-        a = Packet(PacketType.DATA, 0, 1)
-        b = Packet(PacketType.DATA, 0, 1)
-        assert b.seq > a.seq
+        """Each run numbers its packets and messages from 0, whatever
+        another run drew before."""
+        first, second = Simulator(), Simulator()
+        assert [first.next_seq() for _ in range(3)] == [0, 1, 2]
+        assert [second.next_seq(), first.next_seq()] == [0, 3]
+        assert [first.next_msg_id(), first.next_msg_id()] == [0, 1]
+        assert second.next_msg_id() == 0
 
 
 class TestFMConfig:

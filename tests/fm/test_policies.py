@@ -1,5 +1,7 @@
 """Unit tests for the buffer-policy package and the reallocation engine."""
 
+import itertools
+
 import pytest
 
 from repro.errors import ConfigError, ProtocolError
@@ -115,8 +117,12 @@ def make_job_contexts(sim, config, policy, job_id):
             for node in (0, 1)]
 
 
+_seqs = itertools.count()
+
+
 def data_pkt(src=1, dst=0, job=1):
-    return Packet(PacketType.DATA, src, dst, payload_bytes=100, job_id=job)
+    return Packet(PacketType.DATA, src, dst, next(_seqs), payload_bytes=100,
+                  job_id=job)
 
 
 class TestPolicyEngine:
@@ -238,7 +244,8 @@ class TestAuditLearnsPolicyWindows:
         # send queue so _credits_in_queue counts them.
         for _ in range(2):
             sender.send_queue.append(Packet(
-                PacketType.DATA, 0, 1, payload_bytes=64, job_id=1))
+                PacketType.DATA, 0, 1, next(_seqs), payload_bytes=64,
+                job_id=1))
         achieved = sender.credits.set_window(1)
         assert achieved >= 1
         assert credit_leaks(by_rank) == {}

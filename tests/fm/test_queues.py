@@ -1,5 +1,7 @@
 """Unit tests for the ring-buffer packet queues."""
 
+import itertools
+
 import pytest
 
 from repro.errors import BufferOverflowError, ConfigError
@@ -8,9 +10,12 @@ from repro.fm.queues import PacketQueue, ReceiveQueue, SendQueue
 from repro.hardware.memory import MemoryKind
 from repro.sim import Simulator
 
+_seqs = itertools.count()
+
 
 def pkt(label=0, payload=100):
-    return Packet(PacketType.DATA, 0, 1, payload_bytes=payload, msg_id=label)
+    return Packet(PacketType.DATA, 0, 1, next(_seqs), payload_bytes=payload,
+                  msg_id=label)
 
 
 @pytest.fixture

@@ -28,7 +28,8 @@ def make_ctx(sim, job_id=1, node_id=0, num_nodes=2):
 
 def fill(queue, count, payload=1536):
     for i in range(count):
-        queue.append(Packet(PacketType.DATA, 0, 1, payload_bytes=payload, msg_id=i))
+        queue.append(Packet(PacketType.DATA, 0, 1, queue.sim.next_seq(),
+                            payload_bytes=payload, msg_id=i))
 
 
 class TestFullCopyCost:

@@ -81,11 +81,13 @@ def test_ah_before_lh_edge_banks_and_caps_across_rounds():
                 edges["banked"] = True  # ah before lh
 
     def halt_from(src):
-        flush._on_halt(Packet(PacketType.HALT, src_node=src, dst_node=2))
+        flush._on_halt(Packet(PacketType.HALT, src_node=src, dst_node=2,
+                              seq=rig.sim.next_seq()))
         check()
 
     def ready_from(src):
-        flush._on_ready(Packet(PacketType.READY, src_node=src, dst_node=2))
+        flush._on_ready(Packet(PacketType.READY, src_node=src, dst_node=2,
+                               seq=rig.sim.next_seq()))
         check()
 
     for r in range(1, rounds + 1):
@@ -235,7 +237,8 @@ def test_completion_equals_brute_force_count_scan(ops):
     def arrive(kind, src):
         nonlocal stale
         ptype = PacketType.HALT if kind == "halt" else PacketType.READY
-        packet = Packet(ptype, src_node=src, dst_node=0)
+        packet = Packet(ptype, src_node=src, dst_node=0,
+                        seq=rig.sim.next_seq())
         if src in participants:
             counts = halts if kind == "halt" else readys
             counts[src] = counts.get(src, 0) + 1

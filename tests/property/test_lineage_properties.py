@@ -116,7 +116,7 @@ def _ref_clip(intervals, lo, hi):
 
 
 def _ref_total(intervals):
-    return sum(e - s for s, e in intervals)
+    return sum((e - s for s, e in intervals), 0.0)
 
 
 def _ref_subtract(base, cut):
@@ -303,8 +303,7 @@ def window_records(draw, end, edges):
 
 
 def att_bits(att):
-    """Every value's type and bits, causes in order (a segment whose
-    pieces are all cut away sums to the int 0)."""
+    """Every value's type and bits, causes in order."""
     if att is None:
         return None
     return [(key, type(value).__name__, float(value).hex()) for key, value
@@ -336,3 +335,17 @@ def test_attribution_equals_reference_on_live_and_indexed_windows(data):
     expected = att_bits(reference_attribute(trace, final))
     assert att_bits(attribute_message(trace, WindowIndex(final))) == expected
     assert att_bits(attribute_message(trace, final)) == expected
+
+
+def test_send_segment_stalled_end_to_end_charges_a_float():
+    """A ``credit`` stall spanning exactly ``[t_start, enq]`` cuts all of
+    segment A away; ``host-send`` is then the float 0.0, not the int 0."""
+    trace = MessageTrace(0, 1, 1, dst_node=1, frag_count=1, started=0.0,
+                         completed=4 * STEP)
+    frag = trace.frags[0] = FragmentTrace(0)
+    frag.enqueued, frag.tx_times, frag.delivered = STEP, [2 * STEP], 3 * STEP
+    trace.stalls.append(("credit", 0.0, STEP))
+    windows = WindowBuilder().windows(4 * STEP)
+    att = attribute_message(trace, windows)
+    assert type(att["causes"]["host-send"]) is float
+    assert att_bits(att) == att_bits(reference_attribute(trace, windows))

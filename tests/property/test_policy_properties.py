@@ -44,8 +44,8 @@ def fill(ctx, count):
     """Queue ``count`` resident packets (clamped to current capacity)."""
     for _ in range(min(count, ctx.recv_queue.free_slots)):
         ctx.recv_queue.append(Packet(PacketType.DATA, 1 - ctx.node_id,
-                                     ctx.node_id, payload_bytes=64,
-                                     job_id=ctx.job_id))
+                                     ctx.node_id, ctx.sim.next_seq(),
+                                     payload_bytes=64, job_id=ctx.job_id))
 
 
 @settings(max_examples=60, deadline=None)

@@ -10,7 +10,7 @@ from repro.sim import Simulator
 
 
 def pkt(i, payload=64):
-    return Packet(PacketType.DATA, 0, 1, payload_bytes=payload, msg_id=i)
+    return Packet(PacketType.DATA, 0, 1, i, payload_bytes=payload, msg_id=i)
 
 
 @settings(max_examples=60, deadline=None)

@@ -4,11 +4,15 @@ Observability must be free of Heisenberg effects: turning the unified
 telemetry layer on (profiler + tracer + span emission + harvesting)
 must not change a single simulated observable, and a fanned-out sweep
 must produce byte-identical snapshots to a serial one, merging to the
-same aggregate either way.
+same aggregate either way.  A run's raw trace is replayable by seed:
+the same run records the same stream wherever and whenever it runs.
 """
 
 import dataclasses
 
+import pytest
+
+from repro.experiments.common import run_points
 from repro.experiments.figure6 import _measure_point, run_figure6
 from repro.faults.chaos import ChaosPoint, run_chaos_point
 from repro.telemetry import merge_unified_snapshots, validate_snapshot
@@ -106,29 +110,62 @@ class TestSerialVersusParallel:
         assert merged_serial["metrics"]["fm.packets_sent"]["value"] == total
 
 
+def _burst_records(**observe):
+    """The raw ``(time, kind, fields)`` records of a traced 2-node run of
+    two gang-scheduled burst jobs."""
+    from repro.parpar.cluster import ClusterConfig, ParParCluster
+    from repro.parpar.job import JobSpec
+    from repro.workloads.synthetic import burst_benchmark
+
+    cluster = ParParCluster(ClusterConfig(
+        num_nodes=2, time_slots=2, quantum=0.002, seed=1, **observe))
+    workload = burst_benchmark(40, 1, 256, quiet_time=400e-6)
+    jobs = [cluster.submit(JobSpec(f"burst{i}", 2, workload))
+            for i in range(2)]
+    cluster.run_until_finished(jobs)
+    return [(r.time, r.kind, r.fields) for r in cluster.tracer.records]
+
+
+def _explain_records(jobs):
+    """The raw records of one ``repro explain`` point."""
+    from repro.telemetry.explain import _run_point
+
+    _, _, records, _ = _run_point(
+        jobs=jobs, message_bytes=1536, messages=20, quantum=0.004,
+        num_processors=16, policy="", seed=5, keep_records=True)
+    return [(r.time, r.kind, r.fields) for r in records]
+
+
+def _point_records(point):
+    """Picklable :func:`run_points` worker: one named run's raw records."""
+    if point == "explain":
+        return _explain_records(jobs=2)
+    return _burst_records(trace=True)
+
+
+class TestReplayBySeed:
+    """Each run numbers its messages and wire packets from 0, so its raw
+    records do not depend on what the process simulated before."""
+
+    @pytest.mark.parametrize("point", ["explain", "burst"])
+    def test_same_run_records_the_same_raw_stream(self, point):
+        fresh = _point_records(point)
+        _explain_records(jobs=1)    # another run in the same process
+        again = _point_records(point)
+        pooled, _ = run_points(_point_records, [point, point], workers=2)
+        assert fresh == again
+        assert fresh == pooled
+        assert min(f["msg"] for _, kind, f in fresh
+                   if kind == "msg-start") == 0
+        assert min(f["seq"] for _, _, f in fresh if "seq" in f) == 0
+
+
 class TestOneTracer:
     """A trace-only run records exactly what a telemetry run records:
-    both go through the cluster's one tracer.  Message ids and wire seqs
-    are process-global counters, so both streams are normalized first."""
-
-    @staticmethod
-    def _burst_records(**observe):
-        from repro.parpar.cluster import ClusterConfig, ParParCluster
-        from repro.parpar.job import JobSpec
-        from repro.telemetry.explain import normalize_records
-        from repro.workloads.synthetic import burst_benchmark
-
-        cluster = ParParCluster(ClusterConfig(
-            num_nodes=2, time_slots=2, quantum=0.002, seed=1, **observe))
-        workload = burst_benchmark(40, 1, 256, quiet_time=400e-6)
-        jobs = [cluster.submit(JobSpec(f"burst{i}", 2, workload))
-                for i in range(2)]
-        cluster.run_until_finished(jobs)
-        return [(r.time, r.kind, r.fields)
-                for r in normalize_records(cluster.tracer.records)]
+    both go through the cluster's one tracer."""
 
     def test_trace_only_run_records_the_telemetry_stream(self):
-        traced = self._burst_records(trace=True)
-        assert traced == self._burst_records(telemetry=True)
+        traced = _burst_records(trace=True)
+        assert traced == _burst_records(telemetry=True)
         kinds = {kind for _, kind, _ in traced}
         assert {"job-stop", "job-go", "span-begin", "span-end"} <= kinds

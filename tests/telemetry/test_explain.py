@@ -1,9 +1,10 @@
-"""The ``repro explain`` analyzer: normalization, analysis, trace I/O.
+"""The ``repro explain`` analyzer: analysis and trace I/O.
 
-The determinism contract under test: process-global ids (message
-counters, wire seqs) must normalize away so a serial run and a ``-j``
-pool run of the same sweep produce byte-identical reports, and a saved
-trace must re-analyze to exactly the report of the run that produced it.
+The determinism contract under test: a serial run and a ``-j`` pool run
+of the same sweep produce byte-identical reports, a saved trace
+re-analyzes to exactly the report of the run that produced it, and the
+analysis does not depend on the offset or spacing of message ids and
+wire seqs (so traces saved with other ids re-ingest the same).
 """
 
 import json
@@ -12,10 +13,11 @@ import pytest
 
 from repro.cli import main
 from repro.sim.trace import TraceRecord
+from repro.telemetry.causal import build_lineage
 from repro.telemetry.explain import (_run_point, analyze_records,
-                                     explain_chrome_trace,
-                                     explain_payload, load_trace,
-                                     normalize_records, render_explain,
+                                     explain_chrome_trace, explain_payload,
+                                     load_trace, normalize_records,
+                                     render_explain,
                                      run_explain, top_messages,
                                      trace_payload)
 
@@ -40,38 +42,6 @@ def chain(msg, seq, base, node=0, dst=1, job=1):
         rec(t + 4 * MS, "msg-recv", node=dst, job=job, msg=msg, src=node,
             nbytes=64),
     ]
-
-
-def as_tuples(records):
-    return [(r.time, r.kind, sorted(r.fields.items())) for r in records]
-
-
-class TestNormalize:
-    def test_offset_invariance(self):
-        """Shifting every process-global id must not change the output —
-        this is exactly why serial and pooled runs agree byte-for-byte."""
-        base = chain(msg=0, seq=0, base=0.0) + chain(msg=1, seq=1, base=MS)
-        shifted = chain(msg=700, seq=9000, base=0.0) + \
-            chain(msg=701, seq=9001, base=MS)
-        assert as_tuples(normalize_records(base)) == \
-            as_tuples(normalize_records(shifted))
-
-    def test_ids_become_dense_lineage_order(self):
-        records = chain(msg=41, seq=77, base=MS) + chain(msg=40, seq=76,
-                                                         base=0.0)
-        normalized = normalize_records(records)
-        starts = {r.fields["msg"]: r.time for r in normalized
-                  if r.kind == "msg-start"}
-        # start-time order, not id order: the earlier message gets index 0
-        assert starts == {0: 0.0, 1: MS}
-        seqs = [r.fields["seq"] for r in normalized if r.kind == "pkt-enq"]
-        assert seqs == [0, 1]
-
-    def test_control_sentinels_untouched(self):
-        records = [rec(0.0, "pkt-tx", node=0, job=1, msg=-1, dst=1, seq=500)]
-        [out] = normalize_records(records)
-        assert out.fields["msg"] == -1
-        assert out.fields["seq"] == 0       # seqs normalize even on control
 
 
 class TestAnalyze:
@@ -99,18 +69,43 @@ class TestAnalyze:
         assert [m["index"] for m in top_messages(per, 3)] == [0, 1, 2]
 
 
-def without_lineage(analysis):
-    """An analysis minus its lineage, the one part that keeps raw ids."""
-    return {k: v for k, v in analysis.items() if k != "lineage"}
+def rewrite_ids(rows, msg_of, seq_of):
+    """Saved-trace rows with every message id (``msg``/``msg_id``, control
+    sentinels below 0 kept) and wire seq passed through the given maps."""
+    out = []
+    for time, kind, fields in rows:
+        fields = dict(fields)
+        for key in ("msg", "msg_id"):
+            if fields.get(key) is not None and fields[key] >= 0:
+                fields[key] = msg_of(fields[key])
+        if fields.get("seq") is not None:
+            fields["seq"] = seq_of(fields["seq"])
+        out.append([time, kind, fields])
+    return out
 
 
-class TestRawEqualsNormalized:
-    """Explain analyzes the raw stream and normalizes only kept records;
-    that is sound only if normalizing first changes nothing."""
+def offset(rows):
+    """Ids as a process that simulated other runs first once drew them."""
+    return rewrite_ids(rows, lambda msg: msg + 165, lambda seq: seq + 9000)
+
+
+def renumbered(rows):
+    """Ids as saved traces once kept them: dense message indices (in id
+    order, which keeps lineage order), seqs numbered by first appearance."""
+    msgs = sorted({f[key] for _, _, f in rows for key in ("msg", "msg_id")
+                   if f.get(key) is not None and f[key] >= 0})
+    dense = {msg: index for index, msg in enumerate(msgs)}
+    seqs: dict = {}
+    return rewrite_ids(rows, dense.__getitem__,
+                       lambda seq: seqs.setdefault(seq, len(seqs)))
+
+
+class TestIdOffsetInvariance:
+    """The analysis compares ids only for identity and names messages by
+    lineage index, so the ids' offset and spacing never reach it."""
 
     def test_synthetic_stream_with_drops_dups_and_retransmits(self):
-        # sparse, non-zero-based ids, as a worker that ran earlier
-        # simulations would see them; same-instant starts force the id
+        # sparse, non-zero-based ids; same-instant starts force the id
         # tie-break in lineage order
         records = (chain(msg=703, seq=9005, base=0.0)
                    + chain(msg=700, seq=9000, base=0.0)
@@ -129,32 +124,36 @@ class TestRawEqualsNormalized:
             rec(4.2 * MS, "job-stop", node=1, job=2),
         ]
         records.sort(key=lambda r: r.time)
-        raw = analyze_records(records, end_time=6 * MS)
-        normalized = analyze_records(normalize_records(records),
-                                     end_time=6 * MS)
-        assert without_lineage(raw) == without_lineage(normalized)
-        frags = [frag for trace in raw["lineage"]
+        frags = [frag for trace in build_lineage(records)
                  for frag in trace.frags.values()]
         assert sum(f.drops for f in frags) == 1
         assert sum(f.dup_discards for f in frags) == 1
         assert sum(f.retransmits for f in frags) == 1
         assert sum(f.extra_deliveries for f in frags) == 1
+        rows = normalize_records(records)
+        analyses = [analyze_records([TraceRecord(*row) for row in variant],
+                                    end_time=6 * MS)
+                    for variant in (rows, offset(rows), renumbered(rows))]
+        assert analyses[0]["complete"] == 4
+        assert analyses[0] == analyses[1] == analyses[2]
 
-    def test_real_point_stream(self):
+    def test_real_point_stream(self, small_results):
+        """The streamed analysis equals the offline one, and a saved
+        trace with offset or renumbered ids re-ingests to the same
+        explain output."""
         streamed, _, raw_records, end_time = _run_point(
             jobs=2, message_bytes=1536, messages=20, quantum=0.004,
             num_processors=16, policy="", seed=5, keep_records=True)
-        truncated = streamed["truncated"]
-        raw = analyze_records(raw_records, truncated=truncated,
-                              end_time=end_time)
-        assert streamed == without_lineage(raw)
-        normalized = analyze_records(
-            normalize_records(raw_records, raw["lineage"]),
-            truncated=truncated, end_time=end_time)
-        assert raw["complete"] > 0
-        assert without_lineage(raw) == without_lineage(normalized)
-        assert normalize_records(raw_records, raw["lineage"]) == \
-            normalize_records(raw_records)
+        assert streamed["complete"] > 0
+        assert streamed == analyze_records(
+            raw_records, truncated=streamed["truncated"], end_time=end_time)
+        saved = trace_payload(small_results)
+        dump = lambda doc: json.dumps(explain_payload(load_trace(doc)),
+                                      sort_keys=True)
+        for variant in (offset, renumbered):
+            old = dict(saved, points=[dict(p, records=variant(p["records"]))
+                                      for p in saved["points"]])
+            assert dump(old) == dump(saved)
 
 
 @pytest.fixture(scope="module")

@@ -37,7 +37,6 @@ steps = st.sampled_from((0, 0, 1, 2, 3)).map(lambda n: n * STEP)
 
 
 def assert_same(streamed: dict, offline: dict) -> None:
-    offline = {k: v for k, v in offline.items() if k != "lineage"}
     assert (json.dumps(streamed, sort_keys=True)
             == json.dumps(offline, sort_keys=True))
     assert json.dumps(streamed) == json.dumps(offline)   # key order too
