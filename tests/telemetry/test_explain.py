@@ -100,9 +100,25 @@ def renumbered(rows):
                        lambda seq: seqs.setdefault(seq, len(seqs)))
 
 
-class TestIdOffsetInvariance:
-    """The analysis compares ids only for identity and names messages by
-    lineage index, so the ids' offset and spacing never reach it."""
+class TestNormalize:
+    def test_offset_invariance(self):
+        """Saved rows keep raw ids, and shifting every message id and seq
+        changes nothing in the analysis -- this is why a trace re-ingests
+        to the same report whatever ids its run drew."""
+        base = chain(msg=0, seq=0, base=0.0) + chain(msg=1, seq=1, base=MS)
+        shifted = chain(msg=700, seq=9000, base=0.0) + \
+            chain(msg=701, seq=9001, base=MS)
+        assert normalize_records(shifted) == rewrite_ids(
+            normalize_records(base), lambda msg: msg + 700,
+            lambda seq: seq + 9000)
+        analysis = analyze_records(base)
+        assert analysis["complete"] == 2
+        assert analyze_records(shifted) == analysis
+
+
+class TestRawEqualsNormalized:
+    """A saved trace's rows analyze exactly as the raw stream they came
+    from, and so do the same rows with offset or renumbered ids."""
 
     def test_synthetic_stream_with_drops_dups_and_retransmits(self):
         # sparse, non-zero-based ids; same-instant starts force the id
@@ -130,12 +146,17 @@ class TestIdOffsetInvariance:
         assert sum(f.dup_discards for f in frags) == 1
         assert sum(f.retransmits for f in frags) == 1
         assert sum(f.extra_deliveries for f in frags) == 1
+        raw = analyze_records(records, end_time=6 * MS)
+        assert raw["complete"] == 4
         rows = normalize_records(records)
-        analyses = [analyze_records([TraceRecord(*row) for row in variant],
-                                    end_time=6 * MS)
-                    for variant in (rows, offset(rows), renumbered(rows))]
-        assert analyses[0]["complete"] == 4
-        assert analyses[0] == analyses[1] == analyses[2]
+        for variant in (rows, offset(rows), renumbered(rows)):
+            assert analyze_records([TraceRecord(*row) for row in variant],
+                                   end_time=6 * MS) == raw
+
+
+class TestIdOffsetInvariance:
+    """The analysis compares ids only for identity and names messages by
+    lineage index, so the ids' offset and spacing never reach it."""
 
     def test_real_point_stream(self, small_results):
         """The streamed analysis equals the offline one, and a saved
