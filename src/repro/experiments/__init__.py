@@ -2,25 +2,8 @@
 overhead table.  Each ``run_*`` function returns plain dataclasses that
 the benchmarks print via :mod:`~repro.experiments.report`; DESIGN.md maps
 every figure to its module and EXPERIMENTS.md records paper-vs-measured.
+
+Import the driver modules themselves (``repro.experiments.figure6``):
+this package re-exports nothing, so importing one helper module such as
+:mod:`~repro.experiments.common` does not load every figure.
 """
-
-from repro.experiments.figure5 import Figure5Point, run_figure5
-from repro.experiments.figure6 import Figure6Point, run_figure6
-from repro.experiments.figure7 import SwitchOverheadPoint, run_switch_overheads
-from repro.experiments.figure8 import OccupancyPoint, run_figure8
-from repro.experiments.figure9 import run_figure9
-from repro.experiments.table_overhead import OverheadSummary, run_headline_overheads
-
-__all__ = [
-    "Figure5Point",
-    "Figure6Point",
-    "OccupancyPoint",
-    "OverheadSummary",
-    "SwitchOverheadPoint",
-    "run_figure5",
-    "run_figure6",
-    "run_figure8",
-    "run_figure9",
-    "run_headline_overheads",
-    "run_switch_overheads",
-]

@@ -8,10 +8,19 @@ sent explicitly when the peer's remaining credits (as seen from here)
 fall below the low-water mark, or piggybacked on any data packet already
 travelling in the reverse direction.
 
+Both counters are plain ints in a dict keyed by peer, as in the paper.
+There is no semaphore object per peer: the only blocking operation is
+the level-triggered :meth:`CreditState.wait_send`, so the state of a peer
+nobody is waiting on is one integer, and a waiter list exists only for a
+peer some sender is blocked on.  A run holds one credit counter per
+(context, peer) pair — O(nodes²) of them — so a per-peer object with its
+own queues is what would make node scaling expensive.
+
 ``c0 == 0`` is a legal configuration (it is exactly what the original
 static partitioning produces at 7-8 contexts) and means communication is
-impossible; :meth:`acquire_send` raises :class:`CreditError` so callers
-can report zero bandwidth rather than deadlock.
+impossible; :meth:`~CreditState.try_acquire_send` and
+:meth:`~CreditState.wait_send` raise :class:`CreditError` so callers can
+report zero bandwidth rather than deadlock.
 """
 
 from __future__ import annotations
@@ -20,11 +29,16 @@ from typing import Iterable, Optional
 
 from repro.errors import CreditError
 from repro.sim.core import Event, Simulator
-from repro.sim.primitives import Semaphore
 
 
 class CreditState:
-    """Per-context flow-control state (lives in process memory)."""
+    """Per-context flow-control state (lives in process memory).
+
+    A credit toward a peer wakes every sender waiting on that peer, in
+    the order they started waiting; a sender re-checks with
+    :meth:`try_acquire_send` when it runs, so a wakeup never holds a
+    credit (see :meth:`wait_send`).
+    """
 
     def __init__(self, sim: Simulator, c0: int, peers: Iterable[int],
                  low_water_fraction: float = 0.5):
@@ -38,12 +52,14 @@ class CreditState:
         self.low_water = int(c0 * low_water_fraction)
         #: consume this many from one peer before telling it (>=1)
         self.refill_threshold = max(1, c0 - self.low_water)
-        self._send_credits: dict[int, Semaphore] = {
-            peer: Semaphore(sim, value=c0) for peer in peers
-        }
-        self._consumed: dict[int, int] = {peer: 0 for peer in peers}
+        #: peer -> credits available for sending to it (never negative)
+        self._credits: dict[int, int] = dict.fromkeys(peers, c0)
+        self._consumed: dict[int, int] = dict.fromkeys(self._credits, 0)
+        #: peer -> wait_send events not yet fired; a key exists only
+        #: while some sender is blocked on that peer
+        self._waiting: dict[int, list[Event]] = {}
         #: the peer set is fixed at construction; sorted once
-        self._peers: tuple[int, ...] = tuple(sorted(self._send_credits))
+        self._peers: tuple[int, ...] = tuple(sorted(self._credits))
         # statistics
         self.refills_sent = 0
         self.refills_piggybacked = 0
@@ -60,7 +76,10 @@ class CreditState:
 
     def available(self, peer: int) -> int:
         """Credits currently available for sending to ``peer``."""
-        return self._peer_sem(peer).value
+        try:
+            return self._credits[peer]
+        except KeyError:
+            raise CreditError(f"unknown peer node {peer}") from None
 
     def reclaimable(self) -> Optional[int]:
         """Credits a uniform window shrink could take back right now.
@@ -68,56 +87,61 @@ class CreditState:
         The minimum availability over peers (see :meth:`set_window`);
         None for a context with no peers.
         """
-        sems = self._send_credits
-        if not sems:
-            return None
-        return min([sem.value for sem in sems.values()])
+        credits = self._credits
+        return min(credits.values()) if credits else None
 
     def consumed_unreported(self, peer: int) -> int:
         """Packets consumed from ``peer`` not yet refilled back to it."""
         return self._consumed[peer]
 
-    def _peer_sem(self, peer: int) -> Semaphore:
-        try:
-            return self._send_credits[peer]
-        except KeyError:
-            raise CreditError(f"unknown peer node {peer}") from None
-
     # -- sender side -------------------------------------------------------------
-    def acquire_send(self, peer: int) -> Event:
-        """One credit toward ``peer``; the event blocks until available.
-
-        The credit is taken when the event *triggers* — if the holder can
-        be SIGSTOPped (gang-scheduled user code), prefer the
-        ``try_acquire_send`` / ``wait_send`` pair, which never parks a
-        taken credit inside an undelivered event.
-        """
-        self._require_window()
-        return self._peer_sem(peer).acquire(1)
-
     def try_acquire_send(self, peer: int) -> bool:
         """Atomically take one credit toward ``peer`` if available now.
 
-        FM_send calls this once per packet, so the window check, the
-        peer lookup and ``Semaphore.try_acquire(1)`` run inline here.
+        FM_send calls this once per packet, so the window check and the
+        peer lookup run inline here.
         """
         if self.c0 == 0:
             self._require_window()
+        credits = self._credits
         try:
-            sem = self._send_credits[peer]
+            left = credits[peer]
         except KeyError:
             raise CreditError(f"unknown peer node {peer}") from None
-        if sem._value >= 1 and not sem._waiters:
-            sem._value -= 1
+        if left:
+            credits[peer] = left - 1
             return True
         return False
 
     def wait_send(self, peer: int) -> Event:
         """Level-triggered: fires when a credit toward ``peer`` appears
-        (without taking it); pair with ``try_acquire_send`` in a loop."""
+        (without taking it); pair with ``try_acquire_send`` in a loop.
+
+        Nothing is held inside the event, so a sender SIGSTOPped between
+        the wakeup and its retry leaves the credit visible to everyone
+        (the credit-conservation audits depend on this).  With a credit
+        already available the event fires at once.
+        """
         self._require_window()
         self.send_waits += 1
-        return self._peer_sem(peer).wait_value(1)
+        left = self.available(peer)
+        event = Event(self.sim)
+        if left:
+            event.succeed()
+        else:
+            waiting = self._waiting.get(peer)
+            if waiting is None:
+                self._waiting[peer] = [event]
+            else:
+                waiting.append(event)
+        return event
+
+    def _wake(self, peer: int) -> None:
+        """A credit toward ``peer`` appeared: fire its waiters in order."""
+        waiting = self._waiting.pop(peer, None)
+        if waiting is not None:
+            for event in waiting:
+                event.succeed()
 
     def set_window(self, new_c0: int) -> int:
         """Retarget the per-peer credit window (dynamic buffer policies).
@@ -143,18 +167,21 @@ class CreditState:
             raise CreditError(f"negative credit window {new_c0}")
         if new_c0 > self.c0:
             delta = new_c0 - self.c0
-            sems = self._send_credits
+            credits = self._credits
+            waiting = self._waiting
             for peer in self._peers:
-                sems[peer].release(delta)
+                credits[peer] += delta
+                if peer in waiting:
+                    self._wake(peer)
             achieved = new_c0
         elif new_c0 < self.c0:
             want = self.c0 - new_c0
             reclaimable = self.reclaimable()
             take = want if reclaimable is None else min(want, reclaimable)
             if take:
-                sems = self._send_credits
+                credits = self._credits
                 for peer in self._peers:
-                    sems[peer].reclaim(take)
+                    credits[peer] -= take
             achieved = self.c0 - take
         else:
             return self.c0
@@ -195,13 +222,15 @@ class CreditState:
         """
         if count <= 0:
             raise CreditError(f"refill of {count} credits from {peer}")
-        sem = self._peer_sem(peer)
-        if sem.value + count > self.c0:
+        left = self.available(peer)
+        if left + count > self.c0:
             raise CreditError(
-                f"refill overflow from {peer}: {sem.value}+{count} > C0={self.c0}"
+                f"refill overflow from {peer}: {left}+{count} > C0={self.c0}"
             )
         self.credits_received += count
-        sem.release(count)
+        self._credits[peer] = left + count
+        if peer in self._waiting:
+            self._wake(peer)
 
     # -- receiver side -------------------------------------------------------------
     #

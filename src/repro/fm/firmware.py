@@ -147,8 +147,9 @@ class LanaiFirmware:
         # Idempotent: a context re-installed at every switch-in keeps
         # exactly one kick on its queue.
         ctx.send_queue.on_nonempty(self.wake)
-        self.tracer.record("ctx-install", node=self.nic.node_id, job=ctx.job_id,
-                           rank=ctx.rank)
+        if self.tracer.enabled:
+            self.tracer.record("ctx-install", node=self.nic.node_id,
+                               job=ctx.job_id, rank=ctx.rank)
         self.wake()
 
     def remove_context(self, ctx: FMContext) -> None:
@@ -160,7 +161,9 @@ class LanaiFirmware:
         self._scan_pos = 0
         self.nic.free_sram(self._sram_tag(ctx))
         ctx.state = ContextState.STORED
-        self.tracer.record("ctx-remove", node=self.nic.node_id, job=ctx.job_id)
+        if self.tracer.enabled:
+            self.tracer.record("ctx-remove", node=self.nic.node_id,
+                               job=ctx.job_id)
 
     def forget_job(self, job_id: int) -> None:
         """End-of-job teardown: drop state that survives store/restore.

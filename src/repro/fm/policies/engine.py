@@ -97,8 +97,9 @@ class QueueWaitObserver:
 class PolicyEngine:
     """Applies a dynamic :class:`BufferPolicy` to live contexts."""
 
-    #: memoised plans kept around (each switch completes globally before
-    #: the next begins; a handful is ample slack)
+    #: memoised plans kept around, each with the nodes that applied it
+    #: (each switch completes globally before the next begins; a handful
+    #: is ample slack)
     PLAN_KEEP = 4
 
     def __init__(self, sim, policy: BufferPolicy, config: FMConfig,
@@ -127,8 +128,8 @@ class PolicyEngine:
         self._observers: dict[tuple[int, int], tuple] = {}
         # (job, node) -> [recv_alloc, send_alloc]; the conservation ledger
         self._alloc: dict[tuple[int, int], list[int]] = {}
-        self._plans: dict[int, dict] = {}       # sequence -> plan
-        self._applied: set[tuple[int, int]] = set()
+        # sequence -> (plan, nodes that applied it); pruned to PLAN_KEEP
+        self._plans: dict[int, tuple[dict, set[int]]] = {}
         self._auto_seq = -1
         # statistics (deterministic; harvested into telemetry)
         self.reallocations = 0
@@ -256,7 +257,8 @@ class PolicyEngine:
     def on_context_switch(self, node_id: int, sequence: Optional[int],
                           out_job: Optional[int],
                           in_job: Optional[int]) -> None:
-        """Reallocate at a flushed gang switch (idempotent per node/seq).
+        """Reallocate at a flushed gang switch (idempotent per node/seq
+        for the ``PLAN_KEEP`` latest sequences).
 
         Called from ``COMM_context_switch`` after the outgoing context is
         off the NIC and before the incoming one is installed — the only
@@ -265,13 +267,12 @@ class PolicyEngine:
         if sequence is None:
             self._auto_seq += 1
             sequence = -1 - self._auto_seq  # private key space, never masterd's
-        if (sequence, node_id) in self._applied:
-            return
-        plan = self._plans.get(sequence)
+        memo = self._plans.get(sequence)
         tracer = self.tracer
-        if plan is None:
+        if memo is None:
             plan = self._compute_plan(out_job, in_job)
-            self._plans[sequence] = plan
+            applied = {node_id}
+            self._plans[sequence] = (plan, applied)
             while len(self._plans) > self.PLAN_KEEP:
                 del self._plans[min(self._plans)]
             if tracer and plan:
@@ -280,7 +281,11 @@ class PolicyEngine:
                     jobs=len({j for j, _ in plan}),
                     windows=[[j, w] for (j, n), (_, _, w)
                              in sorted(plan.items()) if n == node_id])
-        self._applied.add((sequence, node_id))
+        else:
+            plan, applied = memo
+            if node_id in applied:
+                return
+            applied.add(node_id)
         if plan:
             self._apply_node(node_id, plan, sequence)
 

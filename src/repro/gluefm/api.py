@@ -196,7 +196,8 @@ class GlueFM:
         self._require_init()
         start = self.sim.now
         self.node.nic.set_halt_bit()
-        self.tracer.record("nic-halt", node=self.node.node_id)
+        if self.tracer.enabled:
+            self.tracer.record("nic-halt", node=self.node.node_id)
         yield self.flush.begin_flush()
         return self.sim.now - start
 
@@ -228,11 +229,12 @@ class GlueFM:
                                                  out_job, in_job)
         if in_ctx is not None:
             self.firmware.install_context(in_ctx)
-        self.tracer.record("buffer-switch", node=self.node.node_id,
-                           out_job=out_job, in_job=in_job,
-                           duration=report.duration,
-                           out_send_valid=report.out_send_valid,
-                           out_recv_valid=report.out_recv_valid)
+        if self.tracer.enabled:
+            self.tracer.record("buffer-switch", node=self.node.node_id,
+                               out_job=out_job, in_job=in_job,
+                               duration=report.duration,
+                               out_send_valid=report.out_send_valid,
+                               out_recv_valid=report.out_recv_valid)
         return report
 
     def COMM_release_network(self):
@@ -245,6 +247,7 @@ class GlueFM:
         start = self.sim.now
         yield self.flush.begin_release()
         self.node.nic.clear_halt_bit()
-        self.tracer.record("nic-release", node=self.node.node_id)
+        if self.tracer.enabled:
+            self.tracer.record("nic-release", node=self.node.node_id)
         self.firmware.wake()
         return self.sim.now - start

@@ -287,8 +287,10 @@ class FlushProtocol:
         if ev is None or ev.triggered:
             return
         # State (H, p): everyone halted; the network is flushed.
-        self.tracer.record("flush-complete", node=self.firmware.nic.node_id,
-                           round=self._halt_round)
+        if self.tracer.enabled:
+            self.tracer.record("flush-complete",
+                               node=self.firmware.nic.node_id,
+                               round=self._halt_round)
         ev.succeed()
 
     # ------------------------------------------------------------------ release
@@ -333,8 +335,10 @@ class FlushProtocol:
         ev = self._release_event
         if ev is None or ev.triggered:
             return
-        self.tracer.record("release-complete", node=self.firmware.nic.node_id,
-                           round=self._ready_round)
+        if self.tracer.enabled:
+            self.tracer.record("release-complete",
+                               node=self.firmware.nic.node_id,
+                               round=self._ready_round)
         ev.succeed()
         # Round fully over; allow the next begin_flush.
         self._flush_event = None

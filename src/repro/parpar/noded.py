@@ -107,8 +107,12 @@ class NodeDaemon:
         self._daemon_procs: list[Process] = []
         self._switching = False
         self._switch_idle_waiters: list[Event] = []
-        self._switches_started: set[int] = set()
-        self._switches_done: set[int] = set()
+        #: Highest switch sequence started and finished here.  The
+        #: masterd's sequences only grow and it opens switch n+1 only
+        #: after switch n's barrier closed, so two integers dedupe its
+        #: barrier retries.
+        self._switch_started = -1
+        self._switch_done = -1
         #: Tombstones for jobs the masterd killed; checked by a load
         #: still in flight when the kill arrived.
         self._killed_jobs: set[int] = set()
@@ -240,18 +244,18 @@ class NodeDaemon:
 
     # ------------------------------------------------------------------ switching
     def _switch(self, sequence: int, old_slot: int, new_slot: int):
-        if sequence in self._switches_started:
+        if sequence <= self._switch_started:
             # A masterd barrier retry.  If the original already finished,
             # its ack raced the retry — just re-ack; otherwise the switch
             # is still in progress and will ack when done.
-            if sequence in self._switches_done:
+            if sequence <= self._switch_done:
                 self._send_master(("switch-done", sequence, self.node.node_id))
             return
-        self._switches_started.add(sequence)
+        self._switch_started = sequence
         self._switching = True
         try:
             yield from self._run_switch(sequence, old_slot, new_slot)
-            self._switches_done.add(sequence)
+            self._switch_done = max(self._switch_done, sequence)
             self._send_master(("switch-done", sequence, self.node.node_id))
         finally:
             self._switching = False

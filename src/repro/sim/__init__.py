@@ -14,14 +14,14 @@ Public surface:
   ``interrupt`` and (unusually for a DES) ``suspend``/``resume`` which model
   SIGSTOP/SIGCONT in the gang scheduler, and ``yield PARK`` /
   ``Process.wake()`` for an idle point with no calendar entry.
-- :mod:`~repro.sim.primitives` — Gate, Store, Resource, Semaphore.
+- :mod:`~repro.sim.primitives` — Gate, Store, Resource.
 - :class:`~repro.sim.trace.Tracer` — structured event log.
 - :class:`~repro.sim.rand.RandomStreams` — named deterministic RNG streams.
 """
 
 from repro.sim.core import AllOf, AnyOf, Event, Simulator, Timeout
 from repro.sim.process import PARK, Process
-from repro.sim.primitives import Gate, Resource, Semaphore, Store
+from repro.sim.primitives import Gate, Resource, Store
 from repro.sim.rand import RandomStreams
 from repro.sim.trace import TraceRecord, Tracer
 
@@ -34,7 +34,6 @@ __all__ = [
     "Process",
     "RandomStreams",
     "Resource",
-    "Semaphore",
     "Simulator",
     "Store",
     "Timeout",

@@ -1,8 +1,9 @@
 """Synchronisation primitives built on the event kernel.
 
 These are deliberately small: the hardware and protocol models use them to
-express waiting (for queue slots, for credits, for gates opened by control
-messages) without hand-rolling callback plumbing.
+express waiting (for queue slots, for gates opened by control messages)
+without hand-rolling callback plumbing.  FM's credit counters are plain
+ints with their own waiter lists (:mod:`repro.fm.credits`).
 """
 
 from __future__ import annotations
@@ -146,91 +147,3 @@ class Resource:
         else:
             self._in_use -= 1
 
-
-class Semaphore:
-    """A counting semaphore; ``acquire(n)`` blocks until n units available.
-
-    The credit counters in :mod:`repro.fm.credits` are built on this.
-    """
-
-    def __init__(self, sim: Simulator, value: int = 0):
-        if value < 0:
-            raise SimulationError(f"Semaphore value must be >= 0, got {value}")
-        self.sim = sim
-        self._value = value
-        self._waiters: Deque[tuple[Event, int]] = deque()
-        self._observers: Deque[tuple[Event, int]] = deque()
-
-    @property
-    def value(self) -> int:
-        return self._value
-
-    def acquire(self, n: int = 1) -> Event:
-        if n <= 0:
-            raise SimulationError(f"acquire() needs a positive count, got {n}")
-        ev = Event(self.sim)
-        self._waiters.append((ev, n))
-        self._drain()
-        return ev
-
-    def try_acquire(self, n: int = 1) -> bool:
-        """Non-blocking acquire; only succeeds if no one is queued ahead."""
-        if not self._waiters and self._value >= n:
-            self._value -= n
-            return True
-        return False
-
-    def release(self, n: int = 1) -> None:
-        if n <= 0:
-            raise SimulationError(f"release() needs a positive count, got {n}")
-        self._value += n
-        if self._waiters or self._observers:   # else _drain is a no-op
-            self._drain()
-
-    def reclaim(self, n: int = 1) -> int:
-        """Take up to ``n`` units immediately, bypassing the waiter queue.
-
-        The revocation primitive (credit-window shrinks): unlike
-        ``try_acquire`` it does not yield priority to queued waiters —
-        the whole point is to remove units before they are handed out.
-        Returns how many units were actually taken (never negative).
-        """
-        if n < 0:
-            raise SimulationError(f"reclaim() needs a non-negative count, got {n}")
-        take = n if n <= self._value else self._value
-        self._value -= take
-        return take
-
-    def wait_value(self, n: int = 1) -> Event:
-        """Event that fires when the count reaches ``n`` — WITHOUT taking.
-
-        Level-triggered observation: the waiter must ``try_acquire`` after
-        waking and re-wait on failure.  Unlike ``acquire``, nothing is
-        held inside the event, so an observer that is SIGSTOPped between
-        the trigger and its wakeup leaves the units visible to everyone
-        (the credit-conservation audits depend on this).
-        """
-        if n <= 0:
-            raise SimulationError(f"wait_value() needs a positive count, got {n}")
-        ev = Event(self.sim)
-        if self._value >= n and not self._waiters:
-            ev.succeed()
-        else:
-            self._observers.append((ev, n))
-        return ev
-
-    def _drain(self) -> None:
-        # FIFO: a large acquire at the head blocks smaller ones behind it,
-        # mirroring in-order packet admission.
-        while self._waiters and self._value >= self._waiters[0][1]:
-            ev, n = self._waiters.popleft()
-            self._value -= n
-            ev.succeed()
-        if not self._waiters and self._observers:
-            still = deque()
-            for ev, n in self._observers:
-                if self._value >= n:
-                    ev.succeed()
-                else:
-                    still.append((ev, n))
-            self._observers = still

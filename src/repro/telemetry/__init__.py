@@ -27,42 +27,7 @@ Layout:
   checked-in snapshot contract;
 - :mod:`repro.telemetry.session` — the :class:`Telemetry` bundle and the
   component harvesters.
+
+Import the submodules themselves; this package re-exports nothing, so
+loading one of them does not load the rest.
 """
-
-from repro.telemetry.attribution import (CAUSES, attribute_message,
-                                         summarize_attribution,
-                                         summarize_stalls)
-from repro.telemetry.causal import (CAUSAL_KINDS, FragmentTrace,
-                                    MessageTrace, SchedulingWindows,
-                                    build_lineage, build_windows,
-                                    derive_causal_spans)
-from repro.telemetry.export import (render_summary, to_chrome_trace,
-                                    write_chrome_trace)
-from repro.telemetry.profiler import KernelProfiler, merge_profiles
-from repro.telemetry.registry import (Counter, Gauge, Histogram,
-                                      MetricsRegistry, log2_bucket,
-                                      merge_snapshots)
-from repro.telemetry.schema import (load_snapshot_schema, validate,
-                                    validate_snapshot)
-from repro.sim.trace import DEFAULT_TRACE_LIMIT
-from repro.telemetry.session import (SNAPSHOT_SCHEMA, Telemetry,
-                                     harvest_cluster, harvest_network,
-                                     merge_unified_snapshots)
-from repro.telemetry.spans import (Span, SpanEmitter, build_spans,
-                                   derive_packet_spans,
-                                   derive_retransmit_spans, summarize_spans)
-
-__all__ = [
-    "Counter", "Gauge", "Histogram", "MetricsRegistry", "log2_bucket",
-    "merge_snapshots", "KernelProfiler", "merge_profiles",
-    "Span", "SpanEmitter", "build_spans", "derive_packet_spans",
-    "derive_retransmit_spans", "summarize_spans",
-    "CAUSAL_KINDS", "FragmentTrace", "MessageTrace", "SchedulingWindows",
-    "build_lineage", "build_windows", "derive_causal_spans",
-    "CAUSES", "attribute_message", "summarize_attribution",
-    "summarize_stalls",
-    "render_summary", "to_chrome_trace", "write_chrome_trace",
-    "load_snapshot_schema", "validate", "validate_snapshot",
-    "Telemetry", "DEFAULT_TRACE_LIMIT", "SNAPSHOT_SCHEMA",
-    "harvest_cluster", "harvest_network", "merge_unified_snapshots",
-]

@@ -1,5 +1,7 @@
 """Unit tests for the credit-based flow-control state."""
 
+import tracemalloc
+
 import pytest
 
 from repro.errors import CreditError
@@ -10,6 +12,12 @@ from repro.sim import Simulator
 @pytest.fixture
 def sim():
     return Simulator()
+
+
+def acquire(cs, peer):
+    """FM_send's credit loop: take a credit now, or wait and retry."""
+    while not cs.try_acquire_send(peer):
+        yield cs.wait_send(peer)
 
 
 class TestAcquire:
@@ -23,21 +31,22 @@ class TestAcquire:
         done = []
 
         def sender():
-            yield cs.acquire_send(1)
+            yield from acquire(cs, 1)
             done.append(cs.available(1))
 
         sim.process(sender())
         sim.run()
         assert done == [2]
+        assert cs.send_waits == 0
 
     def test_acquire_blocks_at_zero_until_refill(self, sim):
         cs = CreditState(sim, c0=1, peers=[1])
         log = []
 
         def sender():
-            yield cs.acquire_send(1)
+            yield from acquire(cs, 1)
             log.append(("first", sim.now))
-            yield cs.acquire_send(1)
+            yield from acquire(cs, 1)
             log.append(("second", sim.now))
 
         sim.process(sender())
@@ -49,18 +58,75 @@ class TestAcquire:
         sim.process(refiller())
         sim.run()
         assert log == [("first", 0.0), ("second", 5.0)]
+        assert cs.send_waits == 1
+        assert cs.available(1) == 0
+
+    def test_wait_with_credit_available_fires_at_once(self, sim):
+        cs = CreditState(sim, c0=2, peers=[1])
+        event = cs.wait_send(1)
+        assert event.triggered
+        assert cs.available(1) == 2     # a wait takes nothing
+
+    def test_refill_wakes_every_waiter_in_wait_order(self, sim):
+        """Level-triggered: one credit wakes all three blocked senders,
+        the first to run takes it and the other two wait again."""
+        cs = CreditState(sim, c0=1, peers=[1, 2])
+        assert cs.try_acquire_send(1)
+        log = []
+
+        def sender(name):
+            yield from acquire(cs, 1)
+            log.append((name, sim.now))
+
+        for name in "abc":
+            sim.process(sender(name))
+
+        def refiller():
+            for t in (1.0, 2.0, 3.0):
+                yield sim.timeout(t - sim.now)
+                cs.on_refill(1, 1)
+
+        sim.process(refiller())
+        sim.run()
+        assert log == [("a", 1.0), ("b", 2.0), ("c", 3.0)]
+        # a, b, c at t=0; b, c at t=1; c at t=2
+        assert cs.send_waits == 6
+        assert cs.available(2) == 1    # the other peer never moved
 
     def test_zero_c0_raises_immediately(self, sim):
         cs = CreditState(sim, c0=0, peers=[1])
         with pytest.raises(CreditError, match="impossible"):
-            cs.acquire_send(1)
+            cs.try_acquire_send(1)
+        with pytest.raises(CreditError, match="impossible"):
+            cs.wait_send(1)
 
     def test_unknown_peer_rejected(self, sim):
         cs = CreditState(sim, c0=2, peers=[1])
         with pytest.raises(CreditError):
-            cs.acquire_send(9)
+            cs.try_acquire_send(9)
+        with pytest.raises(CreditError):
+            cs.wait_send(9)
+        with pytest.raises(CreditError):
+            cs.available(9)
         with pytest.raises(CreditError):
             cs.on_refill(9, 1)
+
+
+class TestFootprint:
+    def test_per_peer_state_is_a_counter(self, sim):
+        """A run holds one CreditState per context with one entry per
+        peer node, O(nodes**2) in all; each entry must stay a few dict
+        slots, not an object with its own queues."""
+        peers = list(range(1024))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            cs = CreditState(sim, c0=8, peers=peers)
+            cost = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert cs.available(1023) == 8
+        assert cost / len(peers) < 256, f"{cost / len(peers):.0f} B per peer"
 
 
 class TestRefill:
@@ -164,7 +230,7 @@ class TestConservation:
 
         def cycle():
             for _ in range(4):
-                yield sender.acquire_send(1)
+                yield from acquire(sender, 1)
             # receiver consumes all four and reports once over threshold
             for _ in range(4):
                 receiver.note_consumed(0)
@@ -206,7 +272,7 @@ class TestSetWindow:
 
         def spend():
             for _ in range(3):
-                yield cs.acquire_send(1)
+                yield from acquire(cs, 1)
 
         sim.process(spend())
         sim.run()
@@ -219,8 +285,8 @@ class TestSetWindow:
         cs = CreditState(sim, c0=4, peers=[1, 2])
 
         def spend():
-            yield cs.acquire_send(1)
-            yield cs.acquire_send(1)
+            yield from acquire(cs, 1)
+            yield from acquire(cs, 1)
 
         sim.process(spend())
         sim.run()
@@ -256,7 +322,7 @@ class TestSetWindow:
 
         def spend():
             for _ in range(3):
-                yield cs.acquire_send(1)
+                yield from acquire(cs, 1)
 
         sim.process(spend())
         sim.run()
@@ -270,10 +336,10 @@ class TestSetWindow:
         log = []
 
         def tx():
-            yield cs.acquire_send(1)
+            yield from acquire(cs, 1)
             log.append("first")
-            yield cs.acquire_send(1)
-            log.append("second")
+            yield from acquire(cs, 1)
+            log.append(("second", sim.now))
 
         sim.process(tx())
 
@@ -283,7 +349,7 @@ class TestSetWindow:
 
         sim.process(grow())
         sim.run()
-        assert log == ["first", "second"]
+        assert log == ["first", ("second", 1.0)]
 
 
 class TestPeerView:

@@ -232,8 +232,9 @@ class TestAuditLearnsPolicyWindows:
         spent = []
 
         def tx():
-            yield sender.credits.acquire_send(1)
-            yield sender.credits.acquire_send(1)
+            for _ in range(2):
+                while not sender.credits.try_acquire_send(1):
+                    yield sender.credits.wait_send(1)
             spent.append(sender.credits.available(1))
 
         sim.process(tx())

@@ -88,3 +88,32 @@ class TestDynamicPolicyCluster:
         assert metrics["policy.reallocations"]["value"] > 0
         assert metrics["policy.reports"]["value"] == 1
         assert metrics["policy.max_window"]["kind"] == "gauge"
+
+
+def _container_sizes(obj):
+    """Size of every set and dict an object keeps."""
+    return {name: len(value) for name, value in vars(obj).items()
+            if isinstance(value, (set, dict))}
+
+
+class TestBoundedSwitchBookkeeping:
+    def test_state_does_not_grow_with_the_switch_count(self):
+        """Fifty switches under a dynamic policy: the engine keeps plans
+        for at most PLAN_KEEP sequences, and neither it nor a noded keeps
+        anything that grows by one entry per switch."""
+        cluster = policy_cluster("occamy")
+        jobs = [cluster.submit(JobSpec(f"bw{i}", 2,
+                                       bandwidth_benchmark(100_000, 1400)))
+                for i in range(2)]
+        engine = cluster.policy_engine
+        masterd = cluster.masterd
+        owners = [engine, *cluster.nodeds]
+        early = None
+        while masterd.switches_completed < 50:
+            cluster.run_for(0.004)
+            assert len(engine._plans) <= engine.PLAN_KEEP
+            if early is None and masterd.switches_completed >= 10:
+                early = [_container_sizes(owner) for owner in owners]
+        assert not any(job.is_finished for job in jobs)
+        assert engine.reallocations >= 2 * 40
+        assert [_container_sizes(owner) for owner in owners] == early

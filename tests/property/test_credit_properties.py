@@ -1,8 +1,10 @@
 """Property-based tests of credit flow-control invariants."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import CreditError
 from repro.fm.config import FMConfig
 from repro.fm.credits import CreditState
 from repro.sim import Simulator
@@ -85,3 +87,124 @@ def test_policy_geometry_invariants(n, p):
     assert full.initial_credits * p <= full.recv_packets
     # The paper's n^2 relationship (up to integer truncation).
     assert full.initial_credits >= static.initial_credits
+
+
+class _CreditModel:
+    """The credit rules spelt out: one count per peer, and per peer the
+    waits not yet fired.  A count that rises fires all of that peer's
+    waits in the order they were made; a grown window does so peer by
+    peer in sorted order; a wait with a credit there fires at once."""
+
+    def __init__(self, c0, peers):
+        self.c0 = c0
+        self.avail = dict.fromkeys(peers, c0)
+        self.waits = {peer: [] for peer in peers}
+        self.fired = []
+
+    def _window(self):
+        if self.c0 == 0:
+            raise CreditError("zero window")
+
+    def _fire(self, peer):
+        self.fired.extend(self.waits[peer])
+        self.waits[peer] = []
+
+    def try_acquire(self, peer):
+        self._window()
+        if self.avail[peer]:
+            self.avail[peer] -= 1
+            return True
+        return False
+
+    def wait(self, peer, tag):
+        self._window()
+        if self.avail[peer]:
+            self.fired.append(tag)
+        else:
+            self.waits[peer].append(tag)
+
+    def refill(self, peer, count):
+        if self.avail[peer] + count > self.c0:
+            raise CreditError("overflow")
+        self.avail[peer] += count
+        self._fire(peer)
+
+    def set_window(self, new_c0):
+        if new_c0 > self.c0:
+            for peer in sorted(self.avail):
+                self.avail[peer] += new_c0 - self.c0
+                self._fire(peer)
+        elif new_c0 < self.c0:
+            take = min([self.c0 - new_c0, *self.avail.values()])
+            for peer in self.avail:
+                self.avail[peer] -= take
+            new_c0 = self.c0 - take
+        self.c0 = new_c0
+        return new_c0
+
+
+def _outcome(call):
+    try:
+        return call()
+    except CreditError:
+        return CreditError
+
+
+_OPS = st.one_of(
+    st.tuples(st.just("try"), st.integers(0, 7)),
+    st.tuples(st.just("wait"), st.integers(0, 7)),
+    st.tuples(st.just("refill"), st.integers(0, 7), st.integers(1, 3)),
+    st.tuples(st.just("window"), st.integers(0, 6)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(c0=st.integers(min_value=0, max_value=4),
+       peers=st.lists(st.integers(0, 9), unique=True, min_size=1,
+                      max_size=4),
+       ops=st.lists(_OPS, max_size=60))
+def test_credit_state_matches_reference_model(c0, peers, ops):
+    """Random try/wait/refill/window sequences: same return values, same
+    counts, and the wait events fire in the model's order."""
+    sim = Simulator()
+    cs = CreditState(sim, c0, peers=peers)
+    model = _CreditModel(c0, peers)
+    fired = []
+    for tag, op in enumerate(ops):
+        kind = op[0]
+        if kind == "window":
+            got = _outcome(lambda: cs.set_window(op[1]))
+            want = _outcome(lambda: model.set_window(op[1]))
+        else:
+            peer = peers[op[1] % len(peers)]
+            if kind == "try":
+                got = _outcome(lambda: cs.try_acquire_send(peer))
+                want = _outcome(lambda: model.try_acquire(peer))
+            elif kind == "wait":
+                def wait():
+                    event = cs.wait_send(peer)
+                    event.add_callback(lambda _ev, tag=tag: fired.append(tag))
+                got = _outcome(wait)
+                want = _outcome(lambda: model.wait(peer, tag))
+            else:
+                got = _outcome(lambda: cs.on_refill(peer, op[2]))
+                want = _outcome(lambda: model.refill(peer, op[2]))
+        sim.run()
+        assert got == want, (op, got, want)
+        assert cs.c0 == model.c0
+        assert {p: cs.available(p) for p in peers} == model.avail
+        assert cs.reclaimable() == min(model.avail.values())
+        assert fired == model.fired
+
+
+@pytest.mark.parametrize("peers", [[3, 1, 2], [2, 3, 1]])
+def test_grown_window_wakes_peers_in_sorted_order(peers):
+    sim = Simulator()
+    cs = CreditState(sim, c0=1, peers=peers)
+    woken = []
+    for peer in peers:
+        assert cs.try_acquire_send(peer)
+        cs.wait_send(peer).add_callback(lambda _ev, p=peer: woken.append(p))
+    cs.set_window(2)
+    sim.run()
+    assert woken == [1, 2, 3]

@@ -192,7 +192,8 @@ def test_engine_indexes_survive_churn(ops, policy_idx):
     key = node_keys[0]
     ctx = engine._contexts[key]
     seq += 1
-    engine._plans[seq] = {key: (engine.recv_pool + 1,
-                                ctx.send_queue.capacity, ctx.credits.c0)}
+    engine._plans[seq] = ({key: (engine.recv_pool + 1,
+                                 ctx.send_queue.capacity, ctx.credits.c0)},
+                          set())
     with pytest.raises(ProtocolError, match="over-committed"):
         engine.on_context_switch(0, seq, out_job=None, in_job=key[0])

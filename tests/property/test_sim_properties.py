@@ -3,7 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim import Semaphore, Simulator
+from repro.sim import Simulator
 
 
 @settings(max_examples=50, deadline=None)
@@ -71,58 +71,3 @@ def test_suspend_resume_never_loses_work(tick_count, stops):
     sim.run(max_events=100_000)
     assert ticks == list(range(tick_count))
     assert not proc.is_alive
-
-
-@settings(max_examples=50, deadline=None)
-@given(ops=st.lists(st.tuples(st.sampled_from(["acquire", "release"]),
-                              st.integers(min_value=1, max_value=5)),
-                    max_size=40))
-def test_semaphore_conservation(ops):
-    """Units are neither created nor destroyed: value + taken == initial
-    + released, and value never goes negative."""
-    sim = Simulator()
-    initial = 10
-    sem = Semaphore(sim, value=initial)
-    state = {"taken": 0, "released": 0}
-
-    def driver():
-        for op, n in ops:
-            if op == "acquire":
-                if sem.try_acquire(n):
-                    state["taken"] += n
-            else:
-                sem.release(n)
-                state["released"] += n
-            assert sem.value >= 0
-            assert sem.value + state["taken"] == initial + state["released"]
-            yield sim.timeout(1.0)
-
-    sim.process(driver())
-    sim.run(max_events=100_000)
-
-
-@settings(max_examples=30, deadline=None)
-@given(waiters=st.lists(st.integers(min_value=1, max_value=4),
-                        min_size=1, max_size=8),
-       budget=st.integers(min_value=0, max_value=40))
-def test_semaphore_fifo_no_starvation_overtake(waiters, budget):
-    """With FIFO admission, waiter k never completes before waiter k-1."""
-    sim = Simulator()
-    sem = Semaphore(sim, value=0)
-    done = []
-
-    def waiter(idx, n):
-        yield sem.acquire(n)
-        done.append(idx)
-
-    for idx, n in enumerate(waiters):
-        sim.process(waiter(idx, n))
-
-    def feeder():
-        for _ in range(budget):
-            yield sim.timeout(1.0)
-            sem.release(1)
-
-    sim.process(feeder())
-    sim.run(max_events=100_000)
-    assert done == sorted(done)

@@ -14,8 +14,9 @@ import weakref
 
 import pytest
 
+from repro.fm.credits import CreditState
 from repro.sim import Simulator
-from repro.sim.primitives import Semaphore, Store
+from repro.sim.primitives import Store
 from repro.sim.process import PARK
 
 
@@ -42,9 +43,10 @@ def _store_getter(sim):
     yield store.get()
 
 
-def _semaphore_getter(sim):
-    sem = Semaphore(sim, 0)
-    yield sem.acquire()
+def _credit_waiter(sim):
+    credits = CreditState(sim, c0=1, peers=[1])
+    credits.try_acquire_send(1)
+    yield credits.wait_send(1)
 
 
 def _busy(sim):
@@ -53,7 +55,7 @@ def _busy(sim):
 
 
 WAIT_STATES = [_sleep, _park, _sole_waiter, _callback_waiter,
-               _store_getter, _semaphore_getter]
+               _store_getter, _credit_waiter]
 
 
 def _deferred_wake(sim, proc):

@@ -1,9 +1,9 @@
-"""Unit tests for Gate, Store, Resource, Semaphore."""
+"""Unit tests for Gate, Store, Resource."""
 
 import pytest
 
 from repro.errors import SimulationError
-from repro.sim import Gate, Resource, Semaphore, Simulator, Store
+from repro.sim import Gate, Resource, Simulator, Store
 
 
 @pytest.fixture
@@ -178,70 +178,6 @@ class TestResource:
         res.request()
         sim.run()
         assert res.in_use == 1 and res.available == 2
-
-
-class TestSemaphore:
-    def test_acquire_available_units(self, sim):
-        sem = Semaphore(sim, value=5)
-        done = []
-
-        def job():
-            yield sem.acquire(3)
-            done.append(sim.now)
-
-        sim.process(job())
-        sim.run()
-        assert done == [0.0] and sem.value == 2
-
-    def test_acquire_blocks_until_release(self, sim):
-        sem = Semaphore(sim, value=0)
-        done = []
-
-        def job():
-            yield sem.acquire(2)
-            done.append(sim.now)
-
-        sim.process(job())
-        sim.process(_after(sim, 1.0, lambda: sem.release(1)))
-        sim.process(_after(sim, 2.0, lambda: sem.release(1)))
-        sim.run()
-        assert done == [2.0]
-
-    def test_fifo_large_acquire_blocks_smaller(self, sim):
-        sem = Semaphore(sim, value=1)
-        order = []
-
-        def job(tag, n):
-            yield sem.acquire(n)
-            order.append(tag)
-
-        sim.process(job("big", 3))
-        sim.process(job("small", 1))
-        sim.process(_after(sim, 1.0, lambda: sem.release(2)))
-        sim.run()
-        # value reached 3 at t=1: big (head of queue) takes all of it and
-        # small stays blocked even though a single unit would have sufficed
-        # earlier — in-order admission, like packets on a FIFO link.
-        assert order == ["big"]
-        sem.release(1)
-        sim.run()
-        assert order == ["big", "small"]
-
-    def test_try_acquire(self, sim):
-        sem = Semaphore(sim, value=2)
-        assert sem.try_acquire(2)
-        assert not sem.try_acquire(1)
-        sem.release(1)
-        assert sem.try_acquire(1)
-
-    def test_invalid_args(self, sim):
-        with pytest.raises(SimulationError):
-            Semaphore(sim, value=-1)
-        sem = Semaphore(sim, value=1)
-        with pytest.raises(SimulationError):
-            sem.acquire(0)
-        with pytest.raises(SimulationError):
-            sem.release(0)
 
 
 def _after(sim, delay, action):

@@ -15,7 +15,8 @@ import pytest
 from repro.experiments.common import run_points
 from repro.experiments.figure6 import _measure_point, run_figure6
 from repro.faults.chaos import ChaosPoint, run_chaos_point
-from repro.telemetry import merge_unified_snapshots, validate_snapshot
+from repro.telemetry.schema import validate_snapshot
+from repro.telemetry.session import merge_unified_snapshots
 
 
 def _fig6_kwargs(**overrides):

@@ -5,7 +5,7 @@ import json
 from repro.cli import main
 from repro.parpar.cluster import ClusterConfig, ParParCluster
 from repro.parpar.job import JobSpec
-from repro.telemetry import validate_snapshot
+from repro.telemetry.schema import validate_snapshot
 from repro.telemetry.demo import SWITCH_STAGES, run_telemetry_demo
 from repro.workloads.alltoall import alltoall_benchmark
 
