@@ -1,6 +1,2 @@
-"""Post-processing of simulation output: schedule timelines and switch
-breakdowns rendered as text."""
-
-from repro.analysis.timeline import ScheduleTimeline, render_switch_breakdown
-
-__all__ = ["ScheduleTimeline", "render_switch_breakdown"]
+"""Analysis of the reproduction's own code: the simlint static
+analyser (:mod:`repro.analysis.simlint`)."""

@@ -1,14 +1,9 @@
-"""simlint: determinism & protocol-safety analysis for the reproduction.
+"""simlint: determinism & protocol-safety static analysis for the
+reproduction.
 
-Two tools live here:
-
-- the **static analyser** — the :mod:`~repro.analysis.simlint.core`
-  engine and the per-file rules SIM001–SIM010
-  (:mod:`~repro.analysis.simlint.rules`), run via ``python -m repro
-  lint``; each file is parsed and linted on its own;
-- the **dynamic buffer-ownership race detector**
-  (:mod:`~repro.analysis.simlint.racecheck`), run via
-  ``python -m repro racecheck``.
+The :mod:`~repro.analysis.simlint.core` engine and the per-file rules
+SIM001–SIM010 (:mod:`~repro.analysis.simlint.rules`), run via ``python
+-m repro lint``; each file is parsed and linted on its own.
 
 See ``RULES.md`` in this package for the rule catalogue and
 EXPERIMENTS.md for workflow documentation.

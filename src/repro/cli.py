@@ -218,28 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "severity")
     pl.add_argument("--out", metavar="REPORT.json", default=None,
                     help="also write the JSON report here (CI artifact)")
-
-    pr = sub.add_parser(
-        "racecheck",
-        help="dynamic buffer-ownership race detector over fault presets")
-    pr.add_argument("--preset", choices=("chaos", "failstop"),
-                    default="chaos",
-                    help="which fault campaign to monitor")
-    pr.add_argument("--seed", type=int, default=0)
-    pr.add_argument("--plant", action="store_true",
-                    help="schedule a deliberate out-of-ownership-window "
-                         "access (positive control; expects 1 race)")
-    pr.add_argument("--plant-kind",
-                    choices=("stored-access", "halted-send", "sram-stored"),
-                    default="stored-access", dest="plant_kind",
-                    help="which race class the planted probe commits "
-                         "(with --plant)")
-    pr.add_argument("--smoke", action="store_true",
-                    help="CI gate: clean chaos+failstop presets must show "
-                         "zero races, a planted access must be caught, "
-                         "and monitoring must leave outputs bit-identical")
-    pr.add_argument("--out", metavar="REPORT.json", default=None,
-                    help="write the JSON report here (CI artifact)")
     return parser
 
 
@@ -258,7 +236,6 @@ EXPERIMENTS = {
     "chaos": "fault-injection campaign with no-loss/no-dup safety audit",
     "telemetry": "traced gang-switch demo (Chrome trace + metrics snapshot)",
     "lint": "simlint determinism & protocol-safety static analysis",
-    "racecheck": "dynamic buffer-ownership race detector (gang-switch protocol)",
 }
 
 
@@ -563,38 +540,6 @@ def main(argv=None) -> int:
         failing = result.errors or (args.fail_on == "warning"
                                     and result.warnings)
         return 1 if result.parse_errors or failing else 0
-
-    if args.command == "racecheck":
-        import json
-
-        from repro.analysis.simlint.racecheck import (
-            run_racecheck, run_racecheck_smoke)
-
-        if args.smoke:
-            summary = run_racecheck_smoke(seed=args.seed)
-            if args.out:
-                with open(args.out, "w") as fh:
-                    json.dump(summary, fh, indent=2, sort_keys=True)
-                    fh.write("\n")
-            for check in summary["checks"]:
-                verdict = "OK " if check["ok"] else "FAIL"
-                detail = {k: v for k, v in check.items()
-                          if k not in ("check", "ok")}
-                print(f"racecheck {verdict} {check['check']} {detail}")
-            print("racecheck smoke:", "PASS" if summary["ok"] else "FAIL")
-            return 0 if summary["ok"] else 1
-
-        result = run_racecheck(preset=args.preset, seed=args.seed,
-                               plant=args.plant,
-                               plant_kind=args.plant_kind)
-        doc = result.to_dict()
-        if args.out:
-            with open(args.out, "w") as fh:
-                json.dump(doc, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-        print(json.dumps(doc["monitor"], indent=2, sort_keys=True))
-        expected = 1 if args.plant else 0
-        return 0 if result.race_count == expected else 1
 
     if args.command == "telemetry":
         import json

@@ -26,20 +26,12 @@ _DATA = PacketType.DATA
 
 @dataclass(frozen=True)
 class Message:
-    """A fully reassembled application message.
-
-    ``tag`` and ``payload`` exist for the benefit of higher layers (the
-    MPI shim in :mod:`repro.mpi`): the simulation models bytes and
-    timing, but applications may attach an opaque Python object that
-    rides the last fragment, plus an integer tag for matching.
-    """
+    """A fully reassembled application message."""
 
     src_rank: int
     nbytes: int
     msg_id: int
     completed_at: float
-    tag: int = 0
-    payload: object = None
 
 
 class FMLibrary:
@@ -67,16 +59,13 @@ class FMLibrary:
         self.bytes_received = 0
 
     # ------------------------------------------------------------------ sending
-    def send(self, dst_rank: int, nbytes: int, tag: int = 0, payload=None):
+    def send(self, dst_rank: int, nbytes: int):
         """FM_send: fragment, acquire credits, PIO into the send queue.
 
         A generator — drive it with ``yield from`` inside a simulated
         process.  Blocks (simulated) on credits and on send-queue space.
         Raises :class:`CreditError` immediately when the credit window is
         zero, i.e. when this buffer partitioning cannot communicate at all.
-
-        ``tag``/``payload`` are carried for higher layers; they have no
-        effect on timing.
         """
         ctx = self.context
         if nbytes < 0:
@@ -94,7 +83,6 @@ class FMLibrary:
         sim = self.sim
         msg_id = sim.next_msg_id()
         next_seq = sim.next_seq
-        payload_obj = payload  # the loop variable below shadows the name
 
         # Hot path: the loop body runs once per packet in every bandwidth
         # experiment, so loop invariants live in locals, the send-queue
@@ -113,7 +101,6 @@ class FMLibrary:
         nfrags = -(-nbytes // payload_cap) or 1
         pio_rate = cfg.pio_rate
         packet_overhead = cfg.host_packet_overhead
-        last = nfrags - 1
         if traced:
             tracer.record("msg-start", node=src_node, job=job_id,
                           msg=msg_id, dst=dst_node, dst_rank=dst_rank,
@@ -154,12 +141,10 @@ class FMLibrary:
             # Positional: a keyword call costs as much again as the
             # construction itself.  (ptype, src_node, dst_node, seq,
             # job_id, src_rank, dst_rank, payload_bytes, msg_id,
-            # frag_index, frag_count, piggyback_refill, refill_credits,
-            # ack_seq, rel_seq, tag, payload_obj)
+            # frag_index, frag_count, piggyback_refill)
             packet = Packet(_DATA, src_node, dst_node, next_seq(), job_id,
                             src_rank, dst_rank, payload, msg_id, index, nfrags,
-                            credits.take_piggyback(dst_node), 0, -1, -1, tag,
-                            payload_obj if index == last else None)
+                            credits.take_piggyback(dst_node))
             send_queue.append(packet)
             if traced:
                 tracer.record("pkt-enq", node=src_node, job=job_id,
@@ -244,8 +229,7 @@ class FMLibrary:
         self.messages_received += 1
         self.bytes_received += nbytes
         message = Message(src_rank=packet.src_rank, nbytes=nbytes,
-                          msg_id=packet.msg_id, completed_at=self.sim._now,
-                          tag=packet.tag, payload=packet.payload_obj)
+                          msg_id=packet.msg_id, completed_at=self.sim._now)
         tracer = self.tracer
         if tracer.enabled:
             tracer.record("msg-recv", node=ctx.node_id, job=ctx.job_id,

@@ -70,8 +70,6 @@ class Packet:
     #: about prefixes/gaps in this space (``seq`` numbers every packet of
     #: the run, so it is interleaved across channels and gap-free nowhere).
     rel_seq: int
-    tag: int                         # application message tag (MPI layer)
-    payload_obj: object              # opaque app payload (last fragment)
     #: Set by the fault-injection layer (link bit errors, NIC SRAM
     #: flips).  A corrupted packet fails the receiver's CRC check and is
     #: discarded without acknowledgement; the reliability layer recovers
@@ -90,8 +88,8 @@ class Packet:
                  dst_rank: int = -1, payload_bytes: int = 0, msg_id: int = -1,
                  frag_index: int = 0, frag_count: int = 1,
                  piggyback_refill: int = 0, refill_credits: int = 0,
-                 ack_seq: int = -1, rel_seq: int = -1, tag: int = 0,
-                 payload_obj: object = None, corrupted: bool = False):
+                 ack_seq: int = -1, rel_seq: int = -1,
+                 corrupted: bool = False):
         self.ptype = ptype
         self.src_node = src_node
         self.dst_node = dst_node
@@ -107,8 +105,6 @@ class Packet:
         self.refill_credits = refill_credits
         self.ack_seq = ack_seq
         self.rel_seq = rel_seq
-        self.tag = tag
-        self.payload_obj = payload_obj
         self.corrupted = corrupted
         # One type test picks the size; the checks ride along.
         if payload_bytes < 0:

@@ -133,8 +133,9 @@ class GlueFM:
             self.firmware.install_context(ctx)
         self._contexts[job_id] = ctx
         env = build_environment(job_id, rank, rank_to_node, sync_fd)
-        self.tracer.record("init-job", node=self.node.node_id, job=job_id,
-                           rank=rank, installed=install)
+        if self.tracer.enabled:
+            self.tracer.record("init-job", node=self.node.node_id,
+                               job=job_id, rank=rank, installed=install)
         return ctx, env
 
     def COMM_end_job(self, job_id: int):
@@ -151,7 +152,8 @@ class GlueFM:
             self.policy_engine.forget(job_id, self.node.node_id)
         self.firmware.forget_job(job_id)
         self.backing.discard(job_id)   # stored-at-death jobs leave an image
-        self.tracer.record("end-job", node=self.node.node_id, job=job_id)
+        if self.tracer.enabled:
+            self.tracer.record("end-job", node=self.node.node_id, job=job_id)
 
     def has_job(self, job_id: int) -> bool:
         """Is a context initialised (installed or stored) for this job?"""
@@ -175,7 +177,7 @@ class GlueFM:
                 self.firmware.remove_context(ctx)
                 self.backing.save(ctx)
                 saved.append(job_id)
-        if saved:
+        if saved and self.tracer.enabled:
             self.tracer.record("page-out", node=self.node.node_id, jobs=saved)
         return saved
 

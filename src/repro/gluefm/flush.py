@@ -143,9 +143,11 @@ class FlushProtocol:
             return  # already gone (duplicate eviction notice)
         self._drop_sender(node_id)
         self.forced_removals += 1
-        self.tracer.record("flush-force-remove", node=self.firmware.nic.node_id,
-                           removed=node_id, round=self._halt_round,
-                           mid_flush=self._flush_event is not None)
+        if self.tracer.enabled:
+            self.tracer.record("flush-force-remove",
+                               node=self.firmware.nic.node_id,
+                               removed=node_id, round=self._halt_round,
+                               mid_flush=self._flush_event is not None)
         # The dead node may have been the only missing sender.
         self._check_flush()
         self._check_release()
@@ -185,8 +187,9 @@ class FlushProtocol:
         self._ready_waiting.clear()
         self._halt_round = 0
         self._ready_round = 0
-        self.tracer.record("flush-reset", node=self.firmware.nic.node_id,
-                           participants=sorted(new))
+        if self.tracer.enabled:
+            self.tracer.record("flush-reset", node=self.firmware.nic.node_id,
+                               participants=sorted(new))
 
     # ------------------------------------------------------------------ state (Fig. 3)
     @property
@@ -264,9 +267,10 @@ class FlushProtocol:
             # In-flight HALT from a node evicted out from under us (or
             # one we never knew): count it, never wedge on it.
             self.stale_control += 1
-            self.tracer.record("flush-stale-halt",
-                               node=self.firmware.nic.node_id,
-                               src=packet.src_node)
+            if self.tracer.enabled:
+                self.tracer.record("flush-stale-halt",
+                                   node=self.firmware.nic.node_id,
+                                   src=packet.src_node)
             return
         src = packet.src_node
         count = self._halts_from[src] = self._halts_from.get(src, 0) + 1
@@ -317,9 +321,10 @@ class FlushProtocol:
     def _on_ready(self, packet: Packet) -> None:
         if packet.src_node not in self._participants:
             self.stale_control += 1
-            self.tracer.record("flush-stale-ready",
-                               node=self.firmware.nic.node_id,
-                               src=packet.src_node)
+            if self.tracer.enabled:
+                self.tracer.record("flush-stale-ready",
+                                   node=self.firmware.nic.node_id,
+                                   src=packet.src_node)
             return
         src = packet.src_node
         count = self._readys_from[src] = self._readys_from.get(src, 0) + 1

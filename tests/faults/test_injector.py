@@ -214,3 +214,28 @@ class TestSramFlips:
         assert inj.sram_flips > 0
         assert net.nodes[0].nic.sram_faults == inj.sram_flips
         assert any(p.corrupted for p in ep0.context.send_queue.snapshot())
+
+    def test_flips_land_only_in_installed_contexts(self):
+        """A node with one installed and one switched-out context, both
+        holding queued descriptors: flips hit only the installed one."""
+        from repro.fm.config import FMConfig
+        from repro.fm.context import ContextState
+        from repro.fm.harness import FMNetwork
+
+        sim = Simulator()
+        net = FMNetwork(sim, 2, config=FMConfig(max_contexts=2))
+        installed, _ = net.create_job(1, [0, 1])
+        stored, _ = net.create_job(2, [0, 1])
+        net.nodes[0].nic.set_halt_bit()
+        for ep in (installed, stored):
+            for i in range(8):
+                ep.context.send_queue.append(data_packet())
+        net.firmwares[0].remove_context(stored.context)
+        assert stored.context.state is ContextState.STORED
+        inj = FaultInjector(FaultSpec(sram_flip_rate=1e6), RandomStreams(0))
+        sim.process(inj.sram_flip_process(net.firmwares[0]))
+        sim.run(until=1e-4)
+        assert any(p.corrupted
+                   for p in installed.context.send_queue.snapshot())
+        assert not any(p.corrupted
+                       for p in stored.context.send_queue.snapshot())

@@ -170,3 +170,23 @@ class TestOneTracer:
         assert traced == _burst_records(telemetry=True)
         kinds = {kind for _, kind, _ in traced}
         assert {"job-stop", "job-go", "span-begin", "span-end"} <= kinds
+
+
+class TestUntracedRunsRecordNothing:
+    """Every trace point is guarded, so a run without a tracer makes no
+    ``Tracer.record`` call at all: no call, no kwargs dict."""
+
+    def test_no_record_calls(self, monkeypatch):
+        from repro.sim.trace import Tracer
+
+        kinds = []
+
+        def counting(self, kind, **fields):
+            kinds.append(kind)
+
+        monkeypatch.setattr(Tracer, "record", counting)
+        _burst_records()
+        # A fail-stop point: switches, an eviction and a rejoin.
+        run_chaos_point(ChaosPoint(rounds=600, failstops=1, rejoin=True,
+                                   requeue=True, jobs=3))
+        assert kinds == []

@@ -30,11 +30,6 @@ class TestExamples:
         assert "Packets dropped anywhere: 0" in out
         assert "slot" in out
 
-    def test_mpi_stencil(self, capsys):
-        out = run_example("mpi_stencil", capsys)
-        assert "global residual" in out
-        assert "packets dropped: 0" in out
-
     def test_buffer_switch_comparison(self, capsys):
         out = run_example("buffer_switch_comparison", capsys)
         assert "full-copy" in out and "valid-only-copy" in out
