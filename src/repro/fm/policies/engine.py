@@ -85,9 +85,6 @@ class QueueWaitObserver:
         self.dequeues += 1
         self.policy.on_dequeue(self.job_id, self.kind, occupancy, waited, now)
 
-    def drained(self) -> None:
-        self._stamps.clear()
-
     def reset_epoch(self) -> None:
         self.wait_total = 0.0
         self.dequeues = 0
@@ -342,12 +339,21 @@ class PolicyEngine:
 
     @staticmethod
     def _fit(proposals: dict, floors: dict, pool: int, order: list) -> dict:
-        """Fit per-job wants into ``pool``, never below ``floors``.
+        """Fit per-job wants into ``pool``.
 
-        Feasibility (sum of floors <= pool) is the caller's invariant.
-        Above-floor excess is scaled proportionally; rounding remainder
-        goes to jobs in ``order`` (ascending job id) one slot at a time —
-        deterministic and independent of dict iteration order.
+        Each job wants ``max(proposal, floor)``.  Wants that fit are
+        granted as they are.  Otherwise each job gets its floor plus a
+        proportional share of ``pool - sum(floors)``, rounded down, and
+        the rounding remainder goes to jobs in ``order`` (ascending job
+        id) one slot at a time — deterministic and independent of dict
+        iteration order.
+
+        The floors are not a guarantee: when they exceed ``pool`` that
+        share is negative and the grants go below them
+        (``_fit({1: 5, 2: 5}, {1: 4, 2: 4}, 6, [1, 2])`` is
+        ``{1: 3, 2: 3}``).  When every job wants exactly its floor and
+        the floors exceed ``pool`` there is no above-floor want to scale
+        down, and :class:`ProtocolError` names the floors and the pool.
         """
         want = {j: max(proposals.get(j, floors[j]), floors[j]) for j in order}
         if sum(want.values()) <= pool:
@@ -356,6 +362,11 @@ class PolicyEngine:
         extra_budget = pool - floor_total
         extras = {j: want[j] - floors[j] for j in order}
         extra_total = sum(extras.values())
+        if not extra_total:
+            raise ProtocolError(f"buffer floors {floors} (total "
+                                f"{floor_total}) exceed the pool of {pool} "
+                                "slots, and no job wants more than its "
+                                "floor")
         grant = {j: floors[j] + extras[j] * extra_budget // extra_total
                  for j in order}
         remainder = pool - sum(grant.values())

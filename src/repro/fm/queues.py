@@ -19,10 +19,9 @@ mean silent packet loss and a wedged credit protocol).
 A consumer waits, then pops: the packet stays visible in the queue until
 the consumer actually runs, so a gang-switched (SIGSTOPped) consumer
 never holds one in limbo where occupancy and credit audits cannot see
-it.  The race monitor and the buffer policies' wait observers tap
-``append``, ``try_pop``, ``drain_all`` and ``load_all``, so the data and
-switch paths move packets only through those; they may read ``_items``
-and ``capacity`` directly.
+it.  The buffer policies' wait observers tap ``append`` and ``try_pop``,
+so the data and switch paths move packets only through those; they may
+read ``_items`` and ``capacity`` directly.
 """
 
 from __future__ import annotations
@@ -230,29 +229,6 @@ class PacketQueue:
             # slot is free; waiters re-check fullness before appending.
             while self._space_waiters:
                 self._space_waiters.popleft().succeed()
-
-    # -- buffer switching support ----------------------------------------------
-    def drain_all(self) -> list[Packet]:
-        """Remove and return everything (saving a context to backing store)."""
-        packets = list(self._items)
-        self._items.clear()
-        self.total_removed += len(packets)
-        obs = self.wait_observer
-        if obs is not None:
-            obs.drained()
-        while self._space_waiters and not self.is_full:
-            self._space_waiters.popleft().succeed()
-        return packets
-
-    def load_all(self, packets: list[Packet]) -> None:
-        """Refill from a backing store (restoring a context)."""
-        if len(self._items) + len(packets) > self.capacity:
-            raise BufferOverflowError(
-                f"queue {self.name!r}: restoring {len(packets)} packets "
-                f"into {self.free_slots} free slots"
-            )
-        for packet in packets:
-            self.append(packet)
 
 
 class SendQueue(PacketQueue):

@@ -15,6 +15,13 @@ from typing import Any, Callable, Iterator, Optional
 #: at the cap).
 DEFAULT_TRACE_LIMIT = 2_000_000
 
+#: Records a streaming tracer buffers before it hands them to its sink.
+#: Analysing a few hundred records in one go, instead of each one the
+#: moment it is made, lets the simulator and the sink each run on warm
+#: caches (EXPERIMENTS.md, "Batched live analysis"); the buffer stays a
+#: fraction of a megabyte.
+STREAM_BATCH = 256
+
 
 class TraceRecord:
     """One trace entry: a timestamped, typed, tagged observation.
@@ -67,10 +74,12 @@ class Tracer:
     disables itself (all guards go cold) and sets ``truncated`` so
     consumers can tell a complete stream from a clipped one.
 
-    :meth:`stream` hands each record to a sink as it is made, and may
-    stop the tracer keeping them: an online consumer then never holds the
-    whole stream.  ``records`` stays an (empty) list on such a tracer;
-    :meth:`kept_records` and every query over it raise instead of
+    :meth:`stream` hands the records to a sink in order, in batches of
+    :data:`STREAM_BATCH`, and may stop the tracer keeping them: an online
+    consumer then never holds the whole stream.  A record reaches the
+    sink by :meth:`flush` at the latest, which the record cap and
+    :meth:`clear` also call.  ``records`` stays an (empty) list on such a
+    tracer; :meth:`kept_records` and every query over it raise instead of
     reporting an empty stream.
     """
 
@@ -82,7 +91,10 @@ class Tracer:
         self.truncated = False
         self.records: list[TraceRecord] = []
         self.keep_records = True
-        self.sink: Optional[Callable[[float, str, dict], None]] = None
+        self.sink: Optional[Callable[[list], None]] = None
+        # (time, kind, fields) records not yet handed to the sink; None
+        # unless streaming
+        self._pending: Optional[list] = None
         self.count = 0       # records made since the last clear()
 
     def __bool__(self) -> bool:
@@ -95,28 +107,47 @@ class Tracer:
         if limit is not None and self.count >= limit:
             self.enabled = False   # guards go cold; no silent unbounded growth
             self.truncated = True
+            self.flush()
             return
         self.count += 1
         time = self._clock()
         if self.keep_records:
             self.records.append(TraceRecord(time, kind, fields))
-        if self.sink is not None:
-            self.sink(time, kind, fields)
+        pending = self._pending
+        if pending is not None:
+            pending.append((time, kind, fields))
+            if len(pending) >= STREAM_BATCH:
+                self.flush()
 
-    def stream(self, sink: Callable[[float, str, dict], None],
+    def stream(self, sink: Callable[[list], None],
                keep_records: bool = False) -> None:
-        """Call ``sink(time, kind, fields)`` for every record from now on.
+        """Call ``sink(batch)`` with every record from now on, in order.
 
-        Records already kept are replayed into ``sink`` first, so it sees
-        the whole stream.  Unless ``keep_records``, the tracer then keeps
-        nothing: the records go only to ``sink``.
+        ``batch`` is a list of ``(time, kind, fields)`` tuples: the next
+        :data:`STREAM_BATCH` records, or fewer at a :meth:`flush`.
+        Records already kept go to ``sink`` first, so it sees the whole
+        stream.  Unless ``keep_records``, the tracer then keeps nothing:
+        the records go only to ``sink``.
         """
-        for rec in self.records:
-            sink(rec.time, rec.kind, rec.fields)
+        self.flush()
+        if self.records:
+            sink([(rec.time, rec.kind, rec.fields) for rec in self.records])
         self.sink = sink
+        self._pending = []
         self.keep_records = keep_records
         if not keep_records:
             self.records.clear()
+
+    def flush(self) -> None:
+        """Hand the records made since the last batch to the sink now.
+
+        A consumer calls this before it reads what its sink built: until
+        then the last records of the stream may still be buffered here.
+        """
+        pending = self._pending
+        if pending:
+            self._pending = []
+            self.sink(pending)
 
     def kept_records(self) -> list[TraceRecord]:
         """The kept record list; raises if records went only to a sink."""
@@ -127,6 +158,7 @@ class Tracer:
         return self.records
 
     def clear(self) -> None:
+        self.flush()
         self.records.clear()
         self.count = 0
         if self.truncated:

@@ -25,14 +25,18 @@ compares ids only for identity and names every message in its outputs
 by lineage index, so a saved trace whose ids were renumbered or offset
 (as older ones were) re-ingests to the same result.
 
-A live point keeps no trace.  The tracer hands every record to an
-:class:`ExplainStream` as it is made: it holds the lineage of open
-messages only, builds the scheduling windows as it goes, and attributes
-each message the moment its ``msg-recv`` completes it, keeping just the
-message's output row.  :func:`analyze_records` is the offline replay of
-a kept stream (``--trace`` re-ingest, and the oracle the streamed
-analysis must match byte for byte); a point keeps its records only for
-``--save-trace`` or ``--smoke``.
+A live point keeps no trace.  The tracer hands its records to an
+:class:`ExplainStream` in order, in batches of
+:data:`~repro.sim.trace.STREAM_BATCH` and by
+:meth:`~repro.sim.trace.Tracer.flush` at the latest, which the point
+calls before it reads the analysis.  The stream holds the lineage of
+open messages only, builds the scheduling windows as it goes, and
+attributes each message as soon as it reads the ``msg-recv`` that
+completes it, keeping just the message's output row.
+:func:`analyze_records` is the offline replay of a kept stream
+(``--trace`` re-ingest, and the oracle the streamed analysis must match
+byte for byte); a point keeps its records only for ``--save-trace`` or
+``--smoke``.
 """
 
 from __future__ import annotations
@@ -68,7 +72,8 @@ _SUM_TOLERANCE = 1e-6
 def _run_point(jobs: int, message_bytes: int, messages: int, quantum: float,
                num_processors: int, policy: str, seed: int,
                keep_records: bool = False):
-    """One traced contention point, attributed while it runs.
+    """One traced contention point, attributed while it runs (a batch of
+    records at a time, the last batch at the end of the run).
 
     Returns ``(analysis, reallocs, records, end_time)``: the
     :meth:`ExplainStream.finish` analysis, the policy reallocations, and
@@ -89,6 +94,7 @@ def _run_point(jobs: int, message_bytes: int, messages: int, quantum: float,
                  for i in range(jobs)]
     cluster.run_until_finished(submitted, max_events=500_000_000)
     end_time = cluster.sim.now
+    tracer.flush()
     reallocs = stream.reallocs()
     return (stream.finish(tracer.truncated, end_time), reallocs,
             tracer.records if keep_records else None, end_time)
@@ -196,11 +202,14 @@ _WINDOW_KINDS = frozenset((
 
 
 class ExplainStream:
-    """:func:`analyze_records` run online, one record at a time.
+    """:func:`analyze_records` run online, over the tracer's batches.
 
-    :meth:`feed` is a tracer sink.  Open messages keep their lineage as
-    :func:`~repro.telemetry.causal.build_lineage` would build it, and the
-    scheduling windows grow in a
+    :meth:`feed` is a tracer sink: it takes the records in order, a
+    batch at a time, and a record reaches it by the tracer's
+    :meth:`~repro.sim.trace.Tracer.flush` at the latest, so flush the
+    tracer before :meth:`reallocs` or :meth:`finish`.  Open messages keep
+    their lineage as :func:`~repro.telemetry.causal.build_lineage` would
+    build it, and the scheduling windows grow in a
     :class:`~repro.telemetry.causal.WindowBuilder`.  When a ``msg-recv``
     completes a message, everything its attribution reads is known —
     the completing fragment's chain, the sender's stalls, and the windows
@@ -239,115 +248,126 @@ class ExplainStream:
         self.mismatches = 0
         self.last_time = 0.0
 
-    def feed(self, time: float, kind: str, f: dict) -> None:
-        """Take one record, as :func:`build_lineage` and
-        :func:`~repro.telemetry.causal.build_windows` would.  One chain
-        of kinds, most frequent first, so a record costs this one call.
-        A record finds its open message with ``self.open.get(key) or
-        self._new_trace(...)`` (a MessageTrace is always true), so only
-        a record that opens one pays a second."""
-        self.last_time = time
-        if kind == "pkt-tx":
-            msg = f.get("msg", -1)
-            if msg is None or msg < 0:
-                return    # control packet (refill/halt/ready/ack)
-            key = (f["node"], f["job"], msg)
-            index = f.get("frag", 0)
-            closed = self.closed.get(key)
-            if closed is not None:
-                self._late_tx(time, key, index, f.get("seq"), closed)
-                return
-            trace = self.open.get(key) or self._new_trace(key, time, kind)
-            frag = trace.frags.get(index) or _fragment(trace, index)
-            if frag.seq is None and f.get("seq") is not None:
-                frag.seq = f["seq"]
-                self.seq_owner[(key[0], frag.seq)] = (key, index)
-            frag.tx_times.append(time)
-        elif kind == "msg-start":
-            key = (f["node"], f["job"], f["msg"])
-            trace = self.open.get(key) or self._new_trace(key, time, kind)
-            trace.started = time
-            trace.dst_node = f.get("dst")
-            trace.dst_rank = f.get("dst_rank")
-            trace.nbytes = f.get("nbytes")
-            trace.frag_count = f.get("frags")
-        elif kind == "pkt-enq":
-            key = (f["node"], f["job"], f["msg"])
-            trace = self.open.get(key) or self._new_trace(key, time, kind)
-            frag = _fragment(trace, f["frag"])
-            frag.seq = f.get("seq")
-            frag.enqueued = time
-            if frag.seq is not None:
-                self.seq_owner[(key[0], frag.seq)] = (key, f["frag"])
-        elif kind == "msg-send":
-            key = (f["node"], f["job"], f.get("msg_id", f.get("msg")))
-            if (key[2] is not None and key not in self.open
-                    and key not in self.closed):
-                self._new_trace(key, time, kind)
-        elif kind == "pkt-deliver":
-            msg = f.get("msg", -1)
-            if msg is None or msg < 0:
-                return
-            key = (f["src"], f["job"], msg)
-            if key in self.closed:
-                seq = f.get("seq")
-                owner = (None if seq is None
-                         else self.seq_owner.get((key[0], seq)))
-                if owner is None or owner[0] != key:
-                    raise ValueError(f"pkt-deliver record at t={time!r} for "
-                                     f"an unknown fragment of message {key}, "
-                                     "which already completed")
-                return    # a duplicate of a delivered fragment
-            trace = self.open.get(key) or self._new_trace(key, time, kind)
-            frag = _frag_by_seq(trace, self.seq_owner, key, f)
-            if frag.delivered is None:
-                frag.delivered = time
-            else:
-                frag.extra_deliveries += 1
-        elif kind == "msg-recv":
-            msg = f.get("msg")
-            src = f.get("src")
-            if msg is None or src is None:
-                return    # pre-causal record shape
-            key = (src, f["job"], msg)
-            trace = self.open.get(key) or self._new_trace(key, time, kind)
-            trace.completed = time
-            frag = trace.completing_fragment()
-            att = attribute_message(trace, self.windows, frag)
-            if att is None:
-                return    # not complete (yet): finish() tries again
-            row = _row(None, trace, att, frag)
-            self.mismatches += _mismatched(row)
-            closed = self.closed[key] = [row, frag.frag, frag.delivering_tx]
-            self.completions.append(closed)
-            del self.open[key]
-            del self.first_seen[key]
-        elif kind in _WINDOW_KINDS:
-            self.windows.feed(time, kind, f)
-            if kind == "buffer-switch":
-                self._swapped(f["node"], time - f.get("duration", 0.0))
-        elif kind == "stall":
-            cell = self.stalls.setdefault(f["cause"], [0, 0.0])
-            cell[0] += 1
-            cell[1] += f["dur"]
-            msg = f.get("msg", -1)
-            if msg is None or msg < 0:
-                return    # anonymous stall (refill path)
-            key = (f["node"], f["job"], msg)
-            trace = self.open.get(key) or self._new_trace(key, time, kind)
-            trace.stalls.append((f["cause"], time - f["dur"], time))
-        elif kind == "rto-retransmit":
-            owner = self.seq_owner.get((f["node"], f.get("seq")))
-            if owner is None:
-                return
-            key, index = owner
-            trace = self.open.get(key)
-            if trace is not None:
-                trace.frags[index].retransmits += 1
-            else:
-                self.closed[key][0]["retransmits"] += 1
-        elif kind == "realloc-plan" or kind == "realloc-apply":
-            self.realloc_records.append(TraceRecord(time, kind, f))
+    def feed(self, batch: list) -> None:
+        """Take a tracer batch of ``(time, kind, fields)`` records, in
+        order, as :func:`build_lineage` and
+        :func:`~repro.telemetry.causal.build_windows` would.  One loop over
+        one chain of kinds, most frequent first, with the state it touches
+        bound to locals, so a batch costs this one call.  A record finds
+        its open message with ``get_open(key) or new_trace(...)`` (a
+        MessageTrace is always true), so only a record that opens one
+        pays a second."""
+        open_ = self.open
+        get_open = open_.get
+        closed = self.closed
+        seq_owner = self.seq_owner
+        windows = self.windows
+        new_trace = self._new_trace
+        for time, kind, f in batch:
+            if kind == "pkt-tx":
+                msg = f.get("msg", -1)
+                if msg is None or msg < 0:
+                    continue    # control packet (refill/halt/ready/ack)
+                key = (f["node"], f["job"], msg)
+                index = f.get("frag", 0)
+                done = closed.get(key)
+                if done is not None:
+                    self._late_tx(time, key, index, f.get("seq"), done)
+                    continue
+                trace = get_open(key) or new_trace(key, time, kind)
+                frag = trace.frags.get(index) or _fragment(trace, index)
+                if frag.seq is None and f.get("seq") is not None:
+                    frag.seq = f["seq"]
+                    seq_owner[(key[0], frag.seq)] = (key, index)
+                frag.tx_times.append(time)
+            elif kind == "pkt-enq":
+                key = (f["node"], f["job"], f["msg"])
+                trace = get_open(key) or new_trace(key, time, kind)
+                frag = _fragment(trace, f["frag"])
+                frag.seq = f.get("seq")
+                frag.enqueued = time
+                if frag.seq is not None:
+                    seq_owner[(key[0], frag.seq)] = (key, f["frag"])
+            elif kind == "pkt-deliver":
+                msg = f.get("msg", -1)
+                if msg is None or msg < 0:
+                    continue
+                key = (f["src"], f["job"], msg)
+                if key in closed:
+                    seq = f.get("seq")
+                    owner = (None if seq is None
+                             else seq_owner.get((key[0], seq)))
+                    if owner is None or owner[0] != key:
+                        raise ValueError(f"pkt-deliver record at t={time!r} "
+                                         "for an unknown fragment of "
+                                         f"message {key}, which already "
+                                         "completed")
+                    continue    # a duplicate of a delivered fragment
+                trace = get_open(key) or new_trace(key, time, kind)
+                frag = _frag_by_seq(trace, seq_owner, key, f)
+                if frag.delivered is None:
+                    frag.delivered = time
+                else:
+                    frag.extra_deliveries += 1
+            elif kind == "msg-start":
+                key = (f["node"], f["job"], f["msg"])
+                trace = get_open(key) or new_trace(key, time, kind)
+                trace.started = time
+                trace.dst_node = f.get("dst")
+                trace.dst_rank = f.get("dst_rank")
+                trace.nbytes = f.get("nbytes")
+                trace.frag_count = f.get("frags")
+            elif kind == "msg-send":
+                key = (f["node"], f["job"], f.get("msg_id", f.get("msg")))
+                if (key[2] is not None and key not in open_
+                        and key not in closed):
+                    new_trace(key, time, kind)
+            elif kind == "msg-recv":
+                msg = f.get("msg")
+                src = f.get("src")
+                if msg is None or src is None:
+                    continue    # pre-causal record shape
+                key = (src, f["job"], msg)
+                trace = get_open(key) or new_trace(key, time, kind)
+                trace.completed = time
+                frag = trace.completing_fragment()
+                att = attribute_message(trace, windows, frag)
+                if att is None:
+                    continue    # not complete (yet): finish() tries again
+                row = _row(None, trace, att, frag)
+                self.mismatches += _mismatched(row)
+                done = closed[key] = [row, frag.frag, frag.delivering_tx]
+                self.completions.append(done)
+                del open_[key]
+                del self.first_seen[key]
+            elif kind in _WINDOW_KINDS:
+                windows.feed(time, kind, f)
+                if kind == "buffer-switch":
+                    self._swapped(f["node"], time - f.get("duration", 0.0))
+            elif kind == "stall":
+                cell = self.stalls.setdefault(f["cause"], [0, 0.0])
+                cell[0] += 1
+                cell[1] += f["dur"]
+                msg = f.get("msg", -1)
+                if msg is None or msg < 0:
+                    continue    # anonymous stall (refill path)
+                key = (f["node"], f["job"], msg)
+                trace = get_open(key) or new_trace(key, time, kind)
+                trace.stalls.append((f["cause"], time - f["dur"], time))
+            elif kind == "rto-retransmit":
+                owner = seq_owner.get((f["node"], f.get("seq")))
+                if owner is None:
+                    continue
+                key, index = owner
+                trace = get_open(key)
+                if trace is not None:
+                    trace.frags[index].retransmits += 1
+                else:
+                    closed[key][0]["retransmits"] += 1
+            elif kind == "realloc-plan" or kind == "realloc-apply":
+                self.realloc_records.append(TraceRecord(time, kind, f))
+        if batch:
+            self.last_time = batch[-1][0]
 
     # -- lineage of open messages, and late records about closed ones -----
     def _new_trace(self, key: tuple, time: float, kind: str) -> MessageTrace:

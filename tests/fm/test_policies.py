@@ -203,6 +203,30 @@ class TestPolicyEngine:
         assert counters["max_window"] >= counters["min_window"] >= 1
 
 
+class TestFit:
+    """``PolicyEngine._fit``: wants into a pool, floors first."""
+
+    def test_wants_that_fit_are_granted(self):
+        assert PolicyEngine._fit({1: 5, 2: 3}, {1: 2, 2: 2}, 10,
+                                 [1, 2]) == {1: 5, 2: 3}
+
+    def test_excess_is_scaled_and_the_remainder_goes_in_job_order(self):
+        assert PolicyEngine._fit({1: 9, 2: 9}, {1: 2, 2: 2}, 9,
+                                 [1, 2]) == {1: 5, 2: 4}
+
+    def test_floors_above_the_pool_are_cut(self):
+        assert PolicyEngine._fit({1: 5, 2: 5}, {1: 4, 2: 4}, 6,
+                                 [1, 2]) == {1: 3, 2: 3}
+
+    def test_floors_above_the_pool_with_nothing_to_scale_raise(self):
+        with pytest.raises(ProtocolError,
+                           match=r"\{1: 4, 2: 4\} \(total 8\) exceed the "
+                                 r"pool of 6 slots"):
+            PolicyEngine._fit({1: 4, 2: 4}, {1: 4, 2: 4}, 6, [1, 2])
+        with pytest.raises(ProtocolError):   # no proposal: wants the floor
+            PolicyEngine._fit({}, {1: 4, 2: 4}, 6, [1, 2])
+
+
 class TestAuditLearnsPolicyWindows:
     """Satellite: the credit-conservation ledger must hold against the
     *live* window, for every policy, after the engine retargets C0."""

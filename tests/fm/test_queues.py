@@ -96,49 +96,9 @@ class TestBlocking:
         q.append(pkt())
         assert kicks == [1, 2]
 
-
-class TestSwitchSupport:
-    def test_drain_all_empties_queue(self, sim):
-        q = PacketQueue(sim, 4)
-        for i in range(3):
-            q.append(pkt(i))
-        drained = q.drain_all()
-        assert [p.msg_id for p in drained] == [0, 1, 2]
-        assert q.is_empty
-
-    def test_drain_releases_space_waiters(self, sim):
-        q = PacketQueue(sim, 1)
-        q.append(pkt(0))
-        log = []
-
-        def producer():
-            yield q.wait_space()
-            log.append(sim.now)
-
-        sim.process(producer())
-
-        def switcher():
-            yield sim.timeout(1.0)
-            q.drain_all()
-
-        sim.process(switcher())
-        sim.run()
-        assert log == [1.0]
-
-    def test_load_all_restores_in_order(self, sim):
-        q = PacketQueue(sim, 4)
-        packets = [pkt(i) for i in range(3)]
-        q.load_all(packets)
-        assert [q.try_pop().msg_id for _ in range(3)] == [0, 1, 2]
-
-    def test_load_all_overflow_rejected(self, sim):
-        q = PacketQueue(sim, 2)
-        with pytest.raises(BufferOverflowError):
-            q.load_all([pkt(i) for i in range(3)])
-
-    def test_load_all_wakes_pending_getter(self, sim):
-        # A consumer parked on the level-triggered wait pops the restored
-        # packet once it runs.
+    def test_append_wakes_pending_getter(self, sim):
+        # A consumer parked on the level-triggered wait pops the packet
+        # once it runs.
         q = PacketQueue(sim, 4)
         got = []
 
@@ -148,14 +108,16 @@ class TestSwitchSupport:
 
         sim.process(consumer())
 
-        def restorer():
+        def producer():
             yield sim.timeout(1.0)
-            q.load_all([pkt(5)])
+            q.append(pkt(5))
 
-        sim.process(restorer())
+        sim.process(producer())
         sim.run()
         assert got == [(5, 1.0)]
 
+
+class TestSwitchSupport:
     def test_snapshot_does_not_mutate(self, sim):
         q = PacketQueue(sim, 4)
         q.append(pkt(0))

@@ -48,23 +48,6 @@ def test_fifo_and_occupancy_under_random_ops(ops, capacity):
     assert [p.msg_id for p in queue.snapshot()] == model
 
 
-@settings(max_examples=60, deadline=None)
-@given(payloads=st.lists(st.integers(min_value=0, max_value=1536),
-                         min_size=0, max_size=20))
-def test_drain_load_roundtrip_preserves_everything(payloads):
-    sim = Simulator()
-    queue = PacketQueue(sim, 32)
-    packets = [pkt(i, payload=p) for i, p in enumerate(payloads)]
-    for p in packets:
-        queue.append(p)
-    bytes_before = queue.valid_bytes
-    drained = queue.drain_all()
-    assert queue.is_empty and queue.valid_bytes == 0
-    queue.load_all(drained)
-    assert queue.valid_bytes == bytes_before
-    assert queue.snapshot() == packets
-
-
 @settings(max_examples=40, deadline=None)
 @given(n_items=st.integers(min_value=0, max_value=10),
        n_waits=st.integers(min_value=1, max_value=5))

@@ -5,7 +5,8 @@ the host's speed: replaying one fixed record stream through an
 :class:`ExplainStream` counts the same calls every time on one
 interpreter version.  The guard records the stream of the
 ``explain_trace`` ``jobs=4:size=1536`` seed-0 point of
-``benchmarks/e2e`` once, then profiles only its replay (every record fed,
+``benchmarks/e2e`` once, cuts it into the tracer's batches of
+``STREAM_BATCH`` records, then profiles only its replay (every batch fed,
 then ``finish``), and pins the count with 5% headroom for interpreter
 versions whose builtins and comprehensions count differently.
 """
@@ -16,19 +17,19 @@ import pstats
 from repro.experiments.common import point_seed
 from repro.experiments.figure6 import _messages_for_quanta
 from repro.fm.config import FMConfig
+from repro.sim.trace import STREAM_BATCH
 from repro.telemetry.explain import ExplainStream, _run_point
 
 JOBS, SIZE, QUANTUM = 4, 1536, 0.008
 #: calls per attributed message measured on CPython 3.11
-MEASURED_CALLS_PER_MESSAGE = 68.8
+MEASURED_CALLS_PER_MESSAGE = 62.6
 CEILING = MEASURED_CALLS_PER_MESSAGE * 1.05
 
 
-def _replay(records, end_time) -> dict:
+def _replay(batches, end_time) -> dict:
     stream = ExplainStream()
-    feed = stream.feed
-    for rec in records:
-        feed(rec.time, rec.kind, rec.fields)
+    for batch in batches:
+        stream.feed(batch)
     return stream.finish(False, end_time)
 
 
@@ -38,11 +39,14 @@ def test_calls_per_attributed_message():
         JOBS, SIZE, _messages_for_quanta(fm, SIZE, QUANTUM, 3.0), QUANTUM,
         16, "", point_seed(0, f"explain:jobs={JOBS}:size={SIZE}"),
         keep_records=True)
-    _replay(records, end_time)  # warm-up: lazy imports stay out of it
+    rows = [(rec.time, rec.kind, rec.fields) for rec in records]
+    batches = [rows[i:i + STREAM_BATCH]
+               for i in range(0, len(rows), STREAM_BATCH)]
+    _replay(batches, end_time)  # warm-up: lazy imports stay out of it
     profile = cProfile.Profile()
     profile.enable()
     try:
-        analysis = _replay(records, end_time)
+        analysis = _replay(batches, end_time)
     finally:
         profile.disable()
     assert analysis["complete"] == 3968 and not analysis["incomplete"]

@@ -24,7 +24,7 @@ from repro.faults.strategies import STRATEGY_NAMES
 from repro.fm.config import FMConfig
 from repro.parpar.cluster import ClusterConfig, ParParCluster
 from repro.parpar.job import JobSpec
-from repro.sim.trace import Tracer
+from repro.sim.trace import STREAM_BATCH, Tracer
 from repro.telemetry.explain import (ExplainStream, _derive_reallocs,
                                      _run_point, analyze_records)
 from repro.workloads.alltoall import alltoall_benchmark
@@ -163,8 +163,8 @@ def streams(draw):
 
 def run_both(records, limit=None, end_time=None):
     """Feed ``records`` to a tracer that streams into an
-    :class:`ExplainStream` and also keeps them; return (streamed analysis,
-    stream reallocs, tracer)."""
+    :class:`ExplainStream` and also keeps them, and flush it; return
+    (streamed analysis, stream reallocs, tracer)."""
     now = [0.0]
     tracer = Tracer(clock=lambda: now[0], limit=limit)
     stream = ExplainStream()
@@ -172,6 +172,7 @@ def run_both(records, limit=None, end_time=None):
     for time, kind, fields in records:
         now[0] = time
         tracer.record(kind, **fields)
+    tracer.flush()
     reallocs = stream.reallocs()
     return stream.finish(tracer.truncated, end_time), reallocs, tracer
 
@@ -249,8 +250,7 @@ class TestLateRecords:
 
     def test_end_time_before_the_last_record_raises(self):
         stream = ExplainStream()
-        for time, kind, fields in one_message():
-            stream.feed(time, kind, fields)
+        stream.feed(one_message())
         with pytest.raises(ValueError, match="precedes"):
             stream.finish(end_time=1e-3)
 
@@ -286,6 +286,43 @@ def test_streaming_equals_offline_on_explain_points(point):
         assert reallocs
 
 
+class TestBatches:
+    """A live point's records reach the stream in batches of
+    ``STREAM_BATCH``; a batch cut short by the end of the run or by the
+    tracer's cap must not lose or reorder a record."""
+
+    POINT = explain_trace_points()[0]   # jobs=1:size=1536, 6,007 records
+
+    def test_a_partial_last_batch_is_analysed(self):
+        streamed, reallocs, raw, end_time = _run_point(*self.POINT,
+                                                       keep_records=True)
+        assert len(raw) % STREAM_BATCH
+        assert streamed["complete"] and not streamed["incomplete"]
+        assert_same(streamed, analyze_records(raw, False, end_time))
+
+    def test_a_cap_mid_batch_hands_every_record_made_to_the_sink(self):
+        *_, raw, _ = _run_point(*self.POINT, keep_records=True)
+        limit = 3 * STREAM_BATCH + 100
+        now = [0.0]
+        tracer = Tracer(clock=lambda: now[0], limit=limit)
+        stream = ExplainStream()
+        seen = []
+
+        def sink(batch):
+            seen.extend(batch)
+            stream.feed(batch)
+
+        tracer.stream(sink)
+        for rec in raw:
+            now[0] = rec.time
+            tracer.record(rec.kind, **rec.fields)
+        assert tracer.truncated
+        # no flush(): the cap handed over the partial batch itself
+        assert seen == [(r.time, r.kind, r.fields) for r in raw[:limit]]
+        assert_same(stream.finish(tracer.truncated),
+                    analyze_records(raw[:limit], True))
+
+
 @pytest.mark.parametrize("strategy", STRATEGY_NAMES)
 def test_streaming_equals_offline_on_a_lossy_run(strategy):
     """A real run with drops, duplicates and jitter under each
@@ -305,6 +342,7 @@ def test_streaming_equals_offline_on_a_lossy_run(strategy):
             for i in range(2)]
     cluster.run_until_finished(jobs)
     end_time = cluster.sim.now
+    tracer.flush()
     streamed = stream.finish(tracer.truncated, end_time)
     assert streamed["complete"] and not streamed["incomplete"]
     assert sum(row["retransmits"] for row in streamed["per_message"]) > 0

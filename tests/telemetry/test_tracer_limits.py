@@ -1,9 +1,9 @@
 """Tracer hardening: limit cap, truncated flag, and a streaming tracer
-that keeps no records."""
+that keeps no records and hands them to its sink in batches."""
 
 import pytest
 
-from repro.sim.trace import NullTracer, Tracer
+from repro.sim.trace import STREAM_BATCH, NullTracer, Tracer
 
 
 def _tracer(**kwargs):
@@ -56,7 +56,7 @@ class TestStreamingTracer:
     def _streaming(self, **kwargs):
         seen = []
         tracer = _tracer(**kwargs)
-        tracer.stream(lambda time, kind, fields: seen.append(kind))
+        tracer.stream(lambda batch: seen.extend(kind for _, kind, _ in batch))
         return tracer, seen
 
     def test_truncated_flips_at_the_same_record_count(self):
@@ -67,6 +67,7 @@ class TestStreamingTracer:
             streaming.record("tick", i=i)
             assert streaming.truncated == keeping.truncated
             assert bool(streaming) == bool(keeping)
+        streaming.flush()
         assert keeping.truncated and len(keeping) == 3
         assert seen == ["tick"] * 3
         assert streaming.records == []
@@ -79,17 +80,45 @@ class TestStreamingTracer:
         tracer.clear()
         tracer.record("c")
         assert not tracer.truncated
+        tracer.flush()
         assert seen == ["a", "c"]
 
     def test_kept_records_are_replayed_into_the_sink(self):
         tracer = _tracer()
         tracer.record("before")
         seen = []
-        tracer.stream(lambda time, kind, fields: seen.append(kind),
-                      keep_records=True)
+        tracer.stream(
+            lambda batch: seen.extend(kind for _, kind, _ in batch),
+            keep_records=True)
         tracer.record("after")
+        tracer.flush()
         assert seen == ["before", "after"]
         assert [r.kind for r in tracer] == ["before", "after"]
+
+    def test_records_reach_the_sink_in_full_batches_then_at_flush(self):
+        batches = []
+        tracer = _tracer()
+        tracer.stream(batches.append)
+        for i in range(2 * STREAM_BATCH + 3):
+            tracer.record("tick", i=i)
+        assert [len(b) for b in batches] == [STREAM_BATCH, STREAM_BATCH]
+        tracer.flush()
+        tracer.flush()   # nothing left: no empty batch
+        assert [len(b) for b in batches] == [STREAM_BATCH, STREAM_BATCH, 3]
+        assert [f["i"] for b in batches for _, _, f in b] == list(
+            range(2 * STREAM_BATCH + 3))
+
+    def test_cap_and_clear_hand_over_the_partial_batch(self):
+        tracer, seen = self._streaming(limit=2)
+        tracer.record("a")
+        tracer.record("b")
+        assert seen == []
+        tracer.record("over")          # the cap flushes
+        assert seen == ["a", "b"]
+        tracer.clear()
+        tracer.record("c")
+        tracer.clear()                 # so does clear()
+        assert seen == ["a", "b", "c"]
 
     def test_queries_raise_instead_of_reporting_nothing(self):
         tracer, _ = self._streaming()
@@ -109,7 +138,7 @@ class TestTelemetryNeedsKeptRecords:
     def _telemetry(self):
         from repro.telemetry.session import Telemetry
         telemetry = Telemetry(_tracer())
-        telemetry.tracer.stream(lambda time, kind, fields: None)
+        telemetry.tracer.stream(lambda batch: None)
         telemetry.tracer.record("stall", node=0, job=1, msg=-1,
                                 cause="credit", dur=0.5)
         return telemetry
