@@ -10,6 +10,8 @@ buffer-switching context switches, and prints the per-switch stage costs.
 Run:  python examples/gang_scheduling_demo.py
 """
 
+from repro.metrics.counters import mean_stage_seconds
+from repro.metrics.occupancy import summarize_occupancy
 from repro.parpar.cluster import ClusterConfig, ParParCluster
 from repro.parpar.job import JobSpec
 from repro.workloads.alltoall import alltoall_benchmark
@@ -45,12 +47,12 @@ def main():
     print()
 
     print(f"Context switches completed: {cluster.masterd.switches_completed}")
-    halt, switch, release = cluster.recorder.mean_stage_seconds()
+    halt, switch, release = mean_stage_seconds(cluster.recorder.records)
     print(f"Mean stage costs: halt {halt * 1e6:.0f} us, "
           f"buffer switch {switch * 1e3:.2f} ms, release {release * 1e6:.0f} us")
-    send_occ, recv_occ = cluster.recorder.mean_occupancy()
-    print(f"Mean buffer occupancy at switch: send {send_occ:.1f} pkts, "
-          f"recv {recv_occ:.1f} pkts")
+    occupancy = summarize_occupancy(cluster.recorder.records)
+    print(f"Mean buffer occupancy at switch: send {occupancy.mean_send:.1f} "
+          f"pkts, recv {occupancy.mean_recv:.1f} pkts")
     print(f"Packets dropped anywhere: {cluster.total_dropped()}")
 
 

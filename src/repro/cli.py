@@ -114,22 +114,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_telemetry(pn)
     sub.add_parser("perf", help="kernel performance smoke check")
 
-    pt = sub.add_parser(
-        "telemetry",
-        help="traced gang-switch demo: Chrome trace + metrics snapshot")
-    pt.add_argument("--out", metavar="TRACE.json", default=None,
-                    help="Chrome trace_event output "
-                         "(default: repro_trace.json)")
-    pt.add_argument("--metrics", metavar="SNAP.json", default=None,
-                    help="also write the unified snapshot JSON here")
-    pt.add_argument("--nodes", type=int, default=4)
-    pt.add_argument("--switches", type=int, default=4)
-    pt.add_argument("--seed", type=int, default=0)
-    pt.add_argument("--smoke", action="store_true",
-                    help="CI preset: validate the snapshot against the "
-                         "checked-in schema and require a complete "
-                         "halt/swap/release switch; exit non-zero otherwise")
-
     px = sub.add_parser(
         "explain",
         help="causal latency attribution: where every microsecond went")
@@ -234,7 +218,6 @@ EXPERIMENTS = {
     "perf": "DES kernel performance smoke check",
     "explain": "causal latency attribution + critical-path waterfalls",
     "chaos": "fault-injection campaign with no-loss/no-dup safety audit",
-    "telemetry": "traced gang-switch demo (Chrome trace + metrics snapshot)",
     "lint": "simlint determinism & protocol-safety static analysis",
 }
 
@@ -540,36 +523,6 @@ def main(argv=None) -> int:
         failing = result.errors or (args.fail_on == "warning"
                                     and result.warnings)
         return 1 if result.parse_errors or failing else 0
-
-    if args.command == "telemetry":
-        import json
-
-        from repro.telemetry.demo import run_telemetry_demo
-        from repro.telemetry.export import render_summary
-
-        demo = run_telemetry_demo(nodes=args.nodes,
-                                  num_switches=args.switches,
-                                  seed=args.seed)
-        out = args.out if args.out else "repro_trace.json"
-        with open(out, "w") as fh:
-            json.dump(demo.trace, fh, indent=1)
-            fh.write("\n")
-        if args.metrics:
-            with open(args.metrics, "w") as fh:
-                json.dump(demo.snapshot, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-        print(render_summary(demo.snapshot))
-        print(f"\n{demo.switches} gang switches captured; Chrome trace "
-              f"({len(demo.trace['traceEvents'])} events) written to {out} "
-              "-- load it in chrome://tracing or https://ui.perfetto.dev")
-        if demo.problems:
-            for problem in demo.problems:
-                print(f"telemetry check FAILED: {problem}", file=sys.stderr)
-            return 1
-        if args.smoke:
-            print("telemetry smoke: snapshot schema OK, "
-                  "halt/swap/release spans OK")
-        return 0
 
     from repro.experiments.common import effective_workers
 

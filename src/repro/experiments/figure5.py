@@ -47,10 +47,8 @@ def _measure_point(contexts: int, message_bytes: int, messages: int,
     c0 = policy.geometry(config).initial_credits
     telem = None
     if telemetry:
-        from repro.sim.trace import DEFAULT_TRACE_LIMIT, Tracer
-        from repro.telemetry.session import Telemetry
-        telem = Telemetry(Tracer(clock=sim.clock, limit=DEFAULT_TRACE_LIMIT))
-        sim.profiler = telem.profiler
+        from repro.telemetry.session import network_telemetry
+        telem = network_telemetry(sim)
     net = FMNetwork(sim, num_nodes=2, config=config, strict_no_loss=True,
                     tracer=telem.tracer if telem is not None else None)
     sender, receiver = net.create_job(1, [0, 1], policy)
@@ -67,8 +65,7 @@ def _measure_point(contexts: int, message_bytes: int, messages: int,
     snapshot = None
     if telem is not None:
         from repro.telemetry.session import harvest_network
-        harvest_network(telem, net)
-        snapshot = telem.snapshot()
+        snapshot = harvest_network(telem, net)
     return Figure5Point(contexts=contexts, message_bytes=message_bytes,
                         c0=c0, mbps=result.mbps, messages=messages,
                         packets_moved=packets_for_messages(config, message_bytes,

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 from repro.errors import SimulationError
 from repro.fm.config import FMConfig
 from repro.gluefm.switch import FullCopy, SwitchAlgorithm
-from repro.metrics.counters import StageTimings, SwitchRecorder
+from repro.metrics.counters import StageTimings, mean_stage_cycles
 from repro.metrics.occupancy import OccupancySummary, summarize_occupancy
 from repro.parpar.cluster import ClusterConfig, ParParCluster
 from repro.parpar.job import JobSpec
@@ -77,18 +77,14 @@ def run_switch_point(nodes: int, algorithm: SwitchAlgorithm,
                 f"switch sweep exceeded max_events={max_events}") from None
         raise
 
-    recorder: SwitchRecorder = cluster.recorder
-    switched = recorder.with_outgoing_job()
-    # Build the mean over switches that actually moved a context.
-    sub = SwitchRecorder()
-    for rec in switched:
-        sub.add(rec)
+    # The means are over switches that actually moved a context.
+    switched = cluster.recorder.with_outgoing_job()
     clock = cluster.nodes[0].cpu.spec.clock_hz
     return SwitchOverheadPoint(
         nodes=nodes,
         algorithm=algorithm.name,
         switches=len(switched),
-        mean_cycles=sub.mean_stage_cycles(clock),
+        mean_cycles=mean_stage_cycles(switched, clock),
         occupancy=summarize_occupancy(switched),
         clock_hz=clock,
         telemetry=cluster.telemetry_snapshot() if telemetry else None,

@@ -67,10 +67,8 @@ def _measure_point(send_kib: int, recv_kib: int, message_bytes: int,
     sim = Simulator()
     telem = None
     if telemetry:
-        from repro.sim.trace import DEFAULT_TRACE_LIMIT, Tracer
-        from repro.telemetry.session import Telemetry
-        telem = Telemetry(Tracer(clock=sim.clock, limit=DEFAULT_TRACE_LIMIT))
-        sim.profiler = telem.profiler
+        from repro.telemetry.session import network_telemetry
+        telem = network_telemetry(sim)
     net = FMNetwork(sim, num_nodes=2, config=config, strict_no_loss=True,
                     tracer=telem.tracer if telem is not None else None)
     sender, receiver = net.create_job(1, [0, 1], policy)
@@ -94,8 +92,7 @@ def _measure_point(send_kib: int, recv_kib: int, message_bytes: int,
     snapshot = None
     if telem is not None:
         from repro.telemetry.session import harvest_network
-        harvest_network(telem, net)
-        snapshot = telem.snapshot()
+        snapshot = harvest_network(telem, net)
     return NicMemoryPoint(
         send_buffer_kib=send_kib, recv_buffer_kib=recv_kib,
         credits=geometry.initial_credits, mbps=mbps,

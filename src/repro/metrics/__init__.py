@@ -8,7 +8,7 @@
   paper's methodology (Figures 5 and 6).
 """
 
-from repro.metrics.bandwidth import BandwidthSample, aggregate_bandwidth, per_job_bandwidth
+from repro.metrics.bandwidth import BandwidthSample, aggregate_bandwidth
 from repro.metrics.counters import StageTimings, SwitchRecord, SwitchRecorder
 
 __all__ = [
@@ -17,5 +17,4 @@ __all__ = [
     "SwitchRecord",
     "SwitchRecorder",
     "aggregate_bandwidth",
-    "per_job_bandwidth",
 ]

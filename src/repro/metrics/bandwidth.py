@@ -39,10 +39,6 @@ class BandwidthSample:
         return mb_per_second(self.payload_bytes, self.elapsed)
 
 
-def per_job_bandwidth(samples: Sequence[BandwidthSample]) -> list[float]:
-    return [s.mbps for s in samples]
-
-
 def aggregate_bandwidth(samples: Sequence[BandwidthSample]) -> float:
     """The paper's Figure 6 statistic: mean per-app MB/s x number of apps."""
     if not samples:

@@ -2,15 +2,16 @@
 
 Each noded measures its three switch stages ("we measured each of the
 three stages of the buffer switch algorithm") and deposits a
-:class:`SwitchRecord` here.  Aggregations reproduce the paper's plots:
-Figure 7/9 report per-stage cycle counts against cluster size.
+:class:`SwitchRecord` here.  :func:`mean_stage_cycles` reproduces the
+paper's plots: Figure 7/9 report per-stage cycle counts against cluster
+size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from statistics import mean
-from typing import Optional
+from typing import Optional, Sequence
 
 
 @dataclass(frozen=True)
@@ -30,17 +31,6 @@ class SwitchRecord:
     out_recv_valid: int      # Figure 8's receive-queue occupancy sample
     algorithm: str
     started_at: float
-
-    @property
-    def total_seconds(self) -> float:
-        return self.halt_seconds + self.switch_seconds + self.release_seconds
-
-    def cycles(self, clock_hz: float = 200e6) -> "StageTimings":
-        return StageTimings(
-            halt=int(round(self.halt_seconds * clock_hz)),
-            switch=int(round(self.switch_seconds * clock_hz)),
-            release=int(round(self.release_seconds * clock_hz)),
-        )
 
 
 @dataclass(frozen=True)
@@ -68,51 +58,18 @@ class SwitchRecorder:
     def __len__(self) -> int:
         return len(self.records)
 
-    def for_node(self, node_id: int) -> list[SwitchRecord]:
-        return [r for r in self.records if r.node_id == node_id]
-
-    def for_sequence(self, sequence: int) -> list[SwitchRecord]:
-        return [r for r in self.records if r.sequence == sequence]
-
     def with_outgoing_job(self) -> list[SwitchRecord]:
         """Records where a context was actually switched out (Figure 8
         samples only meaningful when a job occupied the outgoing slot)."""
         return [r for r in self.records if r.out_job is not None]
-
-    def mean_stage_seconds(self) -> tuple[float, float, float]:
-        """(halt, switch, release) means across all records."""
-        if not self.records:
-            return (0.0, 0.0, 0.0)
-        return (
-            mean(r.halt_seconds for r in self.records),
-            mean(r.switch_seconds for r in self.records),
-            mean(r.release_seconds for r in self.records),
-        )
-
-    def mean_stage_cycles(self, clock_hz: float = 200e6) -> StageTimings:
-        halt, switch, release = self.mean_stage_seconds()
-        return StageTimings(
-            halt=int(round(halt * clock_hz)),
-            switch=int(round(switch * clock_hz)),
-            release=int(round(release * clock_hz)),
-        )
-
-    def mean_occupancy(self) -> tuple[float, float]:
-        """(send, recv) mean valid packets at switch-out (Figure 8)."""
-        records = self.with_outgoing_job()
-        if not records:
-            return (0.0, 0.0)
-        return (
-            mean(r.out_send_valid for r in records),
-            mean(r.out_recv_valid for r in records),
-        )
 
     def publish(self, registry, prefix: str = "switch") -> None:
         """Fold the records into a telemetry MetricsRegistry.
 
         Stage timings become histograms (full distributions, not just the
         means the figures report); occupancy samples only count switches
-        that actually moved a context, mirroring :meth:`mean_occupancy`.
+        that actually moved a context, mirroring
+        :func:`~repro.metrics.occupancy.summarize_occupancy`.
         """
         registry.counter(f"{prefix}.count").inc(len(self.records))
         halt = registry.histogram(f"{prefix}.halt_seconds")
@@ -127,3 +84,26 @@ class SwitchRecorder:
             if rec.out_job is not None:
                 send_occ.observe(rec.out_send_valid)
                 recv_occ.observe(rec.out_recv_valid)
+
+
+def mean_stage_seconds(records: Sequence[SwitchRecord]
+                       ) -> tuple[float, float, float]:
+    """(halt, switch, release) means across ``records``."""
+    if not records:
+        return (0.0, 0.0, 0.0)
+    return (
+        mean(r.halt_seconds for r in records),
+        mean(r.switch_seconds for r in records),
+        mean(r.release_seconds for r in records),
+    )
+
+
+def mean_stage_cycles(records: Sequence[SwitchRecord],
+                      clock_hz: float = 200e6) -> StageTimings:
+    """The mean stage costs of ``records`` in cycles (Figures 7 and 9)."""
+    halt, switch, release = mean_stage_seconds(records)
+    return StageTimings(
+        halt=int(round(halt * clock_hz)),
+        switch=int(round(switch * clock_hz)),
+        release=int(round(release * clock_hz)),
+    )

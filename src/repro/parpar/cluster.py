@@ -366,7 +366,7 @@ class ParParCluster:
     def total_dropped(self) -> int:
         return sum(len(g.firmware.dropped_packets) for g in self.glue)
 
-    def telemetry_snapshot(self, include_wall: bool = False) -> dict:
+    def telemetry_snapshot(self) -> dict:
         """Harvest component counters and return the unified snapshot.
 
         Requires ``ClusterConfig(telemetry=True)``; call after the runs
@@ -378,7 +378,7 @@ class ParParCluster:
                 "telemetry_snapshot() requires ClusterConfig(telemetry=True)")
         from repro.telemetry.session import harvest_cluster
         harvest_cluster(self.telemetry, self)
-        return self.telemetry.snapshot(include_wall=include_wall)
+        return self.telemetry.snapshot()
 
     @property
     def matrix(self):

@@ -222,12 +222,12 @@ KERNEL_BENCHMARKS: dict[str, Callable[[int], float]] = {
 }
 
 
-def run_smoke(n: int = 50_000, min_events_per_sec: float = 100_000.0) -> int:
+def run_smoke(n: int = 50_000, floor: float = 100_000.0) -> int:
     """Quick assert-only health check for ``python -m repro perf``.
 
     Runs every kernel benchmark once at a small ``n`` and fails (exit
-    code 1) if any pattern falls below a floor that even a cold
-    interpreter on a loaded CI box clears by an order of magnitude.
+    code 1) if any pattern falls below ``floor`` events/s, which even a
+    cold interpreter on a loaded CI box clears by an order of magnitude.
     The point is catching catastrophic regressions (an accidentally
     quadratic queue, tracing left enabled), not measuring — use
     ``benchmarks/perf/bench_kernel.py`` for numbers.
@@ -235,12 +235,12 @@ def run_smoke(n: int = 50_000, min_events_per_sec: float = 100_000.0) -> int:
     failed = False
     for name, fn in KERNEL_BENCHMARKS.items():
         rate = max(fn(n) for _ in range(2))
-        status = "ok" if rate >= min_events_per_sec else "FAIL"
-        if rate < min_events_per_sec:
+        status = "ok" if rate >= floor else "FAIL"
+        if rate < floor:
             failed = True
         print(f"  {name:<18} {rate:>12,.0f} events/s  [{status}]")
     if failed:
-        print(f"perf smoke FAILED: floor is {min_events_per_sec:,.0f} events/s")
+        print(f"perf smoke FAILED: floor is {floor:,.0f} events/s")
         return 1
     print("perf smoke passed")
     return 0

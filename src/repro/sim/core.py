@@ -40,7 +40,6 @@ from __future__ import annotations
 
 from heapq import heappop, heappush
 from itertools import count
-from time import perf_counter  # simlint: ignore[SIM001] -- profiler accounts host wall time; never feeds sim state
 from typing import Any, Callable, Generator, Iterable, Optional
 
 from repro.errors import SimulationError
@@ -409,7 +408,6 @@ class Simulator:
         if prof is not None:
             observe = prof.observe
             prev_now = self._now
-            t0 = perf_counter()  # simlint: ignore[SIM001] -- profiler accounts host wall time; never feeds sim state
         try:
             while queue:
                 if queue[0][0] > horizon:
@@ -447,4 +445,3 @@ class Simulator:
             self._processed_count += count
             if prof is not None:
                 prof.account_events(count)
-                prof.account_wall(perf_counter() - t0)  # simlint: ignore[SIM001] -- profiler accounts host wall time; never feeds sim state

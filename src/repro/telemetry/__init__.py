@@ -1,4 +1,4 @@
-"""Unified telemetry: metrics registry, kernel profiler, spans, exporters.
+"""Unified telemetry: metrics registry, kernel profiler, spans, exporter.
 
 Everything observability-related lives here so the simulation layers stay
 clean: they either expose deterministic counters that get *harvested*
@@ -10,7 +10,7 @@ Layout:
 - :mod:`repro.telemetry.registry` — typed instruments (Counter, Gauge,
   log2-bucket Histogram) with lazy registration and snapshot merging;
 - :mod:`repro.telemetry.profiler` — DES kernel profiler (per-component
-  event counts / simulated time, events/s self-benchmark);
+  event counts and simulated time);
 - :mod:`repro.telemetry.spans` — span-begin/span-end records over the
   Tracer stream plus reconstruction and packet/retransmit derivations;
 - :mod:`repro.telemetry.causal` — per-message lineage (fragment
@@ -22,11 +22,12 @@ Layout:
   (waterfall reports, attribution JSON, Chrome traces with flow
   arrows, saved-trace ingest);
 - :mod:`repro.telemetry.export` — Chrome ``trace_event`` JSON (with
-  per-node track rows and flow events) and a plain-text summary;
+  per-node track rows and flow events);
 - :mod:`repro.telemetry.schema` — dependency-free validation against the
   checked-in snapshot contract;
-- :mod:`repro.telemetry.session` — the :class:`Telemetry` bundle and the
-  component harvesters.
+- :mod:`repro.telemetry.session` — the :class:`Telemetry` bundle, the
+  component harvesters and the snapshot merge behind every sweep's
+  ``--telemetry OUT.json``.
 
 Import the submodules themselves; this package re-exports nothing, so
 loading one of them does not load the rest.

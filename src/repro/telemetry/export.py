@@ -1,4 +1,4 @@
-"""Exporters: Chrome ``trace_event`` JSON and a plain-text summary.
+"""Exporter: Chrome ``trace_event`` JSON.
 
 The Chrome format (loadable in ``chrome://tracing`` or Perfetto) renders
 each :class:`~repro.telemetry.spans.Span` as a complete event (``ph:
@@ -7,10 +7,8 @@ each :class:`~repro.telemetry.spans.Span` as a complete event (``ph:
 arg, 0 for cluster-global spans) and ``tid`` to a per-node *track*
 derived from the span category, with ``thread_name`` metadata rows
 naming each track — so one node reads as a process whose threads are
-``switch``, ``causal``, ``sched``, ``policy``, and so on.  Non-span
-trace records become instant events (``ph: "i"``) on an ``events``
-track so injected faults, drops, and protocol edges line up against
-the spans.
+``host``, ``nic``, ``sched``, ``policy``, and so on.  It backs
+``repro explain --chrome``.
 
 Cross-node causality renders as *flow events* (``ph: "s"`` / ``"f"``):
 :func:`to_chrome_trace` accepts ``flows``, each an arrow from one
@@ -21,11 +19,9 @@ between the two slices enclosing the endpoints.
 
 from __future__ import annotations
 
-import json
 from typing import Iterable, Optional
 
-from repro.sim.trace import TraceRecord
-from repro.telemetry.spans import SPAN_BEGIN, SPAN_END, Span
+from repro.telemetry.spans import Span
 
 _US = 1e6   # simulated seconds -> trace microseconds
 
@@ -67,7 +63,6 @@ class _Rows:
 
 
 def to_chrome_trace(spans: Iterable[Span],
-                    records: Optional[Iterable[TraceRecord]] = None,
                     metadata: Optional[dict] = None,
                     flows: Optional[Iterable[dict]] = None) -> dict:
     """Build the ``{"traceEvents": [...]}`` object.
@@ -92,21 +87,6 @@ def to_chrome_trace(spans: Iterable[Span],
             "args": dict(span.args, span_id=span.span_id,
                          parent_id=span.parent_id),
         })
-    if records is not None:
-        for rec in records:
-            if rec.kind in (SPAN_BEGIN, SPAN_END):
-                continue    # already rendered as complete events
-            pid = _pid_of(rec.fields)
-            events.append({
-                "name": rec.kind,
-                "cat": "event",
-                "ph": "i",
-                "s": "t",
-                "ts": rec.time * _US,
-                "pid": pid,
-                "tid": rows.tid(pid, "events"),
-                "args": dict(rec.fields),
-            })
     if flows is not None:
         for flow in flows:
             for phase, end_key in (("s", "start"), ("f", "end")):
@@ -133,70 +113,3 @@ def to_chrome_trace(spans: Iterable[Span],
         trace["otherData"] = metadata
     return trace
 
-
-def write_chrome_trace(path, spans, records=None, metadata=None,
-                       flows=None) -> None:
-    with open(path, "w") as fh:
-        json.dump(to_chrome_trace(spans, records, metadata, flows=flows), fh,
-                  indent=1)
-        fh.write("\n")
-
-
-# ---------------------------------------------------------------- text summary
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return f"{value:.6g}"
-    return str(value)
-
-
-def render_summary(snapshot: dict) -> str:
-    """Human-readable view of a unified telemetry snapshot."""
-    lines = ["Telemetry summary", "================="]
-
-    metrics = snapshot.get("metrics", {})
-    if metrics:
-        lines.append("")
-        lines.append("metrics:")
-        width = max(len(name) for name in metrics)
-        for name in sorted(metrics):
-            entry = metrics[name]
-            if entry["kind"] == "histogram":
-                mean = entry["sum"] / entry["count"] if entry["count"] else 0.0
-                val = (f"count={entry['count']} mean={_fmt(mean)} "
-                       f"min={_fmt(entry['min'])} max={_fmt(entry['max'])}")
-            else:
-                val = _fmt(entry["value"])
-            lines.append(f"  {name:<{width}}  {entry['kind']:<9} {val}")
-
-    profile = snapshot.get("profile")
-    if profile and profile.get("components"):
-        lines.append("")
-        lines.append(f"kernel profile ({profile['events']} events):")
-        comps = profile["components"]
-        width = max(len(name) for name in comps)
-        ranked = sorted(comps.items(),
-                        key=lambda item: (-item[1]["events"], item[0]))
-        for name, entry in ranked:
-            share = (100.0 * entry["events"] / profile["events"]
-                     if profile["events"] else 0.0)
-            lines.append(f"  {name:<{width}}  {entry['events']:>10} ev "
-                         f"({share:5.1f}%)  {entry['sim_seconds']:.6f} sim-s")
-        bench = profile.get("self_benchmark")
-        if bench:
-            lines.append(f"  self-benchmark: "
-                         f"{bench['events_per_sec']:,.0f} events/s over "
-                         f"{bench['wall_seconds']:.3f} s wall")
-
-    spans = snapshot.get("spans")
-    if spans and spans.get("by_name"):
-        lines.append("")
-        lines.append(f"spans ({spans['count']} total):")
-        width = max(len(name) for name in spans["by_name"])
-        for name in sorted(spans["by_name"]):
-            entry = spans["by_name"][name]
-            mean = (entry["total_seconds"] / entry["count"]
-                    if entry["count"] else 0.0)
-            lines.append(f"  {name:<{width}}  count={entry['count']:<6} "
-                         f"mean={mean * 1e6:9.1f} us  "
-                         f"total={entry['total_seconds'] * 1e3:9.3f} ms")
-    return "\n".join(lines)

@@ -18,11 +18,8 @@ so profiled and unprofiled simulations produce identical results (pinned
 by ``tests/telemetry/test_determinism.py``).  The kernel accounts the
 number of dispatched entries once per run via :meth:`account_events`,
 so :attr:`events` always equals the simulator's ``processed_events``.
-
-Wall-clock throughput (the events/s self-benchmark) is accumulated at
-run-loop boundaries via :meth:`account_wall` and never enters the
-deterministic snapshot unless explicitly asked for with
-``include_wall=True``.
+The profile holds no host-clock reading, so its snapshot is
+deterministic.
 """
 
 from __future__ import annotations
@@ -50,7 +47,6 @@ class KernelProfiler:
 
     def __init__(self):
         self.events = 0           # exact count, via account_events()
-        self.wall_seconds = 0.0
         # component -> [event_count, sim_seconds]
         self._components: dict[str, list] = {}
         # process name or entry class -> its component's cell
@@ -100,36 +96,14 @@ class KernelProfiler:
         """Add the exact number of entries a profiled run loop dispatched."""
         self.events += n
 
-    def account_wall(self, seconds: float) -> None:
-        """Add wall-clock spent inside a profiled run loop."""
-        self.wall_seconds += seconds
-
     # ------------------------------------------------------------------ reporting
-    @property
-    def events_per_sec(self) -> float:
-        """The events/s self-benchmark over all profiled run loops."""
-        return self.events / self.wall_seconds if self.wall_seconds > 0 else 0.0
-
-    def snapshot(self, include_wall: bool = False) -> dict:
-        """JSON-ready profile.  Deterministic unless ``include_wall``."""
+    def snapshot(self) -> dict:
+        """JSON-ready profile: events and simulated time per component."""
         components = {
             name: {"events": cell[0], "sim_seconds": cell[1]}
             for name, cell in sorted(self._components.items())
         }
-        out = {"events": self.events, "components": components}
-        if include_wall:
-            out["self_benchmark"] = {
-                "wall_seconds": self.wall_seconds,
-                "events_per_sec": self.events_per_sec,
-            }
-        return out
-
-    def publish(self, registry, prefix: str = "kernel") -> None:
-        """Mirror the deterministic profile into a MetricsRegistry."""
-        registry.counter(f"{prefix}.events").inc(self.events)
-        for name, cell in sorted(self._components.items()):
-            registry.counter(f"{prefix}.{name}.events").inc(cell[0])
-            registry.gauge(f"{prefix}.{name}.sim_seconds").add(cell[1])
+        return {"events": self.events, "components": components}
 
 
 def merge_profiles(profiles) -> dict:

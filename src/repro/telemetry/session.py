@@ -18,15 +18,15 @@ run.  The unified snapshot is then
      "metrics": {...}, "profile": {...}, "spans": {...}}
 
 — validated against ``schemas/telemetry_snapshot.schema.json`` and
-deterministic by construction: no wall-clock value enters it unless
-``include_wall=True`` is requested explicitly.
+deterministic by construction: no wall-clock value enters it.  A sweep's
+``--telemetry OUT.json`` writes the merge of its points' snapshots.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
-from repro.sim.trace import Tracer
+from repro.sim.trace import DEFAULT_TRACE_LIMIT, Tracer
 from repro.telemetry.profiler import KernelProfiler, merge_profiles
 from repro.telemetry.registry import MetricsRegistry, merge_snapshots
 from repro.telemetry.spans import (build_spans, derive_packet_spans,
@@ -62,14 +62,14 @@ class Telemetry:
         return spans
 
     # ------------------------------------------------------------------ snapshot
-    def snapshot(self, include_wall: bool = False) -> dict:
+    def snapshot(self) -> dict:
         span_summary = summarize_spans(self.all_spans())
         if self.tracer.truncated:
             span_summary["truncated"] = True
         return {
             "schema": SNAPSHOT_SCHEMA,
             "metrics": self.registry.snapshot(),
-            "profile": self.profiler.snapshot(include_wall=include_wall),
+            "profile": self.profiler.snapshot(),
             "spans": span_summary,
         }
 
@@ -78,9 +78,7 @@ def merge_unified_snapshots(snapshots: Iterable[dict]) -> dict:
     """Merge unified snapshots (e.g. one per sweep point) in input order.
 
     Deterministic: serial and ``-jN`` sweeps produce identical per-point
-    snapshots in identical order, hence identical merges.  Wall-clock
-    self-benchmarks, if present, are dropped — they are measurement noise,
-    not aggregates.
+    snapshots in identical order, hence identical merges.
     """
     snapshots = list(snapshots)
     merged_spans: dict = {"count": 0, "by_name": {}}
@@ -100,13 +98,10 @@ def merge_unified_snapshots(snapshots: Iterable[dict]) -> dict:
     }
     if truncated:
         merged_spans["truncated"] = True
-    profiles = [dict(s["profile"]) for s in snapshots]
-    for profile in profiles:
-        profile.pop("self_benchmark", None)
     return {
         "schema": SNAPSHOT_SCHEMA,
         "metrics": merge_snapshots(s["metrics"] for s in snapshots),
-        "profile": merge_profiles(profiles),
+        "profile": merge_profiles(s["profile"] for s in snapshots),
         "spans": merged_spans,
     }
 
@@ -152,11 +147,6 @@ def _harvest_strategy(registry: MetricsRegistry, fw) -> None:
 def harvest_fabric(registry: MetricsRegistry, fabric) -> None:
     registry.counter("fabric.packets_moved").inc(fabric.packets_moved)
     registry.counter("fabric.bytes_moved").inc(fabric.bytes_moved)
-
-
-def harvest_switches(registry: MetricsRegistry, recorder) -> None:
-    """Switch-stage timings and queue occupancy (Figures 7/8/9 raw data)."""
-    recorder.publish(registry)
 
 
 def harvest_faults(registry: MetricsRegistry, injector) -> None:
@@ -214,7 +204,7 @@ def harvest_cluster(telemetry: Telemetry, cluster) -> None:
     harvest_firmwares(registry, (g.firmware for g in cluster.glue))
     harvest_stalls(registry, telemetry.tracer)
     harvest_fabric(registry, cluster.fabric)
-    harvest_switches(registry, cluster.recorder)
+    cluster.recorder.publish(registry)   # Figures 7/8/9 raw data
     if getattr(cluster, "policy_engine", None) is not None:
         harvest_policy(registry, cluster.policy_engine)
     if cluster.fault_injector is not None:
@@ -225,11 +215,26 @@ def harvest_cluster(telemetry: Telemetry, cluster) -> None:
     registry.gauge("sim.seconds").add(cluster.sim.now)
 
 
-def harvest_network(telemetry: Telemetry, net) -> None:
-    """Fold an FMNetwork harness's counters (figure5/nicmem-style runs)."""
+def network_telemetry(sim) -> Telemetry:
+    """Telemetry for a bare FMNetwork run (Figure 5, nicmem).
+
+    Builds the run's tracer, capped at ``DEFAULT_TRACE_LIMIT`` records
+    and on ``sim``'s clock (hand ``.tracer`` to the network), and
+    attaches the profiler to ``sim``.  After the run,
+    :func:`harvest_network` returns the snapshot.
+    """
+    telemetry = Telemetry(Tracer(clock=sim.clock, limit=DEFAULT_TRACE_LIMIT))
+    sim.profiler = telemetry.profiler
+    return telemetry
+
+
+def harvest_network(telemetry: Telemetry, net) -> dict:
+    """Fold an FMNetwork harness's counters into the registry and return
+    the unified snapshot."""
     registry = telemetry.registry
     harvest_firmwares(registry, net.firmwares.values())
     harvest_fabric(registry, net.fabric)
     harvest_stalls(registry, telemetry.tracer)
     registry.counter("sim.events").inc(net.sim.processed_events)
     registry.gauge("sim.seconds").add(net.sim.now)
+    return telemetry.snapshot()

@@ -2,9 +2,11 @@
 
 import pytest
 
-from repro.metrics.bandwidth import BandwidthSample, aggregate_bandwidth, per_job_bandwidth
-from repro.metrics.counters import StageTimings, SwitchRecord, SwitchRecorder
+from repro.metrics.bandwidth import BandwidthSample, aggregate_bandwidth
+from repro.metrics.counters import (StageTimings, SwitchRecord, SwitchRecorder,
+                                    mean_stage_cycles, mean_stage_seconds)
 from repro.metrics.occupancy import summarize_occupancy
+from repro.telemetry.registry import MetricsRegistry
 
 
 def record(node=0, seq=1, halt=0.001, switch=0.01, release=0.002,
@@ -20,9 +22,7 @@ def record(node=0, seq=1, halt=0.001, switch=0.01, release=0.002,
 
 class TestSwitchRecord:
     def test_total_and_cycles(self):
-        rec = record()
-        assert rec.total_seconds == pytest.approx(0.013)
-        cyc = rec.cycles(200e6)
+        cyc = mean_stage_cycles([record()], 200e6)
         assert cyc == StageTimings(halt=200_000, switch=2_000_000, release=400_000)
         assert cyc.total == 2_600_000
 
@@ -34,29 +34,34 @@ class TestSwitchRecorder:
         recorder.add(record(node=1, seq=1))
         recorder.add(record(node=0, seq=2, out_job=None))
         assert len(recorder) == 3
-        assert len(recorder.for_node(0)) == 2
-        assert len(recorder.for_sequence(1)) == 2
         assert len(recorder.with_outgoing_job()) == 2
 
     def test_mean_stage_cycles(self):
-        recorder = SwitchRecorder()
-        recorder.add(record(halt=0.001, switch=0.01, release=0.001))
-        recorder.add(record(halt=0.003, switch=0.02, release=0.003))
-        cyc = recorder.mean_stage_cycles(200e6)
+        records = [record(halt=0.001, switch=0.01, release=0.001),
+                   record(halt=0.003, switch=0.02, release=0.003)]
+        cyc = mean_stage_cycles(records, 200e6)
         assert cyc.halt == 400_000
         assert cyc.switch == 3_000_000
         assert cyc.release == 400_000
 
     def test_empty_recorder_means_zero(self):
         recorder = SwitchRecorder()
-        assert recorder.mean_stage_seconds() == (0.0, 0.0, 0.0)
-        assert recorder.mean_occupancy() == (0.0, 0.0)
+        assert mean_stage_seconds(recorder.records) == (0.0, 0.0, 0.0)
+        assert mean_stage_cycles(recorder.records) == StageTimings(0, 0, 0)
 
     def test_mean_occupancy_ignores_idle_switches(self):
         recorder = SwitchRecorder()
         recorder.add(record(send_valid=4, recv_valid=20))
         recorder.add(record(out_job=None, send_valid=0, recv_valid=0))
-        assert recorder.mean_occupancy() == (4.0, 20.0)
+        registry = MetricsRegistry()
+        recorder.publish(registry)
+        # The published histograms sample what summarize_occupancy means.
+        send = registry.histogram("switch.out_send_valid")
+        recv = registry.histogram("switch.out_recv_valid")
+        assert (send.count, send.sum, recv.sum) == (1, 4, 20)
+        assert registry.counter("switch.count").value == 2
+        occ = summarize_occupancy(recorder.records)
+        assert (occ.mean_send, occ.mean_recv) == (4.0, 20.0)
 
 
 class TestOccupancySummary:
@@ -88,8 +93,8 @@ class TestBandwidth:
             BandwidthSample(1, 10_000_000, 0.0, 1.0),   # 10 MB/s
             BandwidthSample(2, 30_000_000, 0.0, 1.0),   # 30 MB/s
         ]
-        assert per_job_bandwidth(samples) == [pytest.approx(10.0),
-                                              pytest.approx(30.0)]
+        assert [s.mbps for s in samples] == [pytest.approx(10.0),
+                                             pytest.approx(30.0)]
         assert aggregate_bandwidth(samples) == pytest.approx(40.0)
 
     def test_aggregate_empty(self):

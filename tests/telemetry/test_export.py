@@ -1,9 +1,8 @@
-"""Chrome trace_event export and the plain-text summary."""
+"""Chrome trace_event export."""
 
 import json
 
-from repro.sim.trace import TraceRecord
-from repro.telemetry.export import render_summary, to_chrome_trace
+from repro.telemetry.export import to_chrome_trace
 from repro.telemetry.spans import Span
 
 
@@ -22,19 +21,6 @@ class TestChromeTrace:
         assert ev["pid"] == 2           # node id groups the rows
         assert ev["args"]["span_id"] == 1
 
-    def test_records_become_instant_events(self):
-        rec = TraceRecord(0.005, "pkt-drop", {"node": 1, "job": 3})
-        trace = to_chrome_trace([], records=[rec])
-        [ev] = [e for e in trace["traceEvents"] if e["ph"] == "i"]
-        assert ev["name"] == "pkt-drop"
-        assert ev["ts"] == 5000.0
-
-    def test_span_records_not_duplicated_as_instants(self):
-        recs = [TraceRecord(0.0, "span-begin", {"span": 1, "name": "x"}),
-                TraceRecord(1.0, "span-end", {"span": 1})]
-        trace = to_chrome_trace([], records=recs)
-        assert [e for e in trace["traceEvents"] if e["ph"] == "i"] == []
-
     def test_metadata_rows_per_pid(self):
         trace = to_chrome_trace([_span(node=0), _span(sid=2, node=3)])
         names = {(e["pid"], e["name"]) for e in trace["traceEvents"]
@@ -47,44 +33,6 @@ class TestChromeTrace:
         parsed = json.loads(json.dumps(trace))
         assert parsed["otherData"]["scenario"] == "test"
         assert parsed["displayTimeUnit"] == "ms"
-
-
-class TestRenderSummary:
-    def _snapshot(self):
-        return {
-            "schema": "repro-telemetry/1",
-            "metrics": {
-                "fm.packets_sent": {"kind": "counter", "value": 12},
-                "switch.halt_seconds": {"kind": "histogram", "count": 2,
-                                        "sum": 0.4, "min": 0.1, "max": 0.3,
-                                        "buckets": {"-2": 1, "-1": 1}},
-            },
-            "profile": {
-                "events": 100,
-                "components": {"lanai": {"events": 60, "sim_seconds": 0.5},
-                               "noded-switch": {"events": 40,
-                                                "sim_seconds": 0.2}},
-                "self_benchmark": {"wall_seconds": 0.5,
-                                   "events_per_sec": 200.0},
-            },
-            "spans": {
-                "count": 3,
-                "by_name": {"halt": {"count": 3, "total_seconds": 0.3}},
-            },
-        }
-
-    def test_all_sections_rendered(self):
-        text = render_summary(self._snapshot())
-        assert "fm.packets_sent" in text
-        assert "lanai" in text
-        assert "halt" in text
-        assert "events/s" in text
-
-    def test_empty_snapshot_does_not_crash(self):
-        text = render_summary({"schema": "repro-telemetry/1", "metrics": {},
-                               "profile": {"events": 0, "components": {}},
-                               "spans": {"count": 0, "by_name": {}}})
-        assert "Telemetry summary" in text
 
 
 class TestFlowEvents:

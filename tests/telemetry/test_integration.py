@@ -1,4 +1,4 @@
-"""End-to-end telemetry: cluster capture, the demo, and the CLI verb."""
+"""End-to-end telemetry: cluster capture and the sweeps' ``--telemetry``."""
 
 import json
 
@@ -6,8 +6,10 @@ from repro.cli import main
 from repro.parpar.cluster import ClusterConfig, ParParCluster
 from repro.parpar.job import JobSpec
 from repro.telemetry.schema import validate_snapshot
-from repro.telemetry.demo import SWITCH_STAGES, run_telemetry_demo
 from repro.workloads.alltoall import alltoall_benchmark
+
+#: The stages a complete switch must expose (the paper's three phases).
+SWITCH_STAGES = ("halt", "swap", "release")
 
 
 class TestClusterCapture:
@@ -42,31 +44,8 @@ class TestClusterCapture:
         assert snap["spans"]["by_name"]["gang-switch"]["count"] > 0
 
 
-class TestDemo:
-    def test_demo_passes_its_own_checks(self):
-        demo = run_telemetry_demo(nodes=4, time_slots=2, num_switches=2,
-                                  message_bytes=1024)
-        assert demo.ok, demo.problems
-        assert demo.switches >= 2
-        names = {e.get("name") for e in demo.trace["traceEvents"]}
-        assert {"gang-switch", *SWITCH_STAGES} <= names
-
-
 class TestCliTelemetryVerb:
-    def test_smoke_writes_trace_and_snapshot(self, tmp_path, capsys):
-        trace_path = tmp_path / "trace.json"
-        snap_path = tmp_path / "snap.json"
-        assert main(["telemetry", "--smoke", "--switches", "2",
-                     "--out", str(trace_path),
-                     "--metrics", str(snap_path)]) == 0
-        out = capsys.readouterr().out
-        assert "telemetry smoke: snapshot schema OK" in out
-
-        trace = json.loads(trace_path.read_text())
-        assert any(e.get("name") == "gang-switch"
-                   for e in trace["traceEvents"])
-        snap = json.loads(snap_path.read_text())
-        assert validate_snapshot(snap) == []
+    """The sweep verbs' ``--telemetry OUT.json`` flag."""
 
     def test_figure6_flag_writes_merged_snapshot(self, tmp_path, capsys):
         path = tmp_path / "telemetry.json"
@@ -75,3 +54,11 @@ class TestCliTelemetryVerb:
         snap = json.loads(path.read_text())
         assert validate_snapshot(snap) == []
         assert snap["metrics"]["fm.packets_sent"]["value"] > 0
+
+        path = tmp_path / "switches.json"
+        assert main(["figure9", "--nodes", "4", "--switches", "2",
+                     "--telemetry", str(path)]) == 0
+        snap = json.loads(path.read_text())
+        assert validate_snapshot(snap) == []
+        for name in ("gang-switch", *SWITCH_STAGES):
+            assert snap["spans"]["by_name"][name]["count"] > 0, name
