@@ -66,7 +66,6 @@ class ParallelJob:
     submitted_at: float = 0.0
     ready_at: Optional[float] = None
     finished_at: Optional[float] = None
-    loaded_nodes: set = field(default_factory=set)
     finished_nodes: set = field(default_factory=set)
     results: dict[int, Any] = field(default_factory=dict)  # rank -> workload return
     endpoints: dict[int, Endpoint] = field(default_factory=dict)  # rank -> endpoint
@@ -78,10 +77,6 @@ class ParallelJob:
     @property
     def rank_to_node(self) -> dict[int, int]:
         return {rank: node for rank, node in enumerate(self.node_ids)}
-
-    @property
-    def all_loaded(self) -> bool:
-        return len(self.loaded_nodes) == self.spec.num_procs
 
     @property
     def all_finished(self) -> bool:

@@ -22,15 +22,18 @@ gets its per-job policy: ``kill`` retires it dead, ``requeue`` restarts
 it from scratch on a fresh DHC allocation.  A restarted noded registers
 back in and is reintegrated (see :meth:`MasterDaemon._do_rejoin`).
 
-One liveness subtlety is worth spelling out: the op queue means a wedged
-*op* wedges the daemon.  A load or end protocol waiting on acks from a
-node that died can only be freed from *outside* the queue — that is the
-lease monitor's second job (see :meth:`_unwedge_waits`).
+Every op that talks to the nodeds (load, switch, end, kill, reintegrate)
+sends to a node set and waits for one ack from each: the op in progress
+owns the one open :class:`_AckWait`.  The op queue means a wedged *op*
+wedges the daemon, so a wait owed an ack by a node that died can only be
+freed from *outside* the queue — the lease monitor's second job (see
+:meth:`_unwedge_waits`); a switch's guarded barrier evicts its own dead.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.errors import AllocationError, SchedulingError
@@ -41,6 +44,21 @@ from repro.parpar.matrix import GangMatrix
 from repro.parpar.recovery import FailureDetector, RecoveryConfig, RecoveryStats
 from repro.sim.core import Event, Simulator
 from repro.sim.primitives import Store
+
+
+@dataclass(slots=True)
+class _AckWait:
+    """The op in progress's barrier: one ``kind`` ack per ``owed`` node.
+
+    ``key`` is the job id, the switch sequence, or None (reintegration).
+    ``event`` fires once nothing is owed; ``acks`` says who answered.
+    """
+
+    kind: str
+    key: object
+    owed: set
+    acks: set
+    event: Event
 
 
 class MasterDaemon:
@@ -78,21 +96,11 @@ class MasterDaemon:
         self._rotation_paused = False
         self._switch_queued = False
         self._switch_seq = 0
-        self._switch_acks: set[int] = set()
-        self._switch_event: Optional[Event] = None
         self._switch_watchers: list[tuple[int, Event]] = []
-        self._loaded_events: dict[int, Event] = {}
-        self._end_acks: dict[int, set[int]] = {}
-        self._end_events: dict[int, Event] = {}
         self._done_events: dict[int, Event] = {}
-        self._kill_expect: dict[int, set[int]] = {}
-        self._kill_acks: dict[int, set[int]] = {}
-        self._kill_events: dict[int, Event] = {}
         self._eviction_pending: set[int] = set()
-        self._reint_node: Optional[int] = None
-        self._reint_expect: set[int] = set()
-        self._reint_acks: set[int] = set()
-        self._reint_event: Optional[Event] = None
+        #: The ack wait of the op in progress (None between waits).
+        self._wait: Optional[_AckWait] = None
 
         self.recovery = recovery
         if recovery is not None:
@@ -117,23 +125,26 @@ class MasterDaemon:
         if kind == "submit":
             _, spec, reply, reply_endpoint = message
             self._ops.put(("load", spec, reply, reply_endpoint))
-        elif kind == "loaded":
-            self._on_loaded(message[1], src)
         elif kind == "switch-done":
-            self._on_switch_done(message[1], src)
+            if not self._ack(kind, message[1], src):
+                # A late ack: its switch already completed (a retry raced
+                # the original, or an evicted node's ack was in flight).
+                self.stale_switch_acks += 1
+                if self.stats is not None:
+                    self.stats.stale_switch_acks += 1
+        elif kind == "loaded" or kind == "ended" or kind == "killed":
+            self._ack(kind, message[1], src)
         elif kind == "job-finished":
             self._on_job_finished(message[1], src, message[3], message[4])
-        elif kind == "ended":
-            self._on_ended(message[1], src)
         elif kind == "heartbeat":
             if self.detector is not None:
                 self.detector.heartbeat(message[1], self.sim.now)
-        elif kind == "killed":
-            self._on_killed(message[1], src)
         elif kind == "register":
             self._on_register(message[1])
         elif kind == "reintegrated":
-            self._on_reintegrated(src, message[2], message[3])
+            if self._ack(kind, None, src):
+                self.stats.contexts_restored += message[2]
+                self.stats.contexts_discarded += message[3]
         else:
             raise SchedulingError(f"masterd: unknown message {message!r}")
 
@@ -182,6 +193,25 @@ class MasterDaemon:
         if not event.triggered:
             event.succeed()
 
+    # ------------------------------------------------------------------ ack wait
+    def _await(self, kind: str, key, nodes) -> _AckWait:
+        """Open the op's wait; it sends, yields ``wait.event``, clears it."""
+        self._wait = _AckWait(kind, key, set(nodes), set(), Event(self.sim))
+        return self._wait
+
+    def _ack(self, kind: str, key, node: int) -> bool:
+        """Take ``node``'s ack; False if it belongs to no open wait."""
+        wait = self._wait
+        if wait is None or wait.kind != kind or wait.key != key:
+            return False
+        wait.acks.add(node)
+        owed = wait.owed
+        if node in owed:
+            owed.discard(node)
+            if not owed:
+                self._succeed_once(wait.event)
+        return True
+
     # ------------------------------------------------------------------ loading
     def _launch_job(self, spec: JobSpec):
         """Allocate, load and sync one job (generator; returns the job).
@@ -197,7 +227,7 @@ class MasterDaemon:
                           node_ids=tuple(nodes), state=JobState.LOADING,
                           submitted_at=self.sim.now)
         self.jobs[job_id] = job
-        self._loaded_events[job_id] = Event(self.sim)
+        wait = self._await("loaded", job_id, nodes)
         self._done_events[job_id] = Event(self.sim)
         rank_to_node = job.rank_to_node
         for rank, node in enumerate(nodes):
@@ -205,7 +235,8 @@ class MasterDaemon:
                                   ("load-job", job_id, slot, rank, rank_to_node,
                                    spec.workload))
         # Wait for every noded to report the fork succeeded...
-        yield self._loaded_events[job_id]
+        yield wait.event
+        self._wait = None
         # ...then give the global synchronisation point (Figure 2).
         self.control_net.multicast(self.ENDPOINT, nodes, ("job-sync", job_id))
         job.state = JobState.READY
@@ -221,12 +252,6 @@ class MasterDaemon:
             return
         self.control_net.send(self.ENDPOINT, reply_endpoint,
                               ("submit-reply", reply, job))
-
-    def _on_loaded(self, job_id: int, node_id: int) -> None:
-        job = self.jobs[job_id]
-        job.loaded_nodes.add(node_id)
-        if job.all_loaded:
-            self._succeed_once(self._loaded_events[job_id])
 
     # ------------------------------------------------------------------ switching
     def _next_slot(self) -> Optional[int]:
@@ -244,15 +269,14 @@ class MasterDaemon:
         if nxt is None:
             return
         self._switch_seq += 1
-        self._switch_acks = set()
-        self._switch_event = Event(self.sim)
+        wait = self._await("switch-done", self._switch_seq, self.worker_ids)
         message = ("switch-slot", self._switch_seq, self.active_slot, nxt)
         self.control_net.multicast(self.ENDPOINT, self.worker_ids, message)
         if self.recovery is None:
-            yield self._switch_event
+            yield wait.event
         else:
-            yield from self._guarded_barrier(message)
-        self._switch_event = None
+            yield from self._guarded_barrier(wait, message)
+        self._wait = None
         self.active_slot = nxt
         self.switches_completed += 1
         if self._switch_watchers:
@@ -264,7 +288,7 @@ class MasterDaemon:
                 for _, watcher in ripe:
                     watcher.succeed(self.switches_completed)
 
-    def _guarded_barrier(self, message):
+    def _guarded_barrier(self, wait: _AckWait, message):
         """Wait for all switch acks — with timeout, retries, and eviction.
 
         The barrier is the deadlock wedge of the unguarded protocol: a
@@ -280,7 +304,7 @@ class MasterDaemon:
         more patience.
         """
         cfg = self.recovery
-        event = self._switch_event
+        event = wait.event
         attempt = 0
         while not event.triggered:
             timeout = cfg.switch_timeout * (cfg.switch_backoff ** attempt)
@@ -289,8 +313,7 @@ class MasterDaemon:
             yield self.sim.any_of([event, self.sim.timeout(timeout)])
             if event.triggered:
                 break
-            pending = [n for n in self.worker_ids
-                       if n not in self._switch_acks]
+            pending = [n for n in self.worker_ids if n in wait.owed]
             # Re-multicast on *every* lap, not just the budgeted retries:
             # the nodeds dedupe by sequence and late acks are tolerated,
             # so at-least-once delivery is free — and it is what saves a
@@ -304,24 +327,6 @@ class MasterDaemon:
             suspects = [n for n in pending if self.detector.is_suspect(n)]
             if suspects:
                 self._evict(suspects)
-
-    def _on_switch_done(self, sequence: int, node_id: int) -> None:
-        if self._switch_event is None or sequence != self._switch_seq:
-            # A late ack: its switch already completed (retry raced the
-            # original, or the ack of an evicted node was in flight).
-            self.stale_switch_acks += 1
-            if self.stats is not None:
-                self.stats.stale_switch_acks += 1
-            return
-        self._switch_acks.add(node_id)
-        self._check_switch_complete()
-
-    def _check_switch_complete(self) -> None:
-        event = self._switch_event
-        if event is None or event.triggered:
-            return
-        if set(self.worker_ids) <= self._switch_acks:
-            event.succeed()
 
     # ------------------------------------------------------------------ recovery
     def _lease_monitor(self):
@@ -381,7 +386,12 @@ class MasterDaemon:
                 self.jobs[job_id].failed_node = node
             self._unwedge_waits(node)
             self._ops.put(("recover", node, tuple(affected)))
-        self._check_switch_complete()
+        wait = self._wait
+        if wait is not None and wait.kind == "switch-done":
+            # An evicted node owes the switch nothing any more.
+            wait.owed.intersection_update(self.worker_ids)
+            if not wait.owed:
+                self._succeed_once(wait.event)
 
     def _do_recover(self, node: int, affected):
         """Apply per-job failure policies after ``node`` was evicted."""
@@ -414,12 +424,11 @@ class MasterDaemon:
         if not survivors:
             return
         job_id = job.job_id
-        self._kill_expect[job_id] = set(survivors)
-        self._kill_acks[job_id] = set()
-        event = self._kill_events[job_id] = Event(self.sim)
+        wait = self._await("killed", job_id, survivors)
         for node in survivors:
             self.control_net.send(self.ENDPOINT, node, ("kill-job", job_id))
-        yield event
+        yield wait.event
+        self._wait = None
 
     def _requeue(self, failed: ParallelJob):
         """Requeue policy: fresh incarnation on a fresh DHC allocation.
@@ -433,59 +442,23 @@ class MasterDaemon:
             return None
         return fresh
 
-    def _on_killed(self, job_id: int, node_id: int) -> None:
-        acks = self._kill_acks.get(job_id)
-        if acks is None:
-            return
-        acks.add(node_id)
-        if acks >= self._kill_expect[job_id]:
-            self._succeed_once(self._kill_events[job_id])
-
     def _unwedge_waits(self, node: int) -> None:
-        """Synthesise the acks a dead node will never send.
+        """Excuse a dead node from the open wait's ack it will never send.
 
-        Every multi-node wait the masterd runs — load, end, kill
-        teardown, reintegration — otherwise wedges forever when a
-        participant dies mid-protocol.  The jobs involved are not
-        quietly blessed: any job with a rank on the dead node is retired
-        for real by the eviction policies; this only restores liveness.
+        The load, end, kill and reintegrate waits otherwise wedge forever
+        when a participant dies mid-protocol (the switch wait is the
+        guarded barrier's business).  The jobs involved are not quietly
+        blessed: any job with a rank on the dead node is retired for real
+        by the eviction policies; this only restores liveness.  Each owed
+        node is excused, and counted, once.
         """
-        for job_id, event in self._loaded_events.items():
-            if event.triggered:
-                continue
-            job = self.jobs[job_id]
-            if node in job.node_ids:
-                job.loaded_nodes.add(node)
-                self.stats.unwedged_waits += 1
-                if job.all_loaded:
-                    self._succeed_once(event)
-        for job_id, event in self._end_events.items():
-            if event.triggered:
-                continue
-            job = self.jobs[job_id]
-            if node in job.node_ids:
-                acks = self._end_acks[job_id]
-                if node not in acks:
-                    acks.add(node)
-                    self.stats.unwedged_waits += 1
-                if acks == set(job.node_ids):
-                    self._succeed_once(event)
-        for job_id, event in self._kill_events.items():
-            if event.triggered:
-                continue
-            expect = self._kill_expect[job_id]
-            if node in expect:
-                expect.discard(node)
-                self.stats.unwedged_waits += 1
-                if self._kill_acks[job_id] >= expect:
-                    self._succeed_once(event)
-        if (self._reint_event is not None
-                and not self._reint_event.triggered
-                and node in self._reint_expect):
-            self._reint_expect.discard(node)
-            self.stats.unwedged_waits += 1
-            if self._reint_expect <= self._reint_acks:
-                self._succeed_once(self._reint_event)
+        wait = self._wait
+        if wait is None or wait.kind == "switch-done" or node not in wait.owed:
+            return
+        wait.owed.discard(node)
+        self.stats.unwedged_waits += 1
+        if not wait.owed:
+            self._succeed_once(wait.event)
 
     # ------------------------------------------------------------------ rejoin
     def _on_register(self, node_id: int) -> None:
@@ -526,21 +499,17 @@ class MasterDaemon:
         dead_jobs = tuple(sorted(
             job_id for job_id in self.failed_jobs
             if node in self.jobs[job_id].node_ids))
-        self._reint_node = node
-        self._reint_expect = set(participants)
-        self._reint_acks = set()
-        self._reint_event = Event(self.sim)
+        wait = self._await("reintegrated", None, participants)
         for peer in self.worker_ids:
             self.control_net.send(self.ENDPOINT, peer,
                                   ("reintegrate", node, participants))
         self.control_net.send(self.ENDPOINT, node,
                               ("rejoin-ack", self.active_slot, participants,
                                dead_jobs))
-        yield self._reint_event
-        acks = self._reint_acks
-        self._reint_event = None
-        self._reint_node = None
-        if node in acks:
+        yield wait.event
+        self._wait = None
+        readmitted = node in wait.acks
+        if readmitted:
             self.worker_ids.append(node)
             self.worker_ids.sort()
             self.matrix.readmit_node(node)
@@ -548,16 +517,7 @@ class MasterDaemon:
             self.stats.reintegrations += 1
         # else: the node died again before completing reintegration; it
         # stays evicted and may register anew.
-        self.stats.end_reintegrate(node, readmitted=node in acks)
-
-    def _on_reintegrated(self, src: int, restored: int, discarded: int) -> None:
-        if self._reint_event is None:
-            return
-        self.stats.contexts_restored += restored
-        self.stats.contexts_discarded += discarded
-        self._reint_acks.add(src)
-        if self._reint_expect <= self._reint_acks:
-            self._succeed_once(self._reint_event)
+        self.stats.end_reintegrate(node, readmitted=readmitted)
 
     def resolve_job(self, job_id: int) -> ParallelJob:
         """Follow the requeue chain to the final incarnation of a job."""
@@ -582,21 +542,15 @@ class MasterDaemon:
                                                        JobState.REQUEUED):
             return  # an eviction retired it while this op sat queued
         self.matrix.remove(job_id)
-        self._end_acks[job_id] = set()
-        self._end_events[job_id] = Event(self.sim)
+        wait = self._await("ended", job_id, job.node_ids)
         for node in job.node_ids:
             self.control_net.send(self.ENDPOINT, node, ("end-job", job_id))
-        yield self._end_events[job_id]
+        yield wait.event
+        self._wait = None
         job.state = JobState.FINISHED
         job.finished_at = self.sim.now
         self._succeed_once(self._done_events[job_id])
         # If the active slot just emptied, the next quantum rotates away.
-
-    def _on_ended(self, job_id: int, node_id: int) -> None:
-        acks = self._end_acks[job_id]
-        acks.add(node_id)
-        if acks == set(self.jobs[job_id].node_ids):
-            self._succeed_once(self._end_events[job_id])
 
     # ------------------------------------------------------------------ waiting
     def done_event(self, job_id: int) -> Event:

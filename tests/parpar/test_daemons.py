@@ -15,6 +15,10 @@ def cluster4(**overrides):
     return ParParCluster(ClusterConfig(**defaults))
 
 
+def switch_in_flight(masterd):
+    return masterd._wait is not None and masterd._wait.kind == "switch-done"
+
+
 class TestMasterd:
     def test_unknown_message_rejected(self):
         cluster = cluster4()
@@ -27,7 +31,7 @@ class TestMasterd:
         # with barrier retries in play duplicates are a fact of life.
         cluster = cluster4()
         masterd = cluster.masterd
-        masterd._on_switch_done(99, 0)
+        masterd._on_message(0, ("switch-done", 99, 0))
         assert masterd.stale_switch_acks == 1
         # Still live: a real switch completes normally afterwards.
         from repro.workloads.alltoall import alltoall_stream
@@ -50,7 +54,7 @@ class TestMasterd:
         masterd = cluster.masterd
         assert masterd.switches_completed > 0
         # Replay the last completed sequence's ack: no switch in flight.
-        masterd._on_switch_done(masterd._switch_seq, 0)
+        masterd._on_message(0, ("switch-done", masterd._switch_seq, 0))
         assert masterd.stale_switch_acks == 1
         before = masterd.switches_completed
         cluster.run_for(0.02)
@@ -107,13 +111,13 @@ class TestMasterd:
         masterd._on_job_finished = lambda *args: buffered.append(args)
         while len(buffered) < 2:
             cluster.sim.step()
-        while masterd._switch_event is None:
+        while not switch_in_flight(masterd):
             cluster.sim.step()
         masterd._on_job_finished = real
         for args in buffered:
             real(*args)
         # Mid-switch: the end op is queued, the job not yet retired.
-        assert masterd._switch_event is not None
+        assert switch_in_flight(masterd)
         assert b.state is not JobState.FINISHED
         cluster.run_for(0.05)
         assert b.state is JobState.FINISHED
@@ -130,13 +134,13 @@ class TestMasterd:
         w = alltoall_stream(until=float("inf"), message_bytes=1000)
         for i in range(2):
             cluster.submit(JobSpec(f"a2a{i}", 4, w))
-        while not masterd._switch_queued and masterd._switch_event is None:
+        while not masterd._switch_queued and masterd._wait is None:
             cluster.sim.step()
         before = masterd.switches_completed
         masterd.pause_rotation()
         cluster.run_for(0.05)  # ten quanta of silence
         assert masterd.switches_completed == before + 1
-        assert masterd._switch_event is None
+        assert masterd._wait is None
         assert not masterd._switch_queued
         masterd.resume_rotation()
         cluster.run_for(0.03)

@@ -133,7 +133,7 @@ class TestEviction:
         masterd = cluster.masterd
         assert masterd.worker_ids == [0, 1, 2]
         assert masterd.matrix.excluded_nodes == [3]
-        assert masterd._switch_event is None          # no hung barrier
+        assert masterd._wait is None                  # no hung barrier
         for job in survivors:
             assert job.state is JobState.FINISHED
         for job in victims:
@@ -210,6 +210,36 @@ class TestEviction:
             for rank in (0, 1):
                 ep = cluster.endpoint_of(job, rank)
                 assert ep.context.stats.packets_received > 0
+
+
+    def test_dead_node_excused_once_from_open_wait(self):
+        # The lease monitor excuses an overdue node at every sweep; the
+        # open wait counts it once, and excusing the last owed node
+        # fires the wait.
+        cluster = failstop_cluster(fail_at=1.0)
+        masterd = cluster.masterd
+        wait = masterd._await("ended", 7, [1, 3])
+        stats = cluster.recovery_stats
+        before = stats.unwedged_waits
+        masterd._unwedge_waits(3)
+        masterd._unwedge_waits(3)
+        assert stats.unwedged_waits == before + 1
+        assert not wait.event.triggered
+        masterd._unwedge_waits(1)
+        assert stats.unwedged_waits == before + 2
+        assert wait.event.triggered
+        assert wait.acks == set()           # excused, not acked
+
+    def test_switch_wait_is_not_excused(self):
+        # A switch barrier frees itself by evicting its laggards.
+        cluster = failstop_cluster(fail_at=1.0)
+        masterd = cluster.masterd
+        wait = masterd._await("switch-done", 1, [0, 1, 2, 3])
+        masterd._unwedge_waits(3)
+        assert wait.owed == {0, 1, 2, 3}
+        assert masterd._ack("switch-done", 1, 3)
+        assert not masterd._ack("switch-done", 2, 3)
+        assert wait.owed == {0, 1, 2}
 
 
 class TestReintegration:
