@@ -310,7 +310,7 @@ def _sweeps(args) -> dict:
                                    figure9, figure_policies,
                                    figure_reliability, nic_memory, report)
     from repro.faults.chaos import (ChaosPoint, run_chaos_campaign,
-                                    smoke_point)
+                                    smoke_point, unlit_counters)
     from repro.telemetry import explain
 
     smoke = getattr(args, "smoke", False)
@@ -426,10 +426,18 @@ def _sweeps(args) -> dict:
         return run_chaos_campaign(point, runs=args.runs, workers=workers)
 
     def chaos_checks(results):
-        if args.no_audit:
-            return []
-        bad = [r for r in results if r.get("error") or not r["audit"]["ok"]]
-        return [f"{len(bad)} runs failed the safety audit"] if bad else []
+        problems = []
+        if not args.no_audit:
+            bad = [r for r in results
+                   if r.get("error") or not r["audit"]["ok"]]
+            if bad:
+                problems.append(f"{len(bad)} runs failed the safety audit")
+        if smoke and args.failstop:
+            # The recovery preset must exercise what its name claims.
+            problems += [f"run {i}: {name} read 0"
+                         for i, result in enumerate(results)
+                         for name in unlit_counters(result)]
+        return problems
 
     return {
         "figure5": _Sweep(

@@ -29,6 +29,9 @@ from repro.sim.rand import RandomStreams
 from repro.units import US
 from repro.workloads.alltoall import alltoall_benchmark
 
+#: Post-completion drain time for ack timers and zombie retransmits (s).
+SETTLE = 0.2
+
 
 @dataclass(frozen=True)
 class ChaosPoint:
@@ -66,8 +69,6 @@ class ChaosPoint:
     #: layout; any other name adds ``"strategy"`` and NACK/strategy
     #: counters to the report.
     strategy: str = DEFAULT_STRATEGY
-    #: post-completion drain time for ack timers and zombie retransmits
-    settle: float = 0.2
     #: attach the unified telemetry layer; the report gains a
     #: ``"telemetry"`` snapshot (audit verdict included via
     #: AuditReport.publish) without disturbing the existing keys.
@@ -106,21 +107,41 @@ class ChaosPoint:
         return tuple(entries)
 
 
+#: Report counters the recovery smoke must see above zero on every run.
+FAILSTOP_SMOKE_COUNTERS = ("switches", "recovery.evictions",
+                           "recovery.reintegrations", "recovery.jobs_requeued")
+
 
 def smoke_point(failstop: bool, **common) -> ChaosPoint:
     """The ``repro chaos --smoke`` presets on the default 4-node cluster.
 
     ``failstop`` selects the recovery preset: one fail-stop death with
-    rejoin and requeue, jobs long enough that the death lands mid-run.
-    Otherwise every fault model is lit for a few rounds.  ``common``
-    carries the run-wide fields (seed, audit, strategy, telemetry).
+    rejoin and requeue, jobs long enough that the death lands mid-run,
+    and a third slot so that gang switches run through the recovery and
+    the requeued job finds a free allocation (every
+    :data:`FAILSTOP_SMOKE_COUNTERS` entry lights).  Otherwise every fault
+    model is lit for a few rounds.  ``common`` carries the run-wide
+    fields (seed, audit, strategy, telemetry).
     """
     if failstop:
-        return ChaosPoint(rounds=600, failstops=1, rejoin=True,
-                          requeue=True, **common)
+        return ChaosPoint(time_slots=3, jobs=3, rounds=600, failstops=1,
+                          rejoin=True, requeue=True, **common)
     return ChaosPoint(rounds=10, drop=0.02, dup=0.01, corrupt=0.005,
                       jitter=0.05, sram=200.0, stall=0.05, crash=0.02,
                       **common)
+
+
+def unlit_counters(result: dict) -> list[str]:
+    """The :data:`FAILSTOP_SMOKE_COUNTERS` that read 0 in a chaos report."""
+    unlit = []
+    for name in FAILSTOP_SMOKE_COUNTERS:
+        value = result
+        for key in name.split("."):
+            value = value[key]
+        if not value:
+            unlit.append(name)
+    return unlit
+
 
 def run_chaos_point(point: ChaosPoint) -> dict:
     """Run one seeded chaos simulation and report (deterministically)."""
@@ -161,7 +182,7 @@ def run_chaos_point(point: ChaosPoint) -> dict:
         # whatever state remains.
         error = str(exc)
     cluster.masterd.pause_rotation()
-    cluster.run_for(point.settle)
+    cluster.run_for(SETTLE)
 
     firmwares = [g.firmware for g in cluster.glue]
     reliability = {

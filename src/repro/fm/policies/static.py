@@ -25,7 +25,7 @@ from repro.fm.config import FMConfig
 from repro.fm.policies.base import BufferPolicy, ContextGeometry
 
 #: accepted ``on_zero_credit`` modes for :class:`StaticPartition`
-ZERO_CREDIT_MODES = ("error", "clamp", "report")
+ZERO_CREDIT_MODES = ("error", "report")
 
 
 class StaticPartition(BufferPolicy):
@@ -38,10 +38,6 @@ class StaticPartition(BufferPolicy):
 
     - ``"error"`` (default): raise :class:`ConfigError` at geometry time,
       i.e. before any context is built on the doomed configuration;
-    - ``"clamp"``: round the window up to 1 and count the event in
-      :attr:`clamp_events`.  This forfeits the worst-case "everyone sends
-      to one node" overflow guarantee (n*p senders x 1 credit can exceed
-      the Br/n partition), which is exactly why it is opt-in;
     - ``"report"``: keep the legacy zero-credit geometry so experiments
       can measure the collapse (Figure 5's n >= 7 rows).
     """
@@ -54,26 +50,20 @@ class StaticPartition(BufferPolicy):
                 f"on_zero_credit must be one of {ZERO_CREDIT_MODES}, "
                 f"got {on_zero_credit!r}")
         self.on_zero_credit = on_zero_credit
-        #: zero-credit geometries rounded up to 1 (mode "clamp" only)
-        self.clamp_events = 0
 
     def geometry(self, config: FMConfig) -> ContextGeometry:
         n, p = config.max_contexts, config.num_processors
         recv = config.recv_queue_packets // n
         send = config.send_queue_packets // n
         credits = recv // (n * p)
-        if credits == 0:
-            if self.on_zero_credit == "error":
-                raise ConfigError(
-                    f"static partition yields a zero credit window: "
-                    f"Br={config.recv_queue_packets} < n^2*p={n * n * p} "
-                    f"(n={n} contexts, p={p} processors) — no sender could "
-                    f"ever transmit.  Use fewer contexts, FullBuffer, or "
-                    f"StaticPartition(on_zero_credit='report') to measure "
-                    f"the collapse deliberately")
-            if self.on_zero_credit == "clamp":
-                self.clamp_events += 1
-                credits = 1
+        if credits == 0 and self.on_zero_credit == "error":
+            raise ConfigError(
+                f"static partition yields a zero credit window: "
+                f"Br={config.recv_queue_packets} < n^2*p={n * n * p} "
+                f"(n={n} contexts, p={p} processors) — no sender could "
+                f"ever transmit.  Use fewer contexts, FullBuffer, or "
+                f"StaticPartition(on_zero_credit='report') to measure "
+                f"the collapse deliberately")
         return ContextGeometry(recv_packets=recv, send_packets=send,
                                initial_credits=credits)
 

@@ -21,7 +21,7 @@ Two operating modes reproduce the paper's comparison axis:
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.errors import ConfigError, SimulationError
@@ -65,9 +65,6 @@ class ClusterConfig:
     policy: Optional[BufferPolicy] = None
     switch_algorithm: Optional[SwitchAlgorithm] = None  # default ValidOnlyCopy
     fm: Optional[FMConfig] = None   # default derived from nodes/slots
-    node_spec: NodeSpec = field(default_factory=NodeSpec)
-    link: LinkSpec = field(default_factory=LinkSpec)
-    ethernet: EthernetSpec = field(default_factory=EthernetSpec)
     strict_no_loss: bool = True
     seed: int = 0
     #: Record the run's trace (packet, switch-span and scheduling
@@ -164,9 +161,6 @@ class ClusterConfig:
             return RecoveryConfig()
         return None
 
-    def with_overrides(self, **kwargs) -> "ClusterConfig":
-        return replace(self, **kwargs)
-
 
 def _teardown(sim: Simulator, fabric: MyrinetFabric,
               control_net: ControlNetwork, glue: list) -> None:
@@ -229,8 +223,9 @@ class ParParCluster:
         self.rng = RandomStreams(config.seed)
         self.recorder = SwitchRecorder()
 
-        self.fabric = MyrinetFabric(self.sim, config.link)
-        self.control_net = ControlNetwork(self.sim, config.ethernet, rng=self.rng)
+        link = LinkSpec()
+        self.fabric = MyrinetFabric(self.sim, link)
+        self.control_net = ControlNetwork(self.sim, EthernetSpec(), rng=self.rng)
         self.nodes: list[HostNode] = []
         self.glue: list[GlueFM] = []
         self.nodeds: list[NodeDaemon] = []
@@ -251,7 +246,7 @@ class ParParCluster:
             from repro.faults.injector import FaultInjector
             self.fault_injector = FaultInjector(
                 config.faults, self.rng.fork("faults"),
-                tracer=self.tracer, link=config.link)
+                tracer=self.tracer, link=link)
             if config.faults.link_faults:
                 self.fabric.fault_injector = self.fault_injector
         firmware_class = firmware_kwargs = None
@@ -268,8 +263,9 @@ class ParParCluster:
 
         noded_class = config.noded_class if config.noded_class is not None else NodeDaemon
         participants = list(range(config.num_nodes))
+        node_spec = NodeSpec()
         for node_id in participants:
-            node = HostNode(self.sim, node_id, config.node_spec)
+            node = HostNode(self.sim, node_id, node_spec)
             self.nodes.append(node)
             self.fabric.register(node.nic)
             glue = GlueFM(self.sim, node, self.fabric, self.fm_config,

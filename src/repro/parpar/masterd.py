@@ -132,7 +132,7 @@ class MasterDaemon:
                 self.stale_switch_acks += 1
                 if self.stats is not None:
                     self.stats.stale_switch_acks += 1
-        elif kind == "loaded" or kind == "ended" or kind == "killed":
+        elif kind in ("loaded", "ended", "killed"):
             self._ack(kind, message[1], src)
         elif kind == "job-finished":
             self._on_job_finished(message[1], src, message[3], message[4])

@@ -97,6 +97,10 @@ class NodeDaemon:
         #: True between fail_stop() and rejoin(): the daemon is dead —
         #: inbound control traffic is dropped, nothing is ever sent.
         self.failed = False
+        #: True between rejoin() and ``rejoin-ack``: the restarted daemon
+        #: is no flush participant yet, so it must not open a flush round
+        #: for a slot switch multicast before the masterd evicted it.
+        self._rejoining = False
         self.dropped_messages = 0
         self._slot_jobs: dict[int, int] = {}   # slot -> job_id on this node
         self._jobs: dict[int, _LocalJob] = {}  # job_id -> local record
@@ -134,6 +138,8 @@ class NodeDaemon:
         elif kind == "job-sync":
             self._jobs[message[1]].sync_event.succeed()
         elif kind == "switch-slot":
+            if self._rejoining:
+                return
             _, sequence, old_slot, new_slot = message
             self._spawn(self._switch(sequence, old_slot, new_slot),
                         name=f"noded{self.node.node_id}-switch{sequence}")
@@ -152,6 +158,7 @@ class NodeDaemon:
             self.glue.flush.reset(list(participants))
             self._send_master(("reintegrated", self.node.node_id, 0, 0))
         elif kind == "rejoin-ack":
+            self._rejoining = False
             _, active_slot, participants, dead_jobs = message
             self._spawn(self._reintegrate(active_slot, participants, dead_jobs),
                         name=f"noded{self.node.node_id}-reintegrate")
@@ -428,6 +435,7 @@ class NodeDaemon:
         if not self.failed:
             return
         self.failed = False
+        self._rejoining = True
         self.glue.firmware.power_on()
         self._send_master(("register", self.node.node_id))
 

@@ -9,7 +9,8 @@ show the faults really happened (no vacuous pass).
 
 import pytest
 
-from repro.faults.chaos import ChaosPoint, run_chaos_point
+from repro.faults.chaos import (ChaosPoint, run_chaos_campaign,
+                                run_chaos_point, smoke_point, unlit_counters)
 
 
 def small_point(**overrides):
@@ -134,6 +135,40 @@ class TestFailStopCampaigns:
         assert recovery["jobs_requeued"] == 1
         assert recovery["jobs_killed"] == 0
         assert result["audit"]["ok"], result["audit"]
+
+    @pytest.mark.parametrize("requeue", [False, True])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_restarted_node_ignores_switch_until_reintegrated(self, seed,
+                                                              requeue):
+        # seed=2: node 3 restarts while a slot switch is multicast, and
+        # the switch reaches it before its register reaches the masterd.
+        # The fast-rejoin eviction drops it from its peers' flush sets,
+        # so a flush round it opened could never close and the
+        # reintegration's flush reset would raise mid-round.
+        result = run_chaos_point(ChaosPoint(
+            seed=seed, nodes=4, jobs=3, rounds=300, failstops=2,
+            rejoin=True, requeue=requeue))
+        assert result["error"] is None
+        assert result["recovery"]["evictions"] == 2
+        assert result["recovery"]["reintegrations"] == 2
+        assert result["audit"]["ok"], result["audit"]
+
+
+class TestSmokePresets:
+    def test_failstop_preset_lights_every_counter(self):
+        # What ``repro chaos --failstop 1 --smoke --runs 2`` runs: each run
+        # gang-switches, evicts, reintegrates and requeues.
+        for result in run_chaos_campaign(smoke_point(True, seed=0), runs=2):
+            assert unlit_counters(result) == []
+            assert result["recovery"]["requeue_failures"] == 0
+            assert result["error"] is None
+            assert result["audit"]["ok"], result["audit"]
+
+    def test_unlit_counters_named(self):
+        result = {"switches": 0, "recovery": {
+            "evictions": 1, "reintegrations": 0, "jobs_requeued": 2}}
+        assert unlit_counters(result) == ["switches",
+                                          "recovery.reintegrations"]
 
 
 class TestSeeding:

@@ -9,11 +9,15 @@ a documented reason:
 
     PYTHONPATH=src python -m repro chaos --smoke
         > tests/faults/fixtures/golden_chaos_smoke.json
-    PYTHONPATH=src python -m repro chaos --failstop 1 --smoke --runs 2
-        > tests/faults/fixtures/golden_chaos_failstop.json
+    PYTHONPATH=src python -m repro chaos --failstop 1 --rejoin --requeue \
+        --rounds 600 --runs 2 > tests/faults/fixtures/golden_chaos_failstop.json
     PYTHONPATH=src python -m repro chaos --runs 3 --drop 0.05 \
         --dup 0.02 --corrupt 0.01 --rounds 20 \
         > tests/faults/fixtures/golden_chaos_drops.json
+
+The failstop fixture is the recovery smoke preset from before that preset
+gained a third slot and a third job.  The tests pin their own points, so
+a smoke preset change never moves a fixture.
 """
 
 import json

@@ -42,16 +42,6 @@ class TestStaticPartitionZeroCredit:
         with pytest.raises(ConfigError, match=r"Br=668 < n\^2\*p=1024"):
             StaticPartition().geometry(cfg)
 
-    def test_clamp_mode_rounds_up_and_counts(self):
-        cfg = FMConfig(max_contexts=2, num_processors=16,
-                       recv_queue_packets=63)
-        policy = StaticPartition(on_zero_credit="clamp")
-        geo = policy.geometry(cfg)
-        assert geo.initial_credits == 1
-        assert policy.clamp_events == 1
-        policy.geometry(cfg)
-        assert policy.clamp_events == 2
-
     def test_report_mode_keeps_legacy_zero(self):
         cfg = FMConfig(max_contexts=8, num_processors=16)
         geo = StaticPartition(on_zero_credit="report").geometry(cfg)

@@ -1,5 +1,6 @@
 """Integration tests: the full ParPar cluster with daemons and gang switching."""
 
+import dataclasses
 import gc
 import weakref
 
@@ -154,9 +155,15 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ClusterConfig(quantum=0)
 
-    def test_with_overrides(self):
-        cfg = ClusterConfig(num_nodes=4).with_overrides(quantum=0.5)
+    def test_replace_revalidates(self):
+        # A config variant is a dataclasses.replace, which runs the same
+        # validation as the constructor.
+        from repro.errors import ConfigError
+
+        cfg = dataclasses.replace(ClusterConfig(num_nodes=4), quantum=0.5)
         assert cfg.quantum == 0.5 and cfg.num_nodes == 4
+        with pytest.raises(ConfigError):
+            dataclasses.replace(cfg, quantum=0)
 
 
 @pytest.fixture

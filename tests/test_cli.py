@@ -87,6 +87,18 @@ class TestCli:
             main(["no-such-figure"])
 
 
+def test_failstop_smoke_fails_on_an_unlit_counter(monkeypatch, capsys):
+    # The pre-3-slot preset made no gang switch on seed 0: the gate must
+    # exit 1 and name the counter.
+    from repro.faults import chaos
+
+    monkeypatch.setattr(chaos, "smoke_point", lambda failstop, **common:
+                        chaos.ChaosPoint(rounds=600, failstops=1, rejoin=True,
+                                         requeue=True, **common))
+    assert main(["chaos", "--failstop", "1", "--smoke"]) == 1
+    assert "run 0: switches read 0" in capsys.readouterr().err
+
+
 # (argv, module, point function the pool worker calls, perturbation)
 SMOKE_GATES = [
     (["figure_policies", "--smoke"], "repro.experiments.figure_policies",
