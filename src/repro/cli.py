@@ -309,8 +309,10 @@ def _sweeps(args) -> dict:
     from repro.experiments import (figure5, figure6, figure7, figure8,
                                    figure9, figure_policies,
                                    figure_reliability, nic_memory, report)
-    from repro.faults.chaos import (ChaosPoint, run_chaos_campaign,
-                                    smoke_point, unlit_counters)
+    from repro.faults.chaos import (FAILSTOP_SMOKE_COUNTERS,
+                                    FAULT_SMOKE_COUNTERS, ChaosPoint,
+                                    run_chaos_campaign, smoke_point,
+                                    unlit_counters)
     from repro.telemetry import explain
 
     smoke = getattr(args, "smoke", False)
@@ -432,11 +434,13 @@ def _sweeps(args) -> dict:
                    if r.get("error") or not r["audit"]["ok"]]
             if bad:
                 problems.append(f"{len(bad)} runs failed the safety audit")
-        if smoke and args.failstop:
-            # The recovery preset must exercise what its name claims.
+        if smoke:
+            # Each preset must exercise what its name claims.
+            counters = (FAILSTOP_SMOKE_COUNTERS if args.failstop
+                        else FAULT_SMOKE_COUNTERS)
             problems += [f"run {i}: {name} read 0"
                          for i, result in enumerate(results)
-                         for name in unlit_counters(result)]
+                         for name in unlit_counters(result, counters)]
         return problems
 
     return {

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from repro.errors import ConfigError, SimulationError
+from repro.errors import ConfigError, ReproError
 from repro.experiments.common import point_seed, run_points
 from repro.faults.audit import InvariantAuditor
 from repro.faults.model import FailStop, FaultSpec
@@ -110,6 +110,12 @@ class ChaosPoint:
 #: Report counters the recovery smoke must see above zero on every run.
 FAILSTOP_SMOKE_COUNTERS = ("switches", "recovery.evictions",
                            "recovery.reintegrations", "recovery.jobs_requeued")
+#: Report counters the fault-mix smoke must see above zero on every run:
+#: one per fault model.
+FAULT_SMOKE_COUNTERS = ("injected.drops", "injected.dups",
+                        "injected.corruptions", "injected.jitters",
+                        "injected.sram_flips", "injected.daemon_stalls",
+                        "injected.daemon_crashes")
 
 
 def smoke_point(failstop: bool, **common) -> ChaosPoint:
@@ -120,21 +126,25 @@ def smoke_point(failstop: bool, **common) -> ChaosPoint:
     and a third slot so that gang switches run through the recovery and
     the requeued job finds a free allocation (every
     :data:`FAILSTOP_SMOKE_COUNTERS` entry lights).  Otherwise every fault
-    model is lit for a few rounds.  ``common`` carries the run-wide
-    fields (seed, audit, strategy, telemetry).
+    model is lit: the first job runs long enough for a few gang switches,
+    the daemon faults (drawn once per node per switch) are frequent enough
+    to strike on so few draws, and every :data:`FAULT_SMOKE_COUNTERS`
+    entry lights.  ``common`` carries the run-wide fields (seed, audit,
+    strategy, telemetry).
     """
     if failstop:
         return ChaosPoint(time_slots=3, jobs=3, rounds=600, failstops=1,
                           rejoin=True, requeue=True, **common)
-    return ChaosPoint(rounds=10, drop=0.02, dup=0.01, corrupt=0.005,
-                      jitter=0.05, sram=200.0, stall=0.05, crash=0.02,
+    return ChaosPoint(rounds=30, drop=0.02, dup=0.01, corrupt=0.02,
+                      jitter=0.05, sram=3000.0, stall=0.3, crash=0.3,
                       **common)
 
 
-def unlit_counters(result: dict) -> list[str]:
-    """The :data:`FAILSTOP_SMOKE_COUNTERS` that read 0 in a chaos report."""
+def unlit_counters(result: dict, counters: tuple) -> list[str]:
+    """The ``counters`` (dotted report paths) that read 0 in a chaos
+    report."""
     unlit = []
-    for name in FAILSTOP_SMOKE_COUNTERS:
+    for name in counters:
         value = result
         for key in name.split("."):
             value = value[key]
@@ -176,10 +186,11 @@ def run_chaos_point(point: ChaosPoint) -> dict:
     error = None
     try:
         cluster.run_until_finished(jobs)
-    except SimulationError as exc:
-        # An invariant tripped mid-run (e.g. strict no-loss) — report the
-        # falsification instead of dying; the audit still runs on
-        # whatever state remains.
+    except ReproError as exc:
+        # An invariant tripped mid-run (strict no-loss, a protocol or a
+        # context-switch check): report the falsification instead of
+        # ending the campaign; the audit still runs on whatever state
+        # remains.
         error = str(exc)
     cluster.masterd.pause_rotation()
     cluster.run_for(SETTLE)

@@ -46,16 +46,19 @@ its open edge, an :class:`IntervalIndex` with one bisect).  With every
 clip empty the general path subtracts nothing and adds no overlap, so
 each cause is a single difference of chain timestamps, ``0.0 +`` that
 difference where the general path sums one piece or adds onto a
-zero-filled cause (which turns a ``-0.0`` into ``0.0``).  The fast path
-writes those same expressions, so both paths give the same bits; the
-property tests hold it to a copy of the general partition.
+zero-filled cause (which turns a ``-0.0`` into ``0.0``).  The fast path,
+:func:`plain_causes`, writes those same expressions, so both paths give
+the same bits; the property tests hold it to a copy of the general
+partition.  :func:`general_causes` returns ``None`` for such a chain, so
+a caller that keeps many messages can keep their chains alone and build
+the plain partition when it needs it.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from itertools import accumulate
-from typing import Any, Dict, Iterable, List, Optional, Union
+from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
 from repro.sim.trace import TraceRecord
 from repro.telemetry.causal import (FragmentTrace, Interval, LiveIntervals,
@@ -159,6 +162,8 @@ def _subtract(base: List[Interval],
 
 
 Windows = Union[SchedulingWindows, WindowIndex, WindowBuilder]
+#: ``(started, enqueued, first_tx, delivering_tx, delivered, completed)``
+Chain = Tuple[float, float, float, float, float, float]
 
 
 def attribute_message(trace: MessageTrace, windows: Windows,
@@ -175,10 +180,25 @@ def attribute_message(trace: MessageTrace, windows: Windows,
     just completed ``trace``.  ``frag`` is
     ``trace.completing_fragment()``, if the caller already has it.
     """
-    if not trace.complete:
+    chain = message_chain(trace, frag)
+    if chain is None:
         return None
     if isinstance(windows, SchedulingWindows):
         windows = WindowIndex(windows)
+    causes = general_causes(trace, windows, chain)
+    return {"latency": chain[5] - chain[0],
+            "causes": plain_causes(*chain) if causes is None else causes}
+
+
+def message_chain(trace: MessageTrace,
+                  frag: Optional[FragmentTrace] = None
+                  ) -> Optional[Chain]:
+    """The critical-path timestamps of a complete ``trace``: ``(started,
+    enqueued, first_tx, delivering_tx, delivered, completed)``, the last
+    five of its completing fragment ``frag`` (found if not given), or
+    ``None`` when the trace is incomplete or its chain is out of order."""
+    if not trace.complete:
+        return None
     if frag is None:
         frag = trace.completing_fragment()
     if frag is None or frag.enqueued is None:
@@ -187,30 +207,45 @@ def attribute_message(trace: MessageTrace, windows: Windows,
     t_end = trace.completed
     enq = frag.enqueued
     first_tx = frag.first_tx
-    tx = frag.delivering_tx
     deliver = frag.delivered
     # Chain sanity: the stream is event-ordered, so these hold unless the
     # trace was stitched from mismatched streams.
     if not (t_start <= enq <= first_tx <= deliver <= t_end):
         return None
+    return (t_start, enq, first_tx, frag.delivering_tx, deliver, t_end)
+
+
+def plain_causes(t_start: float, enq: float, first_tx: float, tx: float,
+                 deliver: float, t_end: float) -> Dict[str, float]:
+    """The partition of a chain that meets no stall and no window: the
+    general path of :func:`general_causes` with every lookup empty, each
+    cause the float expression it computes there ("0.0 +" is a one-piece
+    sum, or a "+=" onto a zero-filled cause)."""
+    return {
+        "host-send": 0.0 + (enq - t_start),
+        "credit-stall": 0.0,
+        "buffer-full": 0.0,
+        "stored-context": 0.0,
+        "buffer-swap": 0.0,
+        "gang-barrier": 0.0,
+        "nic-queue": 0.0 + (first_tx - enq),
+        "retransmit-backoff": 0.0 + (tx - first_tx),
+        "wire": 0.0 + (deliver - tx),
+        "descheduled": 0.0,
+        "host-pickup": 0.0 + (t_end - deliver),
+    }
+
+
+def general_causes(trace: MessageTrace, windows: Windows,
+                   chain: Chain) -> Optional[Dict[str, float]]:
+    """The cause partition of ``trace``'s :func:`message_chain` against
+    ``windows``, or ``None`` when the chain meets no stall and no window:
+    then the partition is :func:`plain_causes` of the chain, which the
+    caller builds when it needs it."""
+    t_start, enq, first_tx, tx, deliver, t_end = chain
     if not trace.stalls and _quiet(windows, trace, t_start, enq, first_tx,
                                    deliver, t_end):
-        # The general path below with no stall and every lookup empty:
-        # each cause is the float expression it computes there ("0.0 +"
-        # is a one-piece sum, or a "+=" onto a zero-filled cause).
-        return {"latency": t_end - t_start, "causes": {
-            "host-send": 0.0 + (enq - t_start),
-            "credit-stall": 0.0,
-            "buffer-full": 0.0,
-            "stored-context": 0.0,
-            "buffer-swap": 0.0,
-            "gang-barrier": 0.0,
-            "nic-queue": 0.0 + (first_tx - enq),
-            "retransmit-backoff": 0.0 + (tx - first_tx),
-            "wire": 0.0 + (deliver - tx),
-            "descheduled": 0.0,
-            "host-pickup": 0.0 + (t_end - deliver),
-        }}
+        return None
     causes = dict.fromkeys(CAUSES, 0.0)
 
     # -- segment A: sender host, [t_start, enq] -------------------------
@@ -251,7 +286,7 @@ def attribute_message(trace: MessageTrace, windows: Windows,
     else:
         causes["host-pickup"] += t_end - deliver
 
-    return {"latency": t_end - t_start, "causes": causes}
+    return causes
 
 
 def _quiet(windows: Windows, trace: MessageTrace, t_start: float,

@@ -32,7 +32,8 @@ A live point keeps no trace.  The tracer hands its records to an
 calls before it reads the analysis.  The stream holds the lineage of
 open messages only, builds the scheduling windows as it goes, and
 attributes each message as soon as it reads the ``msg-recv`` that
-completes it, keeping just the message's output row.
+completes it, keeping just its chain timestamps until
+:meth:`~ExplainStream.finish` builds its output row.
 :func:`analyze_records` is the offline replay of a kept stream
 (``--trace`` re-ingest, and the oracle the streamed analysis must match
 byte for byte); a point keeps its records only for ``--save-trace`` or
@@ -41,7 +42,6 @@ byte for byte); a point keeps its records only for ``--save-trace`` or
 
 from __future__ import annotations
 
-from operator import itemgetter
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.experiments.common import point_seed, run_points
@@ -53,7 +53,8 @@ from repro.parpar.job import JobSpec
 from repro.sim.trace import TraceRecord
 from repro.telemetry.attribution import (CAUSES, WindowIndex,
                                          attribute_message, charge_nic,
-                                         summarize_attribution,
+                                         general_causes, message_chain,
+                                         plain_causes, summarize_attribution,
                                          summarize_stalls)
 from repro.telemetry.causal import (FragmentTrace, MessageTrace,
                                     WindowBuilder, _frag_by_seq, _fragment,
@@ -95,9 +96,13 @@ def _run_point(jobs: int, message_bytes: int, messages: int, quantum: float,
     cluster.run_until_finished(submitted, max_events=500_000_000)
     end_time = cluster.sim.now
     tracer.flush()
+    truncated = tracer.truncated
+    records = tracer.records if keep_records else None
     reallocs = stream.reallocs()
-    return (stream.finish(tracer.truncated, end_time), reallocs,
-            tracer.records if keep_records else None, end_time)
+    # The rows are built next: let the run go first (a run cluster is
+    # freed at its last reference).
+    del cluster, tracer, submitted
+    return stream.finish(truncated, end_time), reallocs, records, end_time
 
 
 # ---------------------------------------------------------------- normalize
@@ -201,6 +206,59 @@ _WINDOW_KINDS = frozenset((
     "init-job", "job-stop", "job-go"))
 
 
+class _Closed:
+    """A completed message, as :class:`ExplainStream` keeps it until
+    :meth:`~ExplainStream.finish` numbers it and builds its row: the
+    :func:`~repro.telemetry.attribution.message_chain` timestamps, the
+    completing fragment's index, the retransmit count, and ``causes`` only
+    when the general partition made them (``None`` stands for
+    :func:`~repro.telemetry.attribution.plain_causes` of the chain)."""
+
+    __slots__ = ("dst", "nbytes", "frags", "retransmits", "frag", "started",
+                 "enqueued", "first_tx", "tx", "delivered", "completed",
+                 "causes")
+
+    def __init__(self, trace: MessageTrace, frag: int, chain: tuple,
+                 causes: Optional[dict]):
+        self.dst = trace.dst_node
+        self.nbytes = trace.nbytes
+        self.frags = trace.frag_count
+        self.retransmits = trace.retransmits
+        self.frag = frag
+        (self.started, self.enqueued, self.first_tx, self.tx,
+         self.delivered, self.completed) = chain
+        self.causes = causes
+
+    def explicit_causes(self) -> dict:
+        """The cause dict, built from the chain first if it is plain."""
+        if self.causes is None:
+            self.causes = plain_causes(self.started, self.enqueued,
+                                       self.first_tx, self.tx,
+                                       self.delivered, self.completed)
+        return self.causes
+
+    def row(self, index: int, key: tuple) -> dict:
+        """The ``per_message`` row :func:`_row` builds for this message."""
+        return {
+            "index": index,
+            "job": key[1],
+            "src": key[0],
+            "dst": self.dst,
+            "nbytes": self.nbytes,
+            "frags": self.frags,
+            "retransmits": self.retransmits,
+            "latency": self.completed - self.started,
+            "causes": self.explicit_causes(),
+            "chain": {
+                "started": self.started,
+                "enqueued": self.enqueued,
+                "first_tx": self.first_tx,
+                "delivered": self.delivered,
+                "completed": self.completed,
+            },
+        }
+
+
 class ExplainStream:
     """:func:`analyze_records` run online, over the tracer's batches.
 
@@ -214,11 +272,14 @@ class ExplainStream:
     completes a message, everything its attribution reads is known —
     the completing fragment's chain, the sender's stalls, and the windows
     up to its completion — so it is attributed at once and its fragments
-    are dropped.  What is kept of it is its output row and, through the
-    ``(src, seq)`` owner map, the way back to that row for records that
-    arrive late:
+    are dropped.  What is kept of it is one compact entry: its chain
+    timestamps and delivering copy, its completing fragment and
+    retransmit count, and a cause dict only when a stall or a window made
+    the general partition (most messages meet neither, and their causes
+    are rebuilt from the chain).  Through the ``(src, seq)`` owner map,
+    records that arrive late find that entry:
 
-    - ``rto-retransmit`` counts into the row's ``retransmits``;
+    - ``rto-retransmit`` counts into its ``retransmits``;
     - a ``pkt-tx`` copy of one of its fragments is a no-op, unless it is
       stamped at the completing fragment's delivery time (then it is the
       delivering copy, and the wire causes are recharged);
@@ -227,25 +288,26 @@ class ExplainStream:
     - a ``buffer-switch`` whose swap reaches back into a closed
       message's NIC-queue segment recharges that segment.
 
-    Any other record about a completed message (a new fragment, a second
+    A recharge first makes a plain entry's causes explicit.  Any other
+    record about a completed message (a new fragment, a second
     ``msg-start``/``msg-recv``, a stall) would need the fragments that
     were dropped, and raises ``ValueError``; the simulator emits none.
     :meth:`finish` attributes what is still open against the final
-    windows, numbers every message in lineage order, and returns the
-    analysis :func:`analyze_records` would return.
+    windows, numbers every message in lineage order, and builds each
+    row, dropping each entry as its row is made, so the output rows
+    never sit beside a second copy of the run's messages.  It returns
+    the analysis :func:`analyze_records` would return.
     """
 
     def __init__(self):
         self.windows = WindowBuilder()
         self.open: Dict[tuple, MessageTrace] = {}
         self.first_seen: Dict[tuple, float] = {}
-        # key -> [row, completing fragment index, its delivering tx]
-        self.closed: Dict[tuple, list] = {}
-        self.completions: List[list] = []   # closed entries, in order
+        # key -> entry, in completion order
+        self.closed: Dict[tuple, _Closed] = {}
         self.seq_owner: Dict[tuple, tuple] = {}   # (src, seq) -> (key, frag)
         self.stalls: Dict[str, list] = {}          # cause -> [waits, seconds]
         self.realloc_records: List[TraceRecord] = []   # a few per switch
-        self.mismatches = 0
         self.last_time = 0.0
 
     def feed(self, batch: list) -> None:
@@ -331,15 +393,16 @@ class ExplainStream:
                 trace = get_open(key) or new_trace(key, time, kind)
                 trace.completed = time
                 frag = trace.completing_fragment()
-                att = attribute_message(trace, windows, frag)
-                if att is None:
+                chain = message_chain(trace, frag)
+                if chain is None:
                     continue    # not complete (yet): finish() tries again
-                row = _row(None, trace, att, frag)
-                self.mismatches += _mismatched(row)
-                done = closed[key] = [row, frag.frag, frag.delivering_tx]
-                self.completions.append(done)
                 del open_[key]
                 del self.first_seen[key]
+                owner = seq_owner.get((key[0], frag.seq))
+                if owner is not None and owner[0] == key:
+                    key = owner[0]    # keep the one tuple the map holds
+                closed[key] = _Closed(trace, frag.frag, chain,
+                                      general_causes(trace, windows, chain))
             elif kind in _WINDOW_KINDS:
                 windows.feed(time, kind, f)
                 if kind == "buffer-switch":
@@ -363,7 +426,7 @@ class ExplainStream:
                 if trace is not None:
                     trace.frags[index].retransmits += 1
                 else:
-                    closed[key][0]["retransmits"] += 1
+                    closed[key].retransmits += 1
             elif kind == "realloc-plan" or kind == "realloc-apply":
                 self.realloc_records.append(TraceRecord(time, kind, f))
         if batch:
@@ -381,32 +444,26 @@ class ExplainStream:
     def _swapped(self, node: int, start: float) -> None:
         """Recharge the closed messages of ``node`` whose NIC-queue
         segment a swap starting at ``start`` reaches back into."""
-        for closed in reversed(self.completions):
-            row = closed[0]
-            if row["chain"]["completed"] <= start:
+        for key, done in reversed(self.closed.items()):
+            if done.completed <= start:
                 break    # completion order: every earlier one ends sooner
-            if row["src"] == node and row["chain"]["first_tx"] > start:
-                self._recharge(closed)
+            if key[0] == node and done.first_tx > start:
+                self._recharge(key, done)
 
-    def _late_tx(self, time, key, index, seq, closed):
+    def _late_tx(self, time, key, index, seq, done: _Closed) -> None:
         if seq is None or self.seq_owner.get((key[0], seq)) != (key, index):
             raise ValueError(f"pkt-tx record at t={time!r} for an unknown "
                              f"fragment of message {key}, which already "
                              "completed")
-        if index == closed[1] and time <= closed[0]["chain"]["delivered"]:
-            closed[2] = time    # the last copy out before the delivery
-            self._recharge(closed)
+        if index == done.frag and time <= done.delivered:
+            done.tx = time    # the last copy out before the delivery
+            self._recharge(key, done)
 
-    def _recharge(self, closed: list) -> None:
-        """Recharge a closed row's NIC causes against the windows and
+    def _recharge(self, key: tuple, done: _Closed) -> None:
+        """Recharge a closed message's NIC causes against the windows and
         delivering copy known now."""
-        row, _, tx = closed
-        chain = row["chain"]
-        was = _mismatched(row)
-        charge_nic(row["causes"], self.windows, row["src"], row["job"],
-                   chain["enqueued"], chain["first_tx"], tx,
-                   chain["delivered"])
-        self.mismatches += _mismatched(row) - was
+        charge_nic(done.explicit_causes(), self.windows, key[0], key[1],
+                   done.enqueued, done.first_tx, done.tx, done.delivered)
 
     # -- the end of the stream --------------------------------------------
     def reallocs(self) -> List[dict]:
@@ -419,43 +476,43 @@ class ExplainStream:
 
         ``end_time`` (default: the last record's time) clips windows
         still open; it may not precede the last record.  This ends the
-        stream: the lineage state is released as the rows are numbered.
+        stream: the lineage state is released as the rows are built.
         """
         if end_time is not None and end_time < self.last_time:
             raise ValueError(f"end_time {end_time!r} precedes the last "
                              f"record at {self.last_time!r}")
         windows = self.windows.windows(
             end_time if end_time is not None else self.last_time)
-        order = [(row["chain"]["started"], *key, row)
-                 for key, (row, _, _) in self.closed.items()]
-        order += [(self.first_seen[key] if trace.started is None
-                   else trace.started, *key, trace)
-                  for key, trace in self.open.items()]
-        for state in (self.open, self.first_seen, self.closed,
-                      self.completions, self.seq_owner):
-            state.clear()
-        order.sort(key=itemgetter(0, 1, 2, 3))
+        closed, open_, first_seen = self.closed, self.open, self.first_seen
+        self.seq_owner.clear()
+        # lineage order: (started, key), or first seen for the unstarted
+        order = [key for _, key in sorted(
+            [(done.started, key) for key, done in closed.items()]
+            + [(first_seen[key] if trace.started is None
+                else trace.started, key) for key, trace in open_.items()])]
+        first_seen.clear()
         indexed = WindowIndex(windows)
         per_message: List[dict] = []
         incomplete = 0
-        mismatches = self.mismatches
-        for index, (*_, entry) in enumerate(order):
-            if isinstance(entry, dict):
-                entry["index"] = index
-                per_message.append(entry)
+        for index, key in enumerate(order):
+            done = closed.pop(key, None)
+            if done is not None:
+                per_message.append(done.row(index, key))
                 continue
-            frag = entry.completing_fragment()
-            att = attribute_message(entry, indexed, frag)
+            trace = open_.pop(key)
+            frag = trace.completing_fragment()
+            att = attribute_message(trace, indexed, frag)
             if att is None:
                 incomplete += 1
                 continue
-            row = _row(index, entry, att, frag)
-            mismatches += _mismatched(row)
-            per_message.append(row)
+            per_message.append(_row(index, trace, att, frag))
+        closed.clear()    # frees the emptied tables
+        open_.clear()
         stalls = {cause: {"waits": cell[0], "seconds": cell[1]}
                   for cause, cell in sorted(self.stalls.items())}
-        return _analysis(len(order), per_message, incomplete, mismatches,
-                         truncated, stalls, windows)
+        return _analysis(len(order), per_message, incomplete,
+                         sum(map(_mismatched, per_message)), truncated,
+                         stalls, windows)
 
 
 def _derive_reallocs(records: Iterable[TraceRecord]) -> List[dict]:

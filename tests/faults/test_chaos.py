@@ -9,8 +9,12 @@ show the faults really happened (no vacuous pass).
 
 import pytest
 
-from repro.faults.chaos import (ChaosPoint, run_chaos_campaign,
+from repro.errors import ProtocolError
+from repro.faults.chaos import (FAILSTOP_SMOKE_COUNTERS, FAULT_SMOKE_COUNTERS,
+                                ChaosPoint, run_chaos_campaign,
                                 run_chaos_point, smoke_point, unlit_counters)
+from repro.faults.strategies import STRATEGY_NAMES
+from repro.gluefm.flush import FlushProtocol
 
 
 def small_point(**overrides):
@@ -159,16 +163,51 @@ class TestSmokePresets:
         # What ``repro chaos --failstop 1 --smoke --runs 2`` runs: each run
         # gang-switches, evicts, reintegrates and requeues.
         for result in run_chaos_campaign(smoke_point(True, seed=0), runs=2):
-            assert unlit_counters(result) == []
+            assert unlit_counters(result, FAILSTOP_SMOKE_COUNTERS) == []
             assert result["recovery"]["requeue_failures"] == 0
             assert result["error"] is None
             assert result["audit"]["ok"], result["audit"]
 
+    @pytest.mark.parametrize("strategy", STRATEGY_NAMES)
+    def test_fault_preset_lights_every_fault_model(self, strategy):
+        # What ``repro chaos --smoke --strategy S`` runs: every fault
+        # model injects at least once, and the audit stays clean.
+        (result,) = run_chaos_campaign(smoke_point(False, seed=0,
+                                                   strategy=strategy))
+        assert unlit_counters(result, FAULT_SMOKE_COUNTERS) == []
+        assert result["error"] is None
+        assert result["audit"]["ok"], result["audit"]
+
     def test_unlit_counters_named(self):
         result = {"switches": 0, "recovery": {
             "evictions": 1, "reintegrations": 0, "jobs_requeued": 2}}
-        assert unlit_counters(result) == ["switches",
-                                          "recovery.reintegrations"]
+        assert unlit_counters(result, FAILSTOP_SMOKE_COUNTERS) == [
+            "switches", "recovery.reintegrations"]
+
+
+class TestMidRunErrors:
+    def test_protocol_error_is_reported_and_the_campaign_goes_on(
+            self, monkeypatch):
+        """A protocol invariant that trips in the second gang switch of
+        the first run: that run reports it and is still audited, and the
+        second run is untouched."""
+        calls = []
+        begin_flush = FlushProtocol.begin_flush
+
+        def failing(self):
+            calls.append(self)
+            if len(calls) == 6:
+                raise ProtocolError("planted mid-run")
+            return begin_flush(self)
+
+        monkeypatch.setattr(FlushProtocol, "begin_flush", failing)
+        base = small_point(drop=0.02)
+        first, second = run_chaos_campaign(base, runs=2)
+        assert first["error"] == "planted mid-run"
+        assert "audit" in first
+        monkeypatch.undo()
+        assert second == run_chaos_campaign(base, runs=2)[1]
+        assert second["error"] is None and second["audit"]["ok"]
 
 
 class TestSeeding:

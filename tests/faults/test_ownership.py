@@ -17,11 +17,16 @@ from dataclasses import replace
 import pytest
 
 import repro.faults.chaos as chaos
-from repro.errors import ContextSwitchError
 from repro.faults.chaos import ChaosPoint, run_chaos_point, smoke_point
 from repro.fm.context import ContextState
 from repro.fm.packet import Packet, PacketType
 
+#: A fault-mix point whose first context found STORED 6 ms in holds a
+#: saved image (the probe below needs one: a context loaded stored and
+#: not yet installed has none, and its first install restores nothing).
+STORED_PROBE = ChaosPoint(seed=0, rounds=10, drop=0.02, dup=0.01,
+                          corrupt=0.005, jitter=0.05, sram=200.0, stall=0.05,
+                          crash=0.02)
 #: A fail-stop point that keeps gang-switching through the recovery:
 #: three jobs on two slots, so jobs rotate before and after the eviction.
 FAILSTOP_SWITCHING = ChaosPoint(rounds=600, failstops=1, rejoin=True,
@@ -70,11 +75,11 @@ class TestStoredQueuesAreFrozen:
                 planted.append(ctx)
 
         monkeypatch.setattr(chaos, "ParParCluster", Planting)
-        with pytest.raises(ContextSwitchError,
-                           match="changed while stored") as raised:
-            run_chaos_point(smoke_point(False, seed=0))
+        report = run_chaos_point(STORED_PROBE)
         assert len(planted) == 1
-        assert str(raised.value).startswith(f"job {planted[0].job_id}:")
+        # the refusal ends the run and lands in the point's report
+        assert report["error"].startswith(f"job {planted[0].job_id}:")
+        assert "changed while stored" in report["error"]
 
 
 def _ownership_violations(records) -> dict:

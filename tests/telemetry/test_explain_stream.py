@@ -24,7 +24,9 @@ from repro.faults.strategies import STRATEGY_NAMES
 from repro.fm.config import FMConfig
 from repro.parpar.cluster import ClusterConfig, ParParCluster
 from repro.parpar.job import JobSpec
-from repro.sim.trace import STREAM_BATCH, Tracer
+from repro.sim.trace import STREAM_BATCH, TraceRecord, Tracer
+from repro.telemetry import explain
+from repro.telemetry.attribution import plain_causes
 from repro.telemetry.explain import (ExplainStream, _derive_reallocs,
                                      _run_point, analyze_records)
 from repro.workloads.alltoall import alltoall_benchmark
@@ -236,6 +238,55 @@ class TestLateRecords:
         streamed, _, tracer = run_both(records)
         assert streamed["per_message"][0]["causes"]["buffer-swap"] > 0
         assert_same(streamed, analyze_records(tracer.records))
+
+    @pytest.mark.parametrize("records", [
+        one_message()[:3] + [
+            rec(4e-3, "pkt-deliver", node=1, src=0, job=1, msg=7, seq=50),
+            rec(4e-3, "msg-recv", node=1, job=1, msg=7, src=0, nbytes=64),
+            rec(4e-3, "buffer-switch", node=0, duration=3.5e-3),
+            rec(4e-3, "pkt-tx", node=0, job=1, msg=7, frag=0, seq=50,
+                dst=1)],
+        [rec(0.0, "msg-start", node=0, job=1, msg=7, dst=1, dst_rank=0,
+             nbytes=128, frags=2),
+         rec(1e-3, "pkt-enq", node=0, job=1, msg=7, frag=0, seq=50, dst=1),
+         rec(1.5e-3, "pkt-enq", node=0, job=1, msg=7, frag=1, seq=51,
+             dst=1),
+         rec(2e-3, "pkt-tx", node=0, job=1, msg=7, frag=0, seq=50, dst=1),
+         rec(2.5e-3, "pkt-tx", node=0, job=1, msg=7, frag=1, seq=51, dst=1),
+         rec(3e-3, "pkt-deliver", node=1, src=0, job=1, msg=7, seq=50),
+         rec(4e-3, "pkt-deliver", node=1, src=0, job=1, msg=7, seq=51),
+         rec(4e-3, "msg-recv", node=1, job=1, msg=7, src=0, nbytes=128),
+         rec(4e-3, "buffer-switch", node=0, duration=3.5e-3),
+         rec(4e-3, "pkt-tx", node=0, job=1, msg=7, frag=0, seq=50, dst=1),
+         rec(4e-3, "pkt-tx", node=0, job=1, msg=7, frag=1, seq=51, dst=1)],
+    ], ids=["one-fragment", "two-fragments"])
+    def test_a_plain_message_recharged_twice_is_made_explicit_once(
+            self, monkeypatch, records):
+        """A message that met no window closes with its causes deferred;
+        a swap reaching back into its NIC queue, then the copy sent at
+        its delivery instant, recharge it in turn.  Its causes are built
+        from the chain once, at the first recharge."""
+        built = []
+
+        def counted(*chain):
+            built.append(chain)
+            return plain_causes(*chain)
+
+        monkeypatch.setattr(explain, "plain_causes", counted)
+        stream = ExplainStream()
+        close = next(i for i, r in enumerate(records) if r[1] == "msg-recv")
+        stream.feed(records[:close + 1])
+        (done,) = stream.closed.values()
+        assert done.causes is None and not built
+        stream.feed(records[close + 1:close + 2])
+        assert done.causes is not None and len(built) == 1
+        stream.feed(records[close + 2:])
+        streamed = stream.finish()
+        assert len(built) == 1
+        causes = streamed["per_message"][0]["causes"]
+        assert causes["buffer-swap"] > 0 and causes["wire"] == 0.0
+        assert_same(streamed, analyze_records(
+            [TraceRecord(*r) for r in records]))
 
     @pytest.mark.parametrize("late", [
         rec(5e-3, "msg-recv", node=1, job=1, msg=7, src=0, nbytes=64),

@@ -99,6 +99,22 @@ def test_failstop_smoke_fails_on_an_unlit_counter(monkeypatch, capsys):
     assert "run 0: switches read 0" in capsys.readouterr().err
 
 
+def test_fault_smoke_fails_on_an_unlit_counter(monkeypatch, capsys):
+    # The 10-round preset injected no corruption, daemon stall or daemon
+    # crash on seed 0: the gate must exit 1 and name each of them.
+    from repro.faults import chaos
+
+    monkeypatch.setattr(chaos, "smoke_point", lambda failstop, **common:
+                        chaos.ChaosPoint(rounds=10, drop=0.02, dup=0.01,
+                                         corrupt=0.005, jitter=0.05,
+                                         sram=200.0, stall=0.05, crash=0.02,
+                                         **common))
+    assert main(["chaos", "--smoke"]) == 1
+    err = capsys.readouterr().err
+    for name in ("corruptions", "daemon_stalls", "daemon_crashes"):
+        assert f"run 0: injected.{name} read 0" in err
+
+
 # (argv, module, point function the pool worker calls, perturbation)
 SMOKE_GATES = [
     (["figure_policies", "--smoke"], "repro.experiments.figure_policies",
