@@ -400,8 +400,8 @@ def _sweeps(args) -> dict:
                                 f"complete, {p['incomplete']} incomplete "
                                 "messages in an untruncated run")
         if smoke:
-            # The run attributed each message as it completed; the offline
-            # replay of its saved trace must say exactly the same.
+            # The run attributed each message as it completed; its saved
+            # trace, re-ingested, must say exactly the same.
             replayed = explain.load_trace(json.loads(json.dumps(
                 explain.trace_payload(results))))
             if (_digest(explain.render_explain(replayed),

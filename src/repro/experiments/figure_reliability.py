@@ -38,7 +38,7 @@ from repro.faults.retransmit import RetransmitPolicy
 from repro.faults.strategies import STRATEGY_NAMES
 from repro.parpar.cluster import ClusterConfig, ParParCluster
 from repro.parpar.job import JobSpec
-from repro.telemetry.spans import derive_retransmit_spans
+from repro.telemetry.spans import SpanSink
 from repro.units import MB
 from repro.workloads.alltoall import alltoall_benchmark
 
@@ -99,8 +99,8 @@ def _measure_point(strategy: str, drop: float, rounds: int,
         faults=FaultSpec(drop_rate=drop),
         retransmit=RetransmitPolicy(),
         reliability_strategy=strategy,
-        # Retransmit epochs are derived from the per-packet trace stream
-        # (rto-retransmit / pkt-deliver pairing) — tracing must be on.
+        # Retransmit epochs are paired from the kept per-packet records
+        # (rto-retransmit / pkt-deliver) — the trace must be kept.
         trace=True,
         telemetry=telemetry,
     )
@@ -130,8 +130,8 @@ def _measure_point(strategy: str, drop: float, rounds: int,
     goodput = delivered / elapsed / MB if elapsed > 0 else 0.0
 
     firmwares = [g.firmware for g in cluster.glue]
-    epochs = derive_retransmit_spans(cluster.tracer.records,
-                                     truncated=cluster.tracer.truncated)
+    spans = SpanSink()
+    spans.feed([(r.time, r.kind, r.fields) for r in cluster.tracer.records])
 
     # drop=0.0 disables the fault spec entirely, so no injector exists.
     excused = (set(cluster.fault_injector.faulted_seqs)
@@ -152,8 +152,9 @@ def _measure_point(strategy: str, drop: float, rounds: int,
     return ReliabilityPoint(
         strategy=strategy, drop=drop, goodput_mbps=goodput,
         retransmits=sum(fw.retransmits for fw in firmwares),
-        retransmit_epochs=len(epochs),
-        epochs_recovered=sum(1 for s in epochs if s.args.get("recovered")),
+        retransmit_epochs=len(spans.epochs),
+        epochs_recovered=sum(1 for seq in spans.epochs
+                             if spans.recovered.get(seq)),
         acks_sent=sum(fw.acks_sent for fw in firmwares),
         nacks_sent=sum(fw.nacks_sent for fw in firmwares),
         permanent_losses=sum(fw.permanent_losses for fw in firmwares),

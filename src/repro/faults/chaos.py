@@ -193,7 +193,12 @@ def run_chaos_point(point: ChaosPoint) -> dict:
         # remains.
         error = str(exc)
     cluster.masterd.pause_rotation()
-    cluster.run_for(SETTLE)
+    try:
+        cluster.run_for(SETTLE)
+    except ReproError as exc:
+        # The same checks run while in-flight traffic drains; the first
+        # error is the one reported.
+        error = error or str(exc)
 
     firmwares = [g.firmware for g in cluster.glue]
     reliability = {

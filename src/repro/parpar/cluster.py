@@ -68,10 +68,11 @@ class ClusterConfig:
     strict_no_loss: bool = True
     seed: int = 0
     #: Record the run's trace (packet, switch-span and scheduling
-    #: records) into the cluster's one tracer.
+    #: records) into the cluster's one tracer, which keeps them.
     trace: bool = False
-    #: Unified telemetry: the metrics registry and the kernel profiler on
-    #: top of the trace.  Implies tracing; off by default because
+    #: Unified telemetry: the metrics registry, the kernel profiler and
+    #: the span sink the tracer streams into.  Implies tracing, but keeps
+    #: the records only with ``trace``; off by default because
     #: observability must never tax the measured runs — see the
     #: determinism contract in :mod:`repro.telemetry.session`.
     telemetry: bool = False
@@ -197,11 +198,11 @@ class ParParCluster:
         self.fm_config = config.resolved_fm()
         self.policy = config.resolved_policy()
         # One tracer per traced run, shared by every component; telemetry
-        # adds the registry and the kernel profiler on top of it.  The
-        # tracer clock is bound to ``sim``, not ``self``: a reference to
-        # the cluster would keep it alive until a cyclic collection.  The
-        # tracer comes first: the policy engine (below) threads it
-        # through its reallocation records.
+        # streams it into its span sink and adds the registry and the
+        # kernel profiler.  The tracer clock is bound to ``sim``, not
+        # ``self``: a reference to the cluster would keep it alive until a
+        # cyclic collection.  The tracer comes first: the policy engine
+        # (below) threads it through its reallocation records.
         traced = config.trace or config.telemetry
         self.tracer = (Tracer(clock=sim.clock, limit=DEFAULT_TRACE_LIMIT)
                        if traced else NullTracer())
@@ -212,7 +213,8 @@ class ParParCluster:
         self.telemetry: Optional["Telemetry"] = None
         if config.telemetry:
             from repro.telemetry.session import Telemetry
-            self.telemetry = Telemetry(self.tracer)
+            self.telemetry = Telemetry(self.tracer,
+                                       keep_records=config.trace)
             sim.profiler = self.telemetry.profiler
         if getattr(self.policy, "dynamic", False):
             from repro.fm.policies.engine import PolicyEngine

@@ -12,10 +12,12 @@ Layout:
 - :mod:`repro.telemetry.profiler` — DES kernel profiler (per-component
   event counts and simulated time);
 - :mod:`repro.telemetry.spans` — span-begin/span-end records over the
-  Tracer stream plus reconstruction and packet/retransmit derivations;
+  Tracer stream, and the sink that pairs them, packet flights,
+  retransmit epochs, messages, stalls and reallocations into per-name
+  counts and durations as the records arrive;
 - :mod:`repro.telemetry.causal` — per-message lineage (fragment
-  timelines, cross-node follows-from edges) and scheduling windows
-  replayed from the flat record stream;
+  timelines, cross-node follows-from edges) and the scheduling windows,
+  built one record at a time;
 - :mod:`repro.telemetry.attribution` — the stall-clock accountant:
   every message's latency partitioned exactly into named causes;
 - :mod:`repro.telemetry.explain` — the ``repro explain`` analyzer
@@ -25,8 +27,9 @@ Layout:
   per-node track rows and flow events);
 - :mod:`repro.telemetry.schema` — dependency-free validation against the
   checked-in snapshot contract;
-- :mod:`repro.telemetry.session` — the :class:`Telemetry` bundle, the
-  component harvesters and the snapshot merge behind every sweep's
+- :mod:`repro.telemetry.session` — the :class:`Telemetry` bundle (which
+  streams the run's tracer into its span sink), the component
+  harvesters and the snapshot merge behind every sweep's
   ``--telemetry OUT.json``.
 
 Import the submodules themselves; this package re-exports nothing, so

@@ -60,7 +60,6 @@ from bisect import bisect_left, bisect_right
 from itertools import accumulate
 from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
 
-from repro.sim.trace import TraceRecord
 from repro.telemetry.causal import (FragmentTrace, Interval, LiveIntervals,
                                     MessageTrace, SchedulingWindows,
                                     WindowBuilder, _clip)
@@ -398,20 +397,3 @@ def _stats(values: List[float]) -> dict:
         "p99": percentile(ordered, 0.99),
         "max": ordered[-1],
     }
-
-
-def summarize_stalls(records: Iterable[TraceRecord]) -> dict:
-    """Per-cause stall counters from raw ``stall`` records.
-
-    ``{cause: {"waits": n, "seconds": s}}`` — the registry harvest and
-    the snapshot schema's ``stall.*`` metrics come from exactly this.
-    """
-    stalls: Dict[str, list] = {}
-    for rec in records:
-        if rec.kind != "stall":
-            continue
-        cell = stalls.setdefault(rec.fields["cause"], [0, 0.0])
-        cell[0] += 1
-        cell[1] += rec.fields["dur"]
-    return {cause: {"waits": cell[0], "seconds": cell[1]}
-            for cause, cell in sorted(stalls.items())}

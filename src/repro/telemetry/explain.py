@@ -1,8 +1,8 @@
 """``repro explain`` — the critical-path latency analyzer.
 
 Runs a figure-6-style contention point (two nodes, N gang-scheduled
-bandwidth jobs) with causal tracing on, replays the record stream into
-per-message lineage (:mod:`repro.telemetry.causal`), charges every
+bandwidth jobs) with causal tracing on, builds per-message lineage from
+the record stream as it runs (:mod:`repro.telemetry.causal`), charges every
 microsecond of every message's latency to a named cause
 (:mod:`repro.telemetry.attribution`), and reports the result three ways:
 
@@ -33,16 +33,15 @@ calls before it reads the analysis.  The stream holds the lineage of
 open messages only, builds the scheduling windows as it goes, and
 attributes each message as soon as it reads the ``msg-recv`` that
 completes it, keeping just its chain timestamps until
-:meth:`~ExplainStream.finish` builds its output row.
-:func:`analyze_records` is the offline replay of a kept stream
-(``--trace`` re-ingest, and the oracle the streamed analysis must match
-byte for byte); a point keeps its records only for ``--save-trace`` or
-``--smoke``.
+:meth:`~ExplainStream.finish` builds its output row.  A point keeps its
+records only for ``--save-trace`` or ``--smoke``; a saved trace
+re-ingests through the same stream, in the same batches
+(:func:`load_trace`, :func:`analyze_records`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence, Union
 
 from repro.experiments.common import point_seed, run_points
 from repro.experiments.figure6 import _messages_for_quanta
@@ -50,15 +49,15 @@ from repro.fm.config import FMConfig
 from repro.gluefm.switch import ValidOnlyCopy
 from repro.parpar.cluster import ClusterConfig, ParParCluster
 from repro.parpar.job import JobSpec
-from repro.sim.trace import TraceRecord
+from repro.sim.trace import STREAM_BATCH, TraceRecord
 from repro.telemetry.attribution import (CAUSES, WindowIndex,
                                          attribute_message, charge_nic,
                                          general_causes, message_chain,
-                                         plain_causes, summarize_attribution,
-                                         summarize_stalls)
+                                         plain_causes, summarize_attribution)
 from repro.telemetry.causal import (FragmentTrace, MessageTrace,
-                                    WindowBuilder, _frag_by_seq, _fragment,
-                                    build_lineage, build_windows)
+                                    WindowBuilder, _fragment)
+# benchmarks/e2e/layers.py times build_windows here until item 11 lands
+from repro.telemetry.causal import build_windows
 from repro.telemetry.spans import Span
 from repro.workloads.bandwidth import bandwidth_benchmark
 
@@ -113,13 +112,14 @@ def normalize_records(records: Iterable[TraceRecord]) -> List[list]:
 
 
 # ---------------------------------------------------------------- analysis
-#: :func:`analyze_records` keys that are not per-point statistics
+#: the analysis keys that are not per-point statistics
 DETAIL_KEYS = ("per_message", "windows")
 
 
 def analyze_records(records: Sequence[TraceRecord], truncated: bool = False,
                     end_time: Optional[float] = None) -> dict:
-    """Lineage -> windows -> per-message attribution -> summary.
+    """The analysis of a kept record stream: the records fed to an
+    :class:`ExplainStream` in the tracer's batches, then finished.
 
     The returned dict carries the aggregate statistics plus, under
     :data:`DETAIL_KEYS`, a ``per_message`` list (index, endpoints, chain
@@ -128,28 +128,19 @@ def analyze_records(records: Sequence[TraceRecord], truncated: bool = False,
     ``mismatches`` counts messages whose cause partition failed to sum
     to the measured latency within float tolerance — always 0 unless
     the attribution logic regresses.
-
-    Ids are compared only for identity and outputs name messages by
-    lineage index, so renumbering or offsetting a stream's message ids
-    and seqs changes nothing here.  This offline replay is the oracle
-    :class:`ExplainStream` matches: its :meth:`~ExplainStream.finish`
-    returns this same dict.
     """
-    traces = build_lineage(records)
-    windows = build_windows(records, end_time=end_time)
-    indexed = WindowIndex(windows)
-    per_message: List[dict] = []
-    incomplete = 0
-    for index, trace in enumerate(traces):
-        frag = trace.completing_fragment()
-        att = attribute_message(trace, indexed, frag)
-        if att is None:
-            incomplete += 1
-            continue
-        per_message.append(_row(index, trace, att, frag))
-    mismatches = sum(map(_mismatched, per_message))
-    return _analysis(len(traces), per_message, incomplete, mismatches,
-                     truncated, summarize_stalls(records), windows)
+    stream = _fed([(r.time, r.kind, r.fields) for r in records])
+    return stream.finish(truncated, end_time)
+
+
+def _fed(rows: list) -> "ExplainStream":
+    """An :class:`ExplainStream` fed ``rows`` of ``(time, kind, fields)``
+    in lists of :data:`~repro.sim.trace.STREAM_BATCH`, as a tracer would
+    hand them over."""
+    stream = ExplainStream()
+    for start in range(0, len(rows), STREAM_BATCH):
+        stream.feed(rows[start:start + STREAM_BATCH])
+    return stream
 
 
 def _row(index: Optional[int], trace: MessageTrace, att: dict,
@@ -260,14 +251,16 @@ class _Closed:
 
 
 class ExplainStream:
-    """:func:`analyze_records` run online, over the tracer's batches.
+    """Per-message lineage and latency attribution over the tracer's
+    batches.
 
     :meth:`feed` is a tracer sink: it takes the records in order, a
     batch at a time, and a record reaches it by the tracer's
     :meth:`~repro.sim.trace.Tracer.flush` at the latest, so flush the
-    tracer before :meth:`reallocs` or :meth:`finish`.  Open messages keep
-    their lineage as :func:`~repro.telemetry.causal.build_lineage` would
-    build it, and the scheduling windows grow in a
+    tracer before :meth:`reallocs` or :meth:`finish`.  Each open message
+    keeps its lineage, a :class:`~repro.telemetry.causal.MessageTrace`
+    with one :class:`~repro.telemetry.causal.FragmentTrace` per
+    fragment, and the scheduling windows grow in a
     :class:`~repro.telemetry.causal.WindowBuilder`.  When a ``msg-recv``
     completes a message, everything its attribution reads is known —
     the completing fragment's chain, the sender's stalls, and the windows
@@ -276,8 +269,9 @@ class ExplainStream:
     timestamps and delivering copy, its completing fragment and
     retransmit count, and a cause dict only when a stall or a window made
     the general partition (most messages meet neither, and their causes
-    are rebuilt from the chain).  Through the ``(src, seq)`` owner map,
-    records that arrive late find that entry:
+    are rebuilt from the chain).  The ``(src, seq)`` owner map then
+    points each of its fragments' seqs at that entry, and records that
+    arrive late find it there:
 
     - ``rto-retransmit`` counts into its ``retransmits``;
     - a ``pkt-tx`` copy of one of its fragments is a no-op, unless it is
@@ -295,8 +289,7 @@ class ExplainStream:
     :meth:`finish` attributes what is still open against the final
     windows, numbers every message in lineage order, and builds each
     row, dropping each entry as its row is made, so the output rows
-    never sit beside a second copy of the run's messages.  It returns
-    the analysis :func:`analyze_records` would return.
+    never sit beside a second copy of the run's messages.
     """
 
     def __init__(self):
@@ -305,15 +298,16 @@ class ExplainStream:
         self.first_seen: Dict[tuple, float] = {}
         # key -> entry, in completion order
         self.closed: Dict[tuple, _Closed] = {}
-        self.seq_owner: Dict[tuple, tuple] = {}   # (src, seq) -> (key, frag)
+        # (src, seq) -> (key, frag) while the message is open, its entry
+        # once it has closed
+        self.seq_owner: Dict[tuple, Union[tuple, _Closed]] = {}
         self.stalls: Dict[str, list] = {}          # cause -> [waits, seconds]
         self.realloc_records: List[TraceRecord] = []   # a few per switch
         self.last_time = 0.0
 
     def feed(self, batch: list) -> None:
         """Take a tracer batch of ``(time, kind, fields)`` records, in
-        order, as :func:`build_lineage` and
-        :func:`~repro.telemetry.causal.build_windows` would.  One loop over
+        order.  One loop over
         one chain of kinds, most frequent first, with the state it touches
         bound to locals, so a batch costs this one call.  A record finds
         its open message with ``get_open(key) or new_trace(...)`` (a
@@ -356,17 +350,14 @@ class ExplainStream:
                     continue
                 key = (f["src"], f["job"], msg)
                 if key in closed:
-                    seq = f.get("seq")
-                    owner = (None if seq is None
-                             else seq_owner.get((key[0], seq)))
-                    if owner is None or owner[0] != key:
+                    if not self._owns(closed[key], key[0], f.get("seq")):
                         raise ValueError(f"pkt-deliver record at t={time!r} "
                                          "for an unknown fragment of "
                                          f"message {key}, which already "
                                          "completed")
                     continue    # a duplicate of a delivered fragment
                 trace = get_open(key) or new_trace(key, time, kind)
-                frag = _frag_by_seq(trace, seq_owner, key, f)
+                frag = self._frag_by_seq(trace, key, f.get("seq"))
                 if frag.delivered is None:
                     frag.delivered = time
                 else:
@@ -398,11 +389,15 @@ class ExplainStream:
                     continue    # not complete (yet): finish() tries again
                 del open_[key]
                 del self.first_seen[key]
-                owner = seq_owner.get((key[0], frag.seq))
-                if owner is not None and owner[0] == key:
-                    key = owner[0]    # keep the one tuple the map holds
-                closed[key] = _Closed(trace, frag.frag, chain,
-                                      general_causes(trace, windows, chain))
+                done = closed[key] = _Closed(
+                    trace, frag.frag, chain,
+                    general_causes(trace, windows, chain))
+                frags = trace.frags
+                for index in frags:
+                    seq_key = (key[0], frags[index].seq)
+                    owner = seq_owner.get(seq_key)
+                    if owner.__class__ is tuple and owner[0] == key:
+                        seq_owner[seq_key] = done
             elif kind in _WINDOW_KINDS:
                 windows.feed(time, kind, f)
                 if kind == "buffer-switch":
@@ -419,14 +414,10 @@ class ExplainStream:
                 trace.stalls.append((f["cause"], time - f["dur"], time))
             elif kind == "rto-retransmit":
                 owner = seq_owner.get((f["node"], f.get("seq")))
-                if owner is None:
-                    continue
-                key, index = owner
-                trace = get_open(key)
-                if trace is not None:
-                    trace.frags[index].retransmits += 1
-                else:
-                    closed[key].retransmits += 1
+                if owner.__class__ is tuple:
+                    open_[owner[0]].frags[owner[1]].retransmits += 1
+                elif owner is not None:
+                    owner.retransmits += 1
             elif kind == "realloc-plan" or kind == "realloc-apply":
                 self.realloc_records.append(TraceRecord(time, kind, f))
         if batch:
@@ -450,8 +441,25 @@ class ExplainStream:
             if key[0] == node and done.first_tx > start:
                 self._recharge(key, done)
 
+    def _owns(self, done: _Closed, src: int, seq) -> bool:
+        """Is ``seq`` a fragment of the closed message entry ``done``?"""
+        return seq is not None and self.seq_owner.get((src, seq)) is done
+
+    def _frag_by_seq(self, trace: MessageTrace, key: tuple,
+                     seq) -> FragmentTrace:
+        """The fragment of open message ``key`` that a ``pkt-deliver`` of
+        ``seq`` names: the one that owns the seq, else fragment 0 (a
+        single-fragment message, or an incomplete seq map)."""
+        owner = None if seq is None else self.seq_owner.get((key[0], seq))
+        if owner.__class__ is tuple and owner[0] == key:
+            return _fragment(trace, owner[1])
+        frag = _fragment(trace, 0)
+        if frag.seq is None and seq is not None:
+            frag.seq = seq
+        return frag
+
     def _late_tx(self, time, key, index, seq, done: _Closed) -> None:
-        if seq is None or self.seq_owner.get((key[0], seq)) != (key, index):
+        if not self._owns(done, key[0], seq):
             raise ValueError(f"pkt-tx record at t={time!r} for an unknown "
                              f"fragment of message {key}, which already "
                              "completed")
@@ -548,7 +556,7 @@ def _serialize_windows(windows) -> dict:
 
 def _result(analysis: dict, config: dict, end_time: Optional[float],
             reallocs: List[dict], records: Optional[list]) -> dict:
-    """One explain result from an :func:`analyze_records` analysis."""
+    """One explain result from an :meth:`ExplainStream.finish` analysis."""
     point = {k: v for k, v in analysis.items() if k not in DETAIL_KEYS}
     point.update(config, end_time=end_time)
     return {
@@ -625,14 +633,12 @@ def load_trace(doc: dict) -> List[dict]:
                          f"schema={doc.get('schema')!r}")
     results = []
     for point in doc["points"]:
-        records = [TraceRecord(t, kind, fields)
-                   for t, kind, fields in point["records"]]
+        stream = _fed(point["records"])
+        reallocs = stream.reallocs()
         end_time = point.get("end_time")
-        analysis = analyze_records(records,
-                                   truncated=point.get("truncated", False),
-                                   end_time=end_time)
+        analysis = stream.finish(point.get("truncated", False), end_time)
         results.append(_result(analysis, point["config"], end_time,
-                               _derive_reallocs(records), point["records"]))
+                               reallocs, point["records"]))
     return results
 
 

@@ -1,12 +1,16 @@
-"""The Telemetry bundle: a registry and a profiler over the run's tracer.
+"""The Telemetry bundle: a registry, a profiler and a span sink on the
+run's tracer.
 
 A :class:`Telemetry` is what a simulation carries when observability is
 on: a :class:`~repro.telemetry.registry.MetricsRegistry` (the metric
-sink) and a :class:`~repro.telemetry.profiler.KernelProfiler` (attached
-to the Simulator), on top of the run's one
-:class:`~repro.sim.trace.Tracer`.  The run builds that tracer (capped at
-:data:`~repro.sim.trace.DEFAULT_TRACE_LIMIT` records so long runs cannot
-exhaust memory silently) and hands it in.
+sink), a :class:`~repro.telemetry.profiler.KernelProfiler` (attached to
+the Simulator) and a :class:`~repro.telemetry.spans.SpanSink`, which the
+run's one :class:`~repro.sim.trace.Tracer` streams its records into.
+The run builds that tracer (capped at
+:data:`~repro.sim.trace.DEFAULT_TRACE_LIMIT` records, so a long run
+flags its snapshot ``truncated`` instead of growing without bound) and
+hands it in.  The tracer keeps no record unless the run asked for a
+trace as well.
 
 Component counters are *harvested* at snapshot time rather than double-
 written on hot paths: the firmwares, fabric, switch recorder, fault
@@ -29,41 +33,28 @@ from typing import Iterable
 from repro.sim.trace import DEFAULT_TRACE_LIMIT, Tracer
 from repro.telemetry.profiler import KernelProfiler, merge_profiles
 from repro.telemetry.registry import MetricsRegistry, merge_snapshots
-from repro.telemetry.spans import (build_spans, derive_packet_spans,
-                                   derive_retransmit_spans, summarize_spans)
+from repro.telemetry.spans import SpanSink
 
 SNAPSHOT_SCHEMA = "repro-telemetry/1"
 
 
 class Telemetry:
-    """Everything one traced simulation adds to be observable."""
+    """Everything one traced simulation adds to be observable.
 
-    def __init__(self, tracer: Tracer):
+    Streams ``tracer`` into its :class:`~repro.telemetry.spans.SpanSink`;
+    the tracer keeps its records too only with ``keep_records``.
+    """
+
+    def __init__(self, tracer: Tracer, keep_records: bool = False):
         self.tracer = tracer
         self.registry = MetricsRegistry()
         self.profiler = KernelProfiler()
+        self.spans = SpanSink()
+        tracer.stream(self.spans.feed, keep_records=keep_records)
 
-    # ------------------------------------------------------------------ spans
-    def all_spans(self):
-        """Explicit spans plus packet/retransmit/causal derivations."""
-        from repro.telemetry.causal import derive_causal_spans
-        records = self.tracer.kept_records()
-        truncated = self.tracer.truncated
-        spans = build_spans(records, truncated=truncated)
-        base = (max((s.span_id for s in spans), default=-1) + 1)
-        spans += derive_packet_spans(records, next_id=max(base, 1_000_000),
-                                     truncated=truncated)
-        spans += derive_retransmit_spans(records,
-                                         next_id=max(base, 1_000_000)
-                                         + 1_000_000, truncated=truncated)
-        spans += derive_causal_spans(records,
-                                     next_id=max(base, 1_000_000)
-                                     + 2_000_000, truncated=truncated)
-        return spans
-
-    # ------------------------------------------------------------------ snapshot
     def snapshot(self) -> dict:
-        span_summary = summarize_spans(self.all_spans())
+        self.tracer.flush()
+        span_summary = self.spans.summary(self.tracer.truncated)
         if self.tracer.truncated:
             span_summary["truncated"] = True
         return {
@@ -187,22 +178,22 @@ def harvest_policy(registry: MetricsRegistry, engine) -> None:
     registry.counter("policy.reports").inc(1)
 
 
-def harvest_stalls(registry: MetricsRegistry, tracer: Tracer) -> None:
-    """Fold per-cause stall totals (from the tracer's kept ``stall``
-    records) into ``stall.<cause>.waits`` counters and
-    ``stall.<cause>.seconds`` gauges (gauges sum across merged points,
-    matching the counters)."""
-    from repro.telemetry.attribution import summarize_stalls
-    for cause, cell in summarize_stalls(tracer.kept_records()).items():
-        registry.counter(f"stall.{cause}.waits").inc(cell["waits"])
-        registry.gauge(f"stall.{cause}.seconds").add(cell["seconds"])
+def harvest_stalls(telemetry: Telemetry) -> None:
+    """Fold the per-cause stall totals of the run's ``stall`` records into
+    ``stall.<cause>.waits`` counters and ``stall.<cause>.seconds`` gauges
+    (gauges sum across merged points, matching the counters)."""
+    telemetry.tracer.flush()
+    registry = telemetry.registry
+    for cause, (waits, seconds) in sorted(telemetry.spans.stalls.items()):
+        registry.counter(f"stall.{cause}.waits").inc(waits)
+        registry.gauge(f"stall.{cause}.seconds").add(seconds)
 
 
 def harvest_cluster(telemetry: Telemetry, cluster) -> None:
     """Fold one ParParCluster's deterministic counters into the registry."""
     registry = telemetry.registry
     harvest_firmwares(registry, (g.firmware for g in cluster.glue))
-    harvest_stalls(registry, telemetry.tracer)
+    harvest_stalls(telemetry)
     harvest_fabric(registry, cluster.fabric)
     cluster.recorder.publish(registry)   # Figures 7/8/9 raw data
     if getattr(cluster, "policy_engine", None) is not None:
@@ -234,7 +225,7 @@ def harvest_network(telemetry: Telemetry, net) -> dict:
     registry = telemetry.registry
     harvest_firmwares(registry, net.firmwares.values())
     harvest_fabric(registry, net.fabric)
-    harvest_stalls(registry, telemetry.tracer)
+    harvest_stalls(telemetry)
     registry.counter("sim.events").inc(net.sim.processed_events)
     registry.gauge("sim.seconds").add(net.sim.now)
     return telemetry.snapshot()

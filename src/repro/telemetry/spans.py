@@ -8,24 +8,33 @@ relationship — the natural shape of the protocols this system runs:
 - a packet's life is a ``pkt-flight`` span from wire injection to
   delivery into the destination receive queue;
 - a retransmit epoch spans from a sequence number's first retransmission
-  to its eventual delivery (or its last retry).
+  to its eventual delivery (or its last retry);
+- a message spans from its ``FM_send`` entry to its reassembly, a stall
+  from the start to the end of the wait, and a policy reallocation from
+  its plan to the last node's apply.
 
 Spans ride the existing :class:`~repro.sim.trace.TraceRecord` stream as
 paired ``span-begin`` / ``span-end`` records carrying a span id and an
 optional parent id, emitted by a :class:`SpanEmitter` (one per cluster,
-so ids are globally unique and deterministic).  :func:`build_spans`
-reconstructs interval objects from a record stream; the ``derive_*``
-helpers synthesize packet-lifecycle and retransmit-epoch spans from the
-ordinary per-packet records, so the hot paths never pay for explicit
-span bookkeeping.
+so ids are globally unique and deterministic).  The other spans are
+implied by the ordinary per-packet and per-message records, so the hot
+paths never pay for explicit span bookkeeping.
+
+A :class:`SpanSink` on :meth:`~repro.sim.trace.Tracer.stream` pairs
+the records as they are made and keeps only what the telemetry
+snapshot reports: each span's name and duration, the open ends still
+waiting for their close, and per-cause stall totals.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from itertools import chain
+from operator import itemgetter
+from typing import Optional
 
-from repro.sim.trace import TraceRecord, Tracer
+from repro.sim.trace import Tracer
 
 SPAN_BEGIN = "span-begin"
 SPAN_END = "span-end"
@@ -33,7 +42,7 @@ SPAN_END = "span-end"
 
 @dataclass(frozen=True)
 class Span:
-    """One reconstructed interval."""
+    """One interval, as the Chrome exporter renders it."""
 
     span_id: int
     parent_id: Optional[int]
@@ -72,181 +81,186 @@ class SpanEmitter:
         self.tracer.record(SPAN_END, span=span_id, **args)
 
 
-_SPAN_META = frozenset(("span", "parent", "name", "cat"))
 
 
-def build_spans(records: Iterable[TraceRecord],
-                truncated: bool = False) -> list[Span]:
-    """Pair begin/end records into :class:`Span` objects.
+class SpanSink:
+    """Each span name's count and durations, built on the tracer stream.
 
-    Spans never closed (the run ended mid-protocol) are clipped to the
-    last record's timestamp.  With ``truncated=True`` (the tracer hit its
-    record cap) each clipped span is additionally marked with a
-    ``truncated`` arg — its end record may have been lost to the cap, so
-    the clipped duration is a lower bound, not a measurement.  Output is
-    ordered by start time, then id.
+    :meth:`feed` is a :meth:`~repro.sim.trace.Tracer.stream` sink.  It
+    pairs ``span-begin``/``span-end`` records, each ``pkt-tx`` with the
+    next ``pkt-deliver`` of the same ``(src, dst, seq)`` (per-pair FIFO),
+    a seq's first ``rto-retransmit`` with its delivery or last retry, a
+    message's ``msg-start`` with its ``msg-recv``, and a
+    ``realloc-plan`` with the last ``realloc-apply`` of its sequence.
+    A packet's tx and delivery records carry its message id, so a control
+    packet (message id -1), which is never delivered, pairs with nothing
+    and is kept as a bare tx time.  The sink keeps no record and no
+    fragment: a start time per open span, a duration per closed one (a
+    running sum for packet flights), and the per-cause ``stall`` totals.
+
+    :meth:`summary` adds each name's durations in a fixed order, so a
+    snapshot does not depend on the order in which spans close: explicit
+    spans by ``(start, span id)``; packet flights in delivery order;
+    retransmit epochs by seq; and messages, stalls and reallocations by
+    start time, ties broken by message lineage order ``(started, src,
+    job, msg)`` — a message's stalls before it, and refill-path stalls,
+    then reallocations, last.
     """
-    open_spans: dict[int, TraceRecord] = {}
-    closed: list[Span] = []
-    last_time = 0.0
-    for rec in records:
-        last_time = rec.time
-        kind = rec.kind
-        if kind == SPAN_BEGIN:
-            open_spans[rec.fields["span"]] = rec
-        elif kind == SPAN_END:
-            begin = open_spans.pop(rec.fields["span"], None)
-            if begin is None:
-                continue    # end without begin: the begin is not in this stream
-            closed.append(_make_span(begin, rec.time, rec.fields))
-    clip_fields = {"truncated": True} if truncated else {}
-    for span_id in sorted(open_spans):
-        closed.append(_make_span(open_spans[span_id], last_time, clip_fields))
-    closed.sort(key=lambda s: (s.start, s.span_id))
-    return closed
 
+    def __init__(self):
+        self.last_time = 0.0
+        self.begun: dict = {}        # span id -> (name, start)
+        self.ended: list = []        # (start, span id, name, duration)
+        self.in_flight: dict = {}    # (src, dst, seq) -> tx times, FIFO
+        self.control_tx = array("d")  # tx times of control packets
+        self.flights = [0, 0.0]      # delivered: count, duration sum
+        self.epochs: dict = {}       # seq -> [first, last, strategy]
+        self.recovered: dict = {}    # seq -> delivered after a retry?
+        self.messages: dict = {}     # (src, job, msg) -> [started, completed]
+        self.stalled: list = []      # (message key or None, name, start, end)
+        self.plans: dict = {}        # realloc sequence -> [plan, last]
+        self.stalls: dict = {}       # cause -> [waits, seconds]
 
-def _make_span(begin: TraceRecord, end_time: float, end_fields: dict) -> Span:
-    f = begin.fields
-    args = {k: v for k, v in f.items() if k not in _SPAN_META}
-    for k, v in end_fields.items():
-        if k != "span":
-            args[k] = v
-    return Span(span_id=f["span"], parent_id=f.get("parent"),
-                name=f["name"], category=f.get("cat", ""),
-                start=begin.time, end=end_time, args=args)
+    def feed(self, batch: list) -> None:
+        """Take a tracer batch of ``(time, kind, fields)`` records."""
+        in_flight = self.in_flight
+        epochs = self.epochs
+        messages = self.messages
+        for time, kind, f in batch:
+            if kind == "pkt-tx":
+                if "seq" not in f:
+                    continue
+                msg = f.get("msg")
+                if msg is None or msg < 0:
+                    # A control packet (refill, halt, ready, ack) has no
+                    # delivery record to pair with: only a truncated
+                    # stream reports it, clipped.
+                    self.control_tx.append(time)
+                else:
+                    in_flight.setdefault((f["node"], f["dst"], f["seq"]),
+                                         []).append(time)
+            elif kind == "pkt-deliver":
+                seq = f.get("seq")
+                key = (f.get("src"), f.get("node"), seq)
+                sent = in_flight.get(key)
+                if sent:
+                    tx = sent.pop(0)
+                    if not sent:
+                        del in_flight[key]
+                    flights = self.flights
+                    flights[0] += 1
+                    flights[1] += time - tx
+                if seq is not None and seq in epochs:
+                    epochs[seq][1] = time
+                    self.recovered[seq] = True
+            elif kind == "msg-start":
+                key = (f["node"], f["job"], f["msg"])
+                messages.setdefault(key, [None, None])[0] = time
+            elif kind == "msg-recv":
+                msg = f.get("msg")
+                src = f.get("src")
+                if msg is not None and src is not None:
+                    key = (src, f["job"], msg)
+                    messages.setdefault(key, [None, None])[1] = time
+            elif kind == "stall":
+                cell = self.stalls.setdefault(f["cause"], [0, 0.0])
+                cell[0] += 1
+                cell[1] += f["dur"]
+                msg = f.get("msg")
+                if msg is not None:
+                    # msg -1: the refill path stalls for no message
+                    key = None if msg < 0 else (f["node"], f["job"], msg)
+                    self.stalled.append((key, f"stall-{f['cause']}",
+                                         time - f["dur"], time))
+            elif kind == SPAN_BEGIN:
+                self.begun[f["span"]] = (f["name"], time)
+            elif kind == SPAN_END:
+                begun = self.begun.pop(f["span"], None)
+                if begun is not None:
+                    name, start = begun
+                    self.ended.append((start, f["span"], name, time - start))
+            elif kind == "rto-retransmit":
+                seq = f.get("seq")
+                if seq is not None:
+                    epoch = epochs.setdefault(seq, [time, time, None])
+                    epoch[1] = time
+                    if epoch[2] is None:
+                        epoch[2] = f.get("strategy")
+            elif kind == "rto-give-up":
+                seq = f.get("seq")
+                if seq is not None:
+                    if seq in epochs:
+                        epochs[seq][1] = time
+                    self.recovered.setdefault(seq, False)
+            elif kind == "realloc-plan":
+                plan = self.plans.setdefault(f.get("sequence"), [time, 0.0])
+                plan[1] = time
+            elif kind == "realloc-apply":
+                plan = self.plans.get(f.get("sequence"))
+                if plan is not None:
+                    plan[1] = time
+        if batch:
+            self.last_time = batch[-1][0]
 
+    def summary(self, truncated: bool = False) -> dict:
+        """The snapshot's ``spans`` entry: span count, and count and
+        total seconds per name.  Spans still open at the end are clipped
+        to the last record, and a ``truncated`` stream (the tracer hit
+        its record cap) also reports the packet flights and messages it
+        cut off."""
+        last = self.last_time
+        by_name: dict = {}
+        if self.flights[0]:
+            by_name["pkt-flight"] = list(self.flights)
 
-# ---------------------------------------------------------------- derivations
-def derive_packet_spans(records: Iterable[TraceRecord],
-                        next_id: int = 1_000_000,
-                        truncated: bool = False) -> list[Span]:
-    """Packet lifecycles from per-packet records: tx -> delivery.
+        def add(spans):
+            for name, duration in spans:
+                cell = by_name.get(name)
+                if cell is None:
+                    cell = by_name[name] = [0, 0.0]
+                cell[0] += 1
+                cell[1] += duration
 
-    Pairs each ``pkt-tx`` carrying a seq with the next ``pkt-deliver`` of
-    the same seq (per-pair FIFO makes first-match correct; a retransmitted
-    seq yields one span per wire copy that arrived).
+        explicit = self.ended + [(start, span, name, last - start)
+                                 for span, (name, start)
+                                 in sorted(self.begun.items())]
+        explicit.sort(key=itemgetter(0, 1))
+        add((name, duration) for _, _, name, duration in explicit)
+        if truncated:
+            cut = sorted(chain(self.control_tx, *self.in_flight.values()))
+            add(("pkt-flight", max(last, tx) - tx) for tx in cut)
+        add(("retransmit-epoch" if strategy is None
+             else f"retransmit-epoch-{strategy}", end - start)
+            for start, end, strategy in (self.epochs[seq]
+                                         for seq in sorted(self.epochs)))
+        add((name, end - start)
+            for start, name, end in self._causal(truncated))
+        return {
+            "count": sum(cell[0] for cell in by_name.values()),
+            "by_name": {name: {"count": cell[0], "total_seconds": cell[1]}
+                        for name, cell in sorted(by_name.items())},
+        }
 
-    A tx with no matching delivery is normally a genuinely lost wire copy
-    (dropped, corrupted, or superseded) and yields no span.  But when the
-    record stream was ``truncated`` (the tracer hit its cap mid-run) the
-    delivery record may simply be missing, so each unmatched tx becomes
-    an *open* span clipped to the last record time and flagged
-    ``truncated=True`` — visible in the waterfall instead of silently
-    dropped.
-    """
-    pending: dict[tuple, list] = {}
-    spans: list[Span] = []
-    last_time = 0.0
-    for rec in records:
-        last_time = rec.time
-        kind = rec.kind
-        f = rec.fields
-        if kind == "pkt-tx" and "seq" in f:
-            pending.setdefault((f["node"], f["dst"], f["seq"]),
-                               []).append(rec)
-        elif kind == "pkt-deliver":
-            key = (f.get("src"), f.get("node"), f.get("seq"))
-            queue = pending.get(key)
-            if not queue:
-                continue
-            tx = queue.pop(0)
-            spans.append(Span(
-                span_id=next_id, parent_id=None, name="pkt-flight",
-                category="packet", start=tx.time, end=rec.time,
-                args={"src": tx.fields["node"], "dst": tx.fields["dst"],
-                      "seq": f.get("seq"), "job": tx.fields.get("job")},
-            ))
-            next_id += 1
-    if truncated:
-        leftovers = [tx for key in pending for tx in pending[key]]
-        leftovers.sort(key=lambda r: (r.time, r.fields.get("seq", -1)))
-        for tx in leftovers:
-            f = tx.fields
-            spans.append(Span(
-                span_id=next_id, parent_id=None, name="pkt-flight",
-                category="packet", start=tx.time, end=max(last_time, tx.time),
-                args={"src": f["node"], "dst": f["dst"], "seq": f["seq"],
-                      "job": f.get("job"), "truncated": True},
-            ))
-            next_id += 1
-    return spans
-
-
-def derive_retransmit_spans(records: Iterable[TraceRecord],
-                            next_id: int = 2_000_000,
-                            truncated: bool = False) -> list[Span]:
-    """Retransmit epochs: first retransmission of a seq to its delivery.
-
-    A seq never delivered (gave up) spans to its last retry instead; the
-    span args carry the retry count and whether it was recovered.  When
-    the record stream was ``truncated``, an epoch with no terminal record
-    (neither delivery nor give-up reached the trace before the cap) is
-    flagged ``truncated=True`` — its ``recovered=False`` is unknown, not
-    a verdict.
-
-    Records from a non-default reliability strategy carry a ``strategy``
-    field; their epochs are named ``retransmit-epoch-<strategy>`` (and
-    tagged in args) so strategy sweeps separate in the span summary.
-    Default-strategy records carry no tag and keep the plain name — the
-    pre-strategy snapshot contract is unchanged.
-    """
-    first_rto: dict = {}
-    last_seen: dict = {}
-    retries: dict = {}
-    recovered: dict = {}
-    strategy_of: dict = {}
-    for rec in records:
-        kind = rec.kind
-        seq = rec.fields.get("seq")
-        if seq is None:
-            continue
-        if kind == "rto-retransmit":
-            first_rto.setdefault(seq, rec.time)
-            last_seen[seq] = rec.time
-            retries[seq] = retries.get(seq, 0) + 1
-            tag = rec.fields.get("strategy")
-            if tag is not None:
-                strategy_of.setdefault(seq, tag)
-        elif kind == "rto-give-up":
-            last_seen[seq] = rec.time
-            recovered.setdefault(seq, False)
-        elif kind == "pkt-deliver" and seq in first_rto:
-            last_seen[seq] = rec.time
-            recovered[seq] = True
-    spans = []
-    for seq in sorted(first_rto):
-        args = {"seq": seq, "retries": retries.get(seq, 0),
-                "recovered": recovered.get(seq, False)}
-        if truncated and seq not in recovered:
-            args["truncated"] = True
-        strategy = strategy_of.get(seq)
-        name = "retransmit-epoch"
-        if strategy is not None:
-            name = f"retransmit-epoch-{strategy}"
-            args["strategy"] = strategy
-        spans.append(Span(
-            span_id=next_id, parent_id=None, name=name,
-            category="reliability", start=first_rto[seq],
-            end=last_seen[seq], args=args,
-        ))
-        next_id += 1
-    return spans
-
-
-def summarize_spans(spans: Iterable[Span]) -> dict:
-    """Deterministic per-name aggregates for the unified snapshot."""
-    by_name: dict[str, list] = {}
-    total = 0
-    for span in spans:
-        total += 1
-        cell = by_name.setdefault(span.name, [0, 0.0])
-        cell[0] += 1
-        cell[1] += span.duration
-    return {
-        "count": total,
-        "by_name": {
-            name: {"count": cell[0], "total_seconds": cell[1]}
-            for name, cell in sorted(by_name.items())
-        },
-    }
+    def _causal(self, truncated: bool) -> list:
+        """``(start, name, end)`` of each message, stall and reallocation
+        span, in start order, ties in lineage order."""
+        stalls_of: dict = {}
+        for key, name, start, end in self.stalled:
+            stalls_of.setdefault(key, []).append((start, name, end))
+        spans = []
+        for started, key in sorted((entry[0], key) for key, entry
+                                   in self.messages.items()
+                                   if entry[0] is not None):
+            spans += stalls_of.get(key, ())
+            completed = self.messages[key][1]
+            if completed is not None:
+                spans.append((started, "message", completed))
+            elif truncated:
+                spans.append((started, "message",
+                              max(self.last_time, started)))
+        spans += stalls_of.get(None, ())
+        plans = self.plans
+        spans += [(plans[seq][0], "realloc", plans[seq][1]) for seq in
+                  sorted(plans, key=lambda seq: (plans[seq][0], str(seq)))]
+        spans.sort(key=itemgetter(0))
+        return spans

@@ -10,6 +10,7 @@ show the faults really happened (no vacuous pass).
 import pytest
 
 from repro.errors import ProtocolError
+from repro.faults import chaos
 from repro.faults.chaos import (FAILSTOP_SMOKE_COUNTERS, FAULT_SMOKE_COUNTERS,
                                 ChaosPoint, run_chaos_campaign,
                                 run_chaos_point, smoke_point, unlit_counters)
@@ -208,6 +209,24 @@ class TestMidRunErrors:
         monkeypatch.undo()
         assert second == run_chaos_campaign(base, runs=2)[1]
         assert second["error"] is None and second["audit"]["ok"]
+
+
+    def test_protocol_error_in_the_settle_run_is_reported(
+            self, monkeypatch):
+        """An invariant that trips after the jobs finished, while the
+        point settles, lands in the point's error field as well."""
+        class Settling(chaos.ParParCluster):
+            def run_for(self, seconds, **kwargs):
+                def trip():
+                    yield seconds / 2
+                    raise ProtocolError("planted in the settle run")
+                self.sim.process(trip())
+                return super().run_for(seconds, **kwargs)
+
+        monkeypatch.setattr(chaos, "ParParCluster", Settling)
+        result = run_chaos_point(small_point(drop=0.02))
+        assert result["error"] == "planted in the settle run"
+        assert "audit" in result
 
 
 class TestSeeding:

@@ -35,12 +35,12 @@ FAILSTOP_SWITCHING = ChaosPoint(rounds=600, failstops=1, rejoin=True,
 
 def _capture_clusters(monkeypatch):
     """Return the list each cluster ``run_chaos_point`` builds from now
-    on is appended to."""
+    on is appended to; each keeps its trace."""
     built = []
 
     class Captured(chaos.ParParCluster):
         def __init__(self, config):
-            super().__init__(config)
+            super().__init__(replace(config, trace=True))
             built.append(self)
 
     monkeypatch.setattr(chaos, "ParParCluster", Captured)

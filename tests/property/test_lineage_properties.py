@@ -16,7 +16,8 @@ from repro.sim.trace import TraceRecord
 from repro.telemetry.attribution import (CAUSES, IntervalIndex, WindowIndex,
                                          _clip, attribute_message)
 from repro.telemetry.causal import (FragmentTrace, MessageTrace,
-                                    WindowBuilder, build_lineage)
+                                    WindowBuilder)
+from tests.telemetry.oracle import build_lineage
 
 times = st.floats(min_value=-1.0, max_value=1.0, allow_nan=False,
                   allow_infinity=False)

@@ -16,12 +16,12 @@ from repro.gluefm.switch import ValidOnlyCopy
 from repro.parpar.cluster import ClusterConfig, ParParCluster
 from repro.parpar.job import JobSpec
 from repro.sim.trace import TraceRecord
-from repro.telemetry.attribution import (CAUSES, attribute_message,
-                                         summarize_stalls)
-from repro.telemetry.causal import (build_lineage, build_windows,
-                                    derive_causal_spans)
+from repro.telemetry.attribution import CAUSES, attribute_message
+from repro.telemetry.causal import build_windows
 from repro.workloads.alltoall import alltoall_benchmark
 from repro.workloads.bandwidth import bandwidth_benchmark
+from tests.telemetry.oracle import (build_lineage, derive_causal_spans,
+                                    summarize_stalls)
 
 MS = 1e-3
 
@@ -257,7 +257,8 @@ def run_cluster(jobs=2, messages=30, quantum=0.004, seed=3, faults=None,
     cluster = ParParCluster(ClusterConfig(
         num_nodes=nodes, time_slots=max(jobs, 1), quantum=quantum,
         buffer_switching=True, switch_algorithm=ValidOnlyCopy(), fm=fm,
-        seed=seed, telemetry=True, faults=faults, retransmit=retransmit,
+        seed=seed, trace=True, telemetry=True, faults=faults,
+        retransmit=retransmit,
     ))
     workload = workload or bandwidth_benchmark(messages, 1536)
     submitted = [cluster.submit(JobSpec(f"j{i}", width, workload,

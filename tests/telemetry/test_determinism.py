@@ -162,12 +162,14 @@ class TestReplayBySeed:
 
 
 class TestOneTracer:
-    """A trace-only run records exactly what a telemetry run records:
-    both go through the cluster's one tracer."""
+    """A trace-only run records exactly what a traced telemetry run
+    records: both go through the cluster's one tracer.  A telemetry run
+    without ``trace`` streams the same records and keeps none."""
 
     def test_trace_only_run_records_the_telemetry_stream(self):
         traced = _burst_records(trace=True)
-        assert traced == _burst_records(telemetry=True)
+        assert traced == _burst_records(trace=True, telemetry=True)
+        assert _burst_records(telemetry=True) == []
         kinds = {kind for _, kind, _ in traced}
         assert {"job-stop", "job-go", "span-begin", "span-end"} <= kinds
 

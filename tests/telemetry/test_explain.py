@@ -13,13 +13,13 @@ import pytest
 
 from repro.cli import main
 from repro.sim.trace import TraceRecord
-from repro.telemetry.causal import build_lineage
 from repro.telemetry.explain import (_run_point, analyze_records,
                                      explain_chrome_trace, explain_payload,
                                      load_trace, normalize_records,
                                      render_explain,
                                      run_explain, top_messages,
                                      trace_payload)
+from tests.telemetry import oracle
 
 MS = 1e-3
 
@@ -140,7 +140,7 @@ class TestRawEqualsNormalized:
             rec(4.2 * MS, "job-stop", node=1, job=2),
         ]
         records.sort(key=lambda r: r.time)
-        frags = [frag for trace in build_lineage(records)
+        frags = [frag for trace in oracle.build_lineage(records)
                  for frag in trace.frags.values()]
         assert sum(f.drops for f in frags) == 1
         assert sum(f.dup_discards for f in frags) == 1
@@ -166,7 +166,7 @@ class TestIdOffsetInvariance:
             jobs=2, message_bytes=1536, messages=20, quantum=0.004,
             num_processors=16, policy="", seed=5, keep_records=True)
         assert streamed["complete"] > 0
-        assert streamed == analyze_records(
+        assert streamed == oracle.analyze_records(
             raw_records, truncated=streamed["truncated"], end_time=end_time)
         saved = trace_payload(small_results)
         dump = lambda doc: json.dumps(explain_payload(load_trace(doc)),

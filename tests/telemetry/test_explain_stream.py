@@ -3,8 +3,8 @@
 A live ``repro explain`` point keeps no trace: every record goes straight
 into an :class:`ExplainStream`, which attributes each message when its
 ``msg-recv`` completes it and then drops its fragments.  The offline
-replay, :func:`analyze_records` over the kept stream, is the oracle.  The
-two must agree byte for byte on random record streams (drops, duplicates,
+replay of the kept stream, :func:`tests.telemetry.oracle.analyze_records`,
+is the oracle.  The two must agree byte for byte on random record streams (drops, duplicates,
 retransmits before and after completion, stalls, unstarted and incomplete
 messages, windows still open at the end, tracers cut by ``limit``) and on
 the real explain points.
@@ -28,8 +28,9 @@ from repro.sim.trace import STREAM_BATCH, TraceRecord, Tracer
 from repro.telemetry import explain
 from repro.telemetry.attribution import plain_causes
 from repro.telemetry.explain import (ExplainStream, _derive_reallocs,
-                                     _run_point, analyze_records)
+                                     _run_point)
 from repro.workloads.alltoall import alltoall_benchmark
+from tests.telemetry.oracle import analyze_records
 
 STEP = 0.25e-3
 #: small steps on a coarse grid, so equal timestamps are common (a late

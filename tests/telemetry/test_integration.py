@@ -7,16 +7,17 @@ from repro.parpar.cluster import ClusterConfig, ParParCluster
 from repro.parpar.job import JobSpec
 from repro.telemetry.schema import validate_snapshot
 from repro.workloads.alltoall import alltoall_benchmark
+from tests.telemetry.oracle import build_spans
 
 #: The stages a complete switch must expose (the paper's three phases).
 SWITCH_STAGES = ("halt", "swap", "release")
 
 
 class TestClusterCapture:
-    def _run(self):
+    def _run(self, **observe):
         cluster = ParParCluster(ClusterConfig(
             num_nodes=4, time_slots=2, quantum=0.004, seed=0,
-            telemetry=True))
+            telemetry=True, **observe))
         jobs = [cluster.submit(JobSpec(f"a2a{i}", 4,
                                        alltoall_benchmark(20, 1024)))
                 for i in range(2)]
@@ -24,8 +25,8 @@ class TestClusterCapture:
         return cluster
 
     def test_switch_spans_have_all_three_stages(self):
-        cluster = self._run()
-        spans = cluster.telemetry.all_spans()
+        cluster = self._run(trace=True)
+        spans = build_spans(cluster.tracer.records)
         parents = [s for s in spans if s.name == "gang-switch"]
         assert parents
         children = {s.name for s in spans

@@ -77,22 +77,28 @@ def _truncated():
 #: hold); recorded before the snapshot's spans moved onto the stream
 GOLDENS = {
     "figure9-4-nodes": (
-        _figure9, "817c3f07301f77b13ccad0d84739b500bdaccea6b9cada06e3b30c9ab3909708",
+        _figure9,
+        "817c3f07301f77b13ccad0d84739b500bdaccea6b9cada06e3b30c9ab3909708",
         ("gang-switch", "halt", "swap", "release", "pkt-flight")),
     "figure5-cell": (
-        _figure5_cell, "536ef4d8b806a5903cc81fcbbd3c3b22da96678a2f070954b1ecff708e6cf15a",
+        _figure5_cell,
+        "536ef4d8b806a5903cc81fcbbd3c3b22da96678a2f070954b1ecff708e6cf15a",
         ("pkt-flight", "message", "stall-credit")),
     "lossy-chaos-dup": (
-        _lossy_chaos, "04a608c9886eabd7c3dd9ea0ef936c78065b1fbb5daa3d338b05a9f5dd40a282",
+        _lossy_chaos,
+        "04a608c9886eabd7c3dd9ea0ef936c78065b1fbb5daa3d338b05a9f5dd40a282",
         ("retransmit-epoch",)),
     "occamy-bursts": (
-        _occamy_bursts, "3195d174fe522ceb55a0ac0d6cf7dab4568d67953f22d6f1ac9cf776e2832c47",
+        _occamy_bursts,
+        "3195d174fe522ceb55a0ac0d6cf7dab4568d67953f22d6f1ac9cf776e2832c47",
         ("realloc",)),
     "failstop-chaos": (
-        _failstop_chaos, "a835ce9f2f2672000656f9bd99977380b05cb111fe7359ff63b6a2b02e89e184",
+        _failstop_chaos,
+        "a835ce9f2f2672000656f9bd99977380b05cb111fe7359ff63b6a2b02e89e184",
         ("message", "recovery-evict")),
     "truncated-stream": (
-        _truncated, "0d69bafb35ff6671ed44419ef80a36b138d00046d8908a748d93ddba0714262e",
+        _truncated,
+        "0d69bafb35ff6671ed44419ef80a36b138d00046d8908a748d93ddba0714262e",
         ("gang-switch", "message")),
 }
 

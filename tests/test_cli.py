@@ -154,22 +154,22 @@ class TestSmokeGatesCanFail:
 
 
 class TestExplainSmokeChecksTheReplay:
-    """``explain --smoke`` re-ingests its own saved trace through the
-    offline replay: a streamed attribution that drifts from it fails the
-    gate, even when serial and pool runs drift alike."""
+    """``explain --smoke`` replays its own saved trace after the run: a
+    live attribution that drifts from that replay fails the gate, even
+    when serial and pool runs drift alike."""
 
     def test_streamed_cause_perturbation_fails(self, monkeypatch, capsys):
-        from repro.telemetry.explain import ExplainStream
+        from repro.telemetry import explain
 
-        real = ExplainStream.finish
+        real = explain._run_point
 
-        def perturbed(self, *args, **kwargs):
-            analysis = real(self, *args, **kwargs)
+        def perturbed(*args, **kwargs):
+            analysis, *rest = real(*args, **kwargs)
             analysis["causes"]["wire"]["total"] += 1e-9
-            return analysis
+            return (analysis, *rest)
 
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
-        monkeypatch.setattr(ExplainStream, "finish", perturbed)
+        monkeypatch.setattr(explain, "_run_point", perturbed)
         assert main(["explain", "--smoke"]) == 1
         err = capsys.readouterr().err
         assert "offline replay" in err and "diverged" not in err
