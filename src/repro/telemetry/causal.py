@@ -33,6 +33,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.sim.trace import TraceRecord
 
+
 @dataclass(slots=True)
 class FragmentTrace:
     """One wire fragment's life, summarised from its per-packet records."""
@@ -42,11 +43,7 @@ class FragmentTrace:
     enqueued: Optional[float] = None       # pkt-enq: host PIO into send queue
     tx_times: List[float] = field(default_factory=list)   # every wire copy
     delivered: Optional[float] = None      # first pkt-deliver
-    extra_deliveries: int = 0              # duplicate arrivals past the first
     retransmits: int = 0
-    dup_discards: int = 0
-    drops: int = 0
-    gave_up: bool = False
 
     @property
     def first_tx(self) -> Optional[float]:
@@ -74,23 +71,12 @@ class MessageTrace:
     job: int
     msg_id: int
     dst_node: Optional[int] = None
-    dst_rank: Optional[int] = None
     nbytes: Optional[int] = None
     frag_count: Optional[int] = None
     started: Optional[float] = None        # msg-start: FM_send entry
     completed: Optional[float] = None      # msg-recv: reassembly finished
     frags: Dict[int, FragmentTrace] = field(default_factory=dict)
     stalls: List[Tuple[str, float, float]] = field(default_factory=list)
-
-    @property
-    def key(self) -> tuple:
-        return (self.src_node, self.job, self.msg_id)
-
-    @property
-    def latency(self) -> Optional[float]:
-        if self.started is None or self.completed is None:
-            return None
-        return self.completed - self.started
 
     @property
     def complete(self) -> bool:
@@ -122,10 +108,6 @@ class MessageTrace:
         for f in self.frags.values():
             total += f.retransmits
         return total
-
-    @property
-    def drops(self) -> int:
-        return sum(f.drops for f in self.frags.values())
 
 
 def _fragment(trace: MessageTrace, index: int) -> FragmentTrace:

@@ -360,14 +360,11 @@ class ExplainStream:
                 frag = self._frag_by_seq(trace, key, f.get("seq"))
                 if frag.delivered is None:
                     frag.delivered = time
-                else:
-                    frag.extra_deliveries += 1
             elif kind == "msg-start":
                 key = (f["node"], f["job"], f["msg"])
                 trace = get_open(key) or new_trace(key, time, kind)
                 trace.started = time
                 trace.dst_node = f.get("dst")
-                trace.dst_rank = f.get("dst_rank")
                 trace.nbytes = f.get("nbytes")
                 trace.frag_count = f.get("frags")
             elif kind == "msg-send":

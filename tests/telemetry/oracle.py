@@ -14,11 +14,12 @@ the code they check.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence
 
 from repro.sim.trace import TraceRecord
 from repro.telemetry.attribution import WindowIndex, attribute_message
-from repro.telemetry.causal import (FragmentTrace, MessageTrace, _fragment,
+from repro.telemetry.causal import (FragmentTrace, MessageTrace,
                                     build_windows)
 from repro.telemetry.explain import _analysis, _mismatched, _row
 from repro.telemetry.spans import SPAN_BEGIN, SPAN_END, Span
@@ -226,22 +227,60 @@ def summarize_stalls(records: Iterable[TraceRecord]) -> dict:
 
 
 # ---------------------------------------------------------------- lineage
-def build_lineage(records: Iterable[TraceRecord]) -> List[MessageTrace]:
+@dataclass(slots=True)
+class Fragment(FragmentTrace):
+    """A fragment's trace plus the fault history only the replay counts."""
+
+    extra_deliveries: int = 0              # duplicate arrivals past the first
+    dup_discards: int = 0
+    drops: int = 0
+    gave_up: bool = False
+
+
+@dataclass(slots=True)
+class Message(MessageTrace):
+    """A message's trace plus what only the replay reports."""
+
+    dst_rank: Optional[int] = None
+
+    @property
+    def key(self) -> tuple:
+        return (self.src_node, self.job, self.msg_id)
+
+    @property
+    def latency(self) -> Optional[float]:
+        if self.started is None or self.completed is None:
+            return None
+        return self.completed - self.started
+
+    @property
+    def drops(self) -> int:
+        return sum(f.drops for f in self.frags.values())
+
+
+def _fragment(trace: Message, index: int) -> Fragment:
+    frag = trace.frags.get(index)
+    if frag is None:
+        frag = trace.frags[index] = Fragment(frag=index)
+    return frag
+
+
+def build_lineage(records: Iterable[TraceRecord]) -> List[Message]:
     """Replay a record stream into per-message causal traces.
 
     Returns messages ordered by ``(started, src_node, job, msg_id)``
     (unstarted messages — possible only in a clipped stream — sort
     first by the earliest record that mentioned them).
     """
-    messages: Dict[tuple, MessageTrace] = {}
+    messages: Dict[tuple, Message] = {}
     seq_owner: Dict[tuple, tuple] = {}     # (src, seq) -> (key, frag)
     seq_first: Dict[int, tuple] = {}       # seq -> first (src, seq) owned
     first_seen: Dict[tuple, float] = {}
 
-    def trace_of(key: tuple, when: float) -> MessageTrace:
+    def trace_of(key: tuple, when: float) -> Message:
         trace = messages.get(key)
         if trace is None:
-            trace = MessageTrace(src_node=key[0], job=key[1], msg_id=key[2])
+            trace = Message(src_node=key[0], job=key[1], msg_id=key[2])
             messages[key] = trace
             first_seen[key] = when
         return trace
@@ -333,8 +372,8 @@ def build_lineage(records: Iterable[TraceRecord]) -> List[MessageTrace]:
                        t.src_node, t.job, t.msg_id))
 
 
-def _frag_by_seq(trace: MessageTrace, seq_owner: dict, key: tuple,
-                 f: dict) -> FragmentTrace:
+def _frag_by_seq(trace: Message, seq_owner: dict, key: tuple,
+                 f: dict) -> Fragment:
     seq = f.get("seq")
     owner = seq_owner.get((key[0], seq)) if seq is not None else None
     if owner is not None and owner[0] == key:
