@@ -56,7 +56,7 @@ from repro.telemetry.attribution import (CAUSES, WindowIndex,
                                          plain_causes, summarize_attribution)
 from repro.telemetry.causal import (FragmentTrace, MessageTrace,
                                     WindowBuilder, _fragment)
-# benchmarks/e2e/layers.py times build_windows here until item 11 lands
+# benchmarks/e2e/layers.py times this here; ROADMAP item 11 retires that
 from repro.telemetry.causal import build_windows
 from repro.telemetry.spans import Span
 from repro.workloads.bandwidth import bandwidth_benchmark

@@ -54,14 +54,11 @@ class Telemetry:
 
     def snapshot(self) -> dict:
         self.tracer.flush()
-        span_summary = self.spans.summary(self.tracer.truncated)
-        if self.tracer.truncated:
-            span_summary["truncated"] = True
         return {
             "schema": SNAPSHOT_SCHEMA,
             "metrics": self.registry.snapshot(),
             "profile": self.profiler.snapshot(),
-            "spans": span_summary,
+            "spans": self.spans.summary(self.tracer.truncated),
         }
 
 

@@ -205,9 +205,9 @@ class SpanSink:
     def summary(self, truncated: bool = False) -> dict:
         """The snapshot's ``spans`` entry: span count, and count and
         total seconds per name.  Spans still open at the end are clipped
-        to the last record, and a ``truncated`` stream (the tracer hit
-        its record cap) also reports the packet flights and messages it
-        cut off."""
+        to the last record.  A ``truncated`` stream (the tracer hit its
+        record cap) is flagged, and also reports the packet flights and
+        messages it cut off."""
         last = self.last_time
         by_name: dict = {}
         if self.flights[0]:
@@ -235,11 +235,14 @@ class SpanSink:
                                          for seq in sorted(self.epochs)))
         add((name, end - start)
             for start, name, end in self._causal(truncated))
-        return {
+        summary = {
             "count": sum(cell[0] for cell in by_name.values()),
             "by_name": {name: {"count": cell[0], "total_seconds": cell[1]}
                         for name, cell in sorted(by_name.items())},
         }
+        if truncated:
+            summary["truncated"] = True
+        return summary
 
     def _causal(self, truncated: bool) -> list:
         """``(start, name, end)`` of each message, stall and reallocation
