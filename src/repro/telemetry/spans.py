@@ -96,7 +96,9 @@ class SpanSink:
     packet (message id -1), which is never delivered, pairs with nothing
     and is kept as a bare tx time.  The sink keeps no record and no
     fragment: a start time per open span, a duration per closed one (a
-    running sum for packet flights), and the per-cause ``stall`` totals.
+    running sum for packet flights; a start and a completion time per
+    message, which sorts by its start), and the per-cause ``stall``
+    totals.
 
     :meth:`summary` adds each name's durations in a fixed order, so a
     snapshot does not depend on the order in which spans close: explicit
